@@ -59,10 +59,10 @@ test-race:
 
 # Kernel golden regressions, the fuzz-smoke seed batch and the design
 # compiler's compiled-vs-golden matrix under the race detector: the suites
-# that exercise both kernels (and the parallel worker pool) concurrently.
-# VIDI_TRIPWIRE arms the dual-run determinism tripwire: every golden app
-# re-run under permuted workers/GOMAXPROCS and seeded schedule
-# perturbation must produce byte-identical traces, VCD and telemetry.
+# that run both kernels side by side in parallel tests. VIDI_TRIPWIRE arms
+# the dual-run determinism tripwire: every golden app re-run at GOMAXPROCS
+# 1 and at the host's CPU count must produce byte-identical traces, VCD and
+# telemetry.
 race-golden:
 	$(GO) test -race -count=1 -run 'TestKernelGolden' ./internal/eval
 	VIDI_TRIPWIRE=1 $(GO) test -race -count=1 -run 'TestDeterminismTripwire' ./internal/eval
@@ -117,7 +117,7 @@ ci: build vet lint staticcheck vuln fmt-check test-short test-race race-golden f
 # trajectory is tracked across PRs.
 bench:
 	$(GO) test -bench=. -benchtime=1x -benchmem ./... 2>&1 | tee bench_output.txt
-	$(GO) run ./cmd/vidi-bench -table kernel -reps 2 -workers 1,2 -baseline BENCH_kernel.json -json BENCH_kernel.json -metrics BENCH_metrics.json
+	$(GO) run ./cmd/vidi-bench -table kernel -reps 2 -baseline BENCH_kernel.json -json BENCH_kernel.json -metrics BENCH_metrics.json
 
 # Formatted paper-vs-measured tables (Table 1/2, Fig 7, §5.4, §6, sizes).
 tables:

@@ -302,9 +302,9 @@ func renderLoad(w io.Writer, path string, topN int) error {
 
 func renderOverview(w io.Writer, snap *telemetry.Snapshot) {
 	fmt.Fprintf(w, "== run overview ==\n")
-	fmt.Fprintf(w, "cycles %.0f  partitions %.0f  workers %.0f  modules %.0f  evals %.0f  waves %.0f\n\n",
+	fmt.Fprintf(w, "cycles %.0f  partitions %.0f  modules %.0f  evals %.0f  waves %.0f\n\n",
 		snap.Total("vidi_sched_cycles"), snap.Total("vidi_sched_partitions"),
-		snap.Total("vidi_sched_workers"), snap.Total("vidi_sched_modules"),
+		snap.Total("vidi_sched_modules"),
 		snap.Total("vidi_sched_evals_total"), snap.Total("vidi_sched_waves_total"))
 }
 

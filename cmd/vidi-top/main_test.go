@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"vidi/internal/serve"
+	"vidi/internal/sim"
+	"vidi/internal/telemetry"
 )
 
 func drain(t *testing.T, mode string, rows []row) []string {
@@ -112,5 +114,35 @@ func TestRenderLoadReport(t *testing.T) {
 
 	if err := renderLoad(&sb, filepath.Join(t.TempDir(), "missing.json"), 10); err == nil {
 		t.Fatal("renderLoad on a missing file should error")
+	}
+}
+
+// TestRenderOverviewHeader renders the run overview from a real scheduler
+// snapshot: every field of the header must come from a series the scheduler
+// exports, so none of them can silently read zero.
+func TestRenderOverviewHeader(t *testing.T) {
+	s := sim.New()
+	sink := telemetry.New()
+	s.SetTelemetry(sink)
+	ch := s.NewChannel("ch", 4)
+	snd := sim.NewSender("snd", ch)
+	rcv := sim.NewReceiver("rcv", ch)
+	s.Register(snd, rcv)
+	snd.Push([]byte{1, 2, 3, 4})
+	for i := 0; i < 5; i++ {
+		if err := s.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var sb strings.Builder
+	renderOverview(&sb, sink.Gather())
+	out := sb.String()
+	for _, want := range []string{"cycles 5 ", "partitions 2 ", "modules 2 "} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("overview missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "workers") {
+		t.Fatalf("overview still reports a worker count:\n%s", out)
 	}
 }

@@ -5,20 +5,23 @@ import (
 	"go/types"
 )
 
-// PartWrite audits the fine-grained parallel kernel's single-writer
-// contract. The scheduler (internal/sim) unions a module with every signal
-// in its declared Drives, so any two *declared* drivers of a signal always
-// share a sub-partition and run sequentially. The contract therefore breaks
-// only through an *undeclared* write:
+// PartWrite audits the partitioned kernel's single-writer contract. The
+// scheduler (internal/sim) unions a module with every signal in its
+// declared Drives, so any two *declared* drivers of a signal always share a
+// partition and tick in registration order, exactly as on the legacy
+// kernel. The contract therefore breaks only through an *undeclared* write:
 //
-//   - the settle phase is layered and outbox-mediated, and sensaudit already
-//     reports Eval drives missing from the declaration;
-//   - the tick phase has no ordering at all — partitions tick unordered in
-//     parallel — so a Tick that drives a signal absent from its module's
-//     declared Drives may be writing a wire owned by another sub-partition
-//     concurrently with that partition's own tick. That is a data race the
-//     union-find can never see, because partitioning is computed from the
-//     declarations.
+//   - in the settle phase, sensaudit already reports Eval drives missing
+//     from the declaration;
+//   - in the tick phase, partitions tick one after another in
+//     partition-index order, not registration order, and a signal change
+//     wakes readers through the partition that owns the signal. A Tick that
+//     drives a signal absent from its module's declared Drives may be
+//     writing a wire owned by another partition, so another partition's
+//     Tick can observe the write before or after the point the legacy
+//     kernel would have shown it. That breaks equivalence with the legacy
+//     kernel even though nothing runs concurrently, and the union-find can
+//     never see it, because partitioning is computed from the declarations.
 //
 // PartWrite proves the complement statically: for every module type with a
 // resolvable Sensitivity declaration, the symbolically-evaluated drive set
@@ -28,9 +31,9 @@ import (
 // everything they could touch); calls Tick makes that cannot be resolved
 // while signals flow into them are reported, because an invisible drive
 // behind them would void the proof. It is the static complement of the
-// `-race` golden worker matrix: the matrix catches a racy schedule it
-// happens to run, partwrite rejects the module shape that makes one
-// possible.
+// legacy-vs-scheduler golden matrix: the matrix catches a reordered tick on
+// the designs it happens to run, partwrite rejects the module shape that
+// makes one possible.
 var PartWrite = &Analyzer{
 	Name: "partwrite",
 	Doc:  "prove tick-phase signal writes stay inside each module's declared Drives (sub-partition single-writer contract)",

@@ -12,13 +12,10 @@ import (
 // runCompiled lowers g onto a raw simulator between a Sender and a
 // Receiver, pushes the input stream (with sender-side gap jitter drawn from
 // seed) and returns the received stream and the cycle count.
-func runCompiled(t *testing.T, g *Graph, in []uint32, seed int64, legacy bool, workers int, audit bool, opt CompileOptions) ([]uint32, uint64) {
+func runCompiled(t *testing.T, g *Graph, in []uint32, seed int64, legacy, audit bool, opt CompileOptions) ([]uint32, uint64) {
 	t.Helper()
 	s := sim.New()
 	s.SetLegacy(legacy)
-	if workers > 0 {
-		s.SetWorkers(workers)
-	}
 	if audit {
 		s.SetSensitivityCheck(true)
 	}
@@ -36,7 +33,7 @@ func runCompiled(t *testing.T, g *Graph, in []uint32, seed int64, legacy bool, w
 	}
 	cycles, err := s.Run(500_000, func() bool { return len(recv.Received) >= len(in) })
 	if err != nil {
-		t.Fatalf("compiled run (legacy=%v workers=%d): %v\ngraph: %s", legacy, workers, err, g.JSON())
+		t.Fatalf("compiled run (legacy=%v): %v\ngraph: %s", legacy, err, g.JSON())
 	}
 	out := make([]uint32, len(recv.Received))
 	for i, b := range recv.Received {
@@ -204,8 +201,8 @@ func TestReductionsStrictlyShrink(t *testing.T) {
 // TestCompiledGoldenMatrix is the design compiler's conformance property:
 // for 200+ seeded random graphs, the compiled module network must
 // reproduce the golden model's stream exactly, and the legacy kernel and
-// the scheduler (both worker counts) must agree on the stream and the
-// cycle count. `make race-golden` repeats it under the race detector.
+// the scheduler must agree on the stream and the cycle count. `make
+// race-golden` repeats it under the race detector.
 func TestCompiledGoldenMatrix(t *testing.T) {
 	graphs := int64(210)
 	tokens := 24
@@ -221,24 +218,21 @@ func TestCompiledGoldenMatrix(t *testing.T) {
 			in := testInput(seed^0x5eed, tokens)
 			want := g.Golden(in)
 
-			ref, refCycles := runCompiled(t, g, in, seed, true, 0, false, CompileOptions{})
+			ref, refCycles := runCompiled(t, g, in, seed, true, false, CompileOptions{})
 			if !streamEq(ref, want) {
 				t.Fatalf("legacy kernel diverged from golden model:\ngraph: %s\n got %v\nwant %v",
 					g.JSON(), ref, want)
 			}
-			for _, workers := range []int{1, 2} {
-				// The workers=1 leg doubles as the dynamic sensitivity
-				// audit of the compiled modules (the probe forces
-				// sequential evaluation anyway).
-				got, cycles := runCompiled(t, g, in, seed, false, workers, workers == 1, CompileOptions{})
-				if !streamEq(got, want) {
-					t.Fatalf("scheduler (workers=%d) diverged from golden model:\ngraph: %s\n got %v\nwant %v",
-						workers, g.JSON(), got, want)
-				}
-				if cycles != refCycles {
-					t.Fatalf("scheduler (workers=%d) cycle count %d, legacy %d\ngraph: %s",
-						workers, cycles, refCycles, g.JSON())
-				}
+			// The scheduler leg doubles as the dynamic sensitivity audit of
+			// the compiled modules.
+			got, cycles := runCompiled(t, g, in, seed, false, true, CompileOptions{})
+			if !streamEq(got, want) {
+				t.Fatalf("scheduler diverged from golden model:\ngraph: %s\n got %v\nwant %v",
+					g.JSON(), got, want)
+			}
+			if cycles != refCycles {
+				t.Fatalf("scheduler cycle count %d, legacy %d\ngraph: %s",
+					cycles, refCycles, g.JSON())
 			}
 		})
 	}
@@ -255,7 +249,7 @@ func TestPlantedBugsDiverge(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _ := runCompiled(t, g, in, 3, false, 1, false, CompileOptions{BugLoopInit: true})
+		got, _ := runCompiled(t, g, in, 3, false, false, CompileOptions{BugLoopInit: true})
 		if streamEq(got, g.Golden(in)) {
 			t.Fatal("reversed loop init not observable")
 		}
@@ -264,7 +258,7 @@ func TestPlantedBugsDiverge(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _ = runCompiled(t, g1, in, 3, false, 1, false, CompileOptions{BugLoopInit: true})
+		got, _ = runCompiled(t, g1, in, 3, false, false, CompileOptions{BugLoopInit: true})
 		if !streamEq(got, g1.Golden(in)) {
 			t.Fatal("single-token loop should mask the bug")
 		}
@@ -275,7 +269,7 @@ func TestPlantedBugsDiverge(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _ := runCompiled(t, g, in, 3, false, 1, false, CompileOptions{BugJoinOrder: true})
+		got, _ := runCompiled(t, g, in, 3, false, false, CompileOptions{BugJoinOrder: true})
 		if streamEq(got, g.Golden(in)) {
 			t.Fatal("reversed join fold not observable")
 		}
@@ -284,7 +278,7 @@ func TestPlantedBugsDiverge(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _ = runCompiled(t, g1, in, 3, false, 1, false, CompileOptions{BugJoinOrder: true})
+		got, _ = runCompiled(t, g1, in, 3, false, false, CompileOptions{BugJoinOrder: true})
 		if !streamEq(got, g1.Golden(in)) {
 			t.Fatal("commutative join should mask the bug")
 		}

@@ -14,26 +14,21 @@ import (
 
 // tripwireEnv arms the dual-run determinism tripwire; unset, the test
 // skips so plain `go test ./...` stays fast. CI's race-golden target sets
-// it, which is where the perturbed schedules actually interleave.
+// it.
 const tripwireEnv = "VIDI_TRIPWIRE"
 
 // volatileFamilies are the telemetry families legitimately allowed to vary
-// across schedules: sampled wall-clock settle timing, the per-worker split
-// of partition executions (which worker grabbed which partition is
-// explicitly nondeterministic), and the worker-count gauge itself (the
-// permutations change it on purpose). Everything else — per-partition eval
-// counts, waves, wakeups, busy cycles, application counters — must be
-// byte-identical.
+// between runs: sampled wall-clock settle timing. Everything else —
+// per-partition eval counts, waves, wakeups, busy cycles, application
+// counters — must be byte-identical.
 var volatileFamilies = map[string]bool{
-	"vidi_sched_eval_ns_total":     true,
-	"vidi_sched_worker_busy_total": true,
-	"vidi_sched_workers":           true,
+	"vidi_sched_eval_ns_total": true,
 }
 
-// tripwireRun executes one R2 recording of app under the given worker
-// count, GOMAXPROCS and perturbation seed, returning the trace bytes, the
-// VCD dump and the canonicalized telemetry snapshot.
-func tripwireRun(t *testing.T, app string, workers, gomax int, perturb uint64) (traceBytes, vcdBytes, telemetryBytes []byte) {
+// tripwireRun executes one R2 recording of app under the given GOMAXPROCS
+// (0 keeps the current setting), returning the trace bytes, the VCD dump
+// and the canonicalized telemetry snapshot.
+func tripwireRun(t *testing.T, app string, gomax int) (traceBytes, vcdBytes, telemetryBytes []byte) {
 	t.Helper()
 	if gomax > 0 {
 		prev := runtime.GOMAXPROCS(gomax)
@@ -43,15 +38,13 @@ func tripwireRun(t *testing.T, app string, workers, gomax int, perturb uint64) (
 	sink := telemetry.New()
 	res, err := Run(RunConfig{
 		App: app, Scale: 1, Seed: 7, Cfg: R2,
-		Workers: workers, VCDPath: vcd,
-		PerturbSeed: perturb,
-		Telemetry:   sink,
+		VCDPath: vcd, Telemetry: sink,
 	})
 	if err != nil {
-		t.Fatalf("%s (workers=%d gomax=%d perturb=%#x): %v", app, workers, gomax, perturb, err)
+		t.Fatalf("%s (gomax=%d): %v", app, gomax, err)
 	}
 	if res.CheckErr != nil {
-		t.Fatalf("%s (workers=%d gomax=%d perturb=%#x): golden check: %v", app, workers, gomax, perturb, res.CheckErr)
+		t.Fatalf("%s (gomax=%d): golden check: %v", app, gomax, res.CheckErr)
 	}
 	dump, err := os.ReadFile(vcd)
 	if err != nil {
@@ -60,8 +53,8 @@ func tripwireRun(t *testing.T, app string, workers, gomax int, perturb uint64) (
 	return res.Trace.Bytes(), dump, canonicalSnapshot(t, sink.Gather())
 }
 
-// canonicalSnapshot renders a snapshot with the schedule-volatile families
-// stripped, as comparable JSON.
+// canonicalSnapshot renders a snapshot with the volatile families stripped,
+// as comparable JSON.
 func canonicalSnapshot(t *testing.T, snap *telemetry.Snapshot) []byte {
 	t.Helper()
 	kept := &telemetry.Snapshot{}
@@ -78,47 +71,33 @@ func canonicalSnapshot(t *testing.T, snap *telemetry.Snapshot) []byte {
 }
 
 // TestDeterminismTripwire is the dynamic complement of the detaudit and
-// partwrite analyzers: every golden application is executed repeatedly with
-// permuted worker counts, permuted GOMAXPROCS, and a deliberately perturbed
-// goroutine schedule (seeded yield injection in the kernel's worker loop),
-// and every run must produce byte-identical traces, VCD waveforms and
-// telemetry snapshots (volatile families excluded). Any surviving hidden
-// schedule dependence — an unsynchronized write the partitioner missed, a
-// map-order leak into a trace frame, completion-order result merging —
-// shows up here as a byte diff. Armed via VIDI_TRIPWIRE=1; CI runs it under
-// -race in the race-golden job.
+// partwrite analyzers: every golden application is executed once as a
+// reference and again at GOMAXPROCS 1 and at the host's CPU count, and
+// every run must produce byte-identical traces, VCD waveforms and telemetry
+// snapshots (volatile families excluded). A hidden dependence on anything
+// but the seed — a map-order leak into a trace frame, completion-order
+// result merging — shows up here as a byte diff. Armed via VIDI_TRIPWIRE=1;
+// CI runs it under -race in the race-golden job.
 func TestDeterminismTripwire(t *testing.T) {
 	if os.Getenv(tripwireEnv) == "" {
 		t.Skipf("set %s=1 to arm the dual-run determinism tripwire", tripwireEnv)
 	}
-	maxProcs := runtime.GOMAXPROCS(0)
-	perms := []struct {
-		name    string
-		workers int
-		gomax   int
-		perturb uint64
-	}{
-		{"w2-perturbA", 2, 0, 0x9e3779b97f4a7c15},
-		{"w2-gomax2-perturbB", 2, 2, 0xd1b54a32d192ed03},
-		{"wmax-perturbC", maxProcs, 0, 0x2545f4914f6cdd1d},
-	}
 	for _, app := range apps.Names() {
 		app := app
 		t.Run(app, func(t *testing.T) {
-			// Reference: sequential workers, unperturbed schedule.
-			refTrace, refVCD, refTel := tripwireRun(t, app, 1, 0, 0)
-			for _, pm := range perms {
-				gotTrace, gotVCD, gotTel := tripwireRun(t, app, pm.workers, pm.gomax, pm.perturb)
+			refTrace, refVCD, refTel := tripwireRun(t, app, 0)
+			for _, gomax := range []int{1, runtime.NumCPU()} {
+				gotTrace, gotVCD, gotTel := tripwireRun(t, app, gomax)
 				if !bytes.Equal(gotTrace, refTrace) {
-					t.Errorf("%s: trace bytes diverge from the sequential reference (%d vs %d bytes)",
-						pm.name, len(gotTrace), len(refTrace))
+					t.Errorf("gomax=%d: trace bytes diverge from the reference (%d vs %d bytes)",
+						gomax, len(gotTrace), len(refTrace))
 				}
 				if !bytes.Equal(gotVCD, refVCD) {
-					t.Errorf("%s: VCD dump diverges from the sequential reference", pm.name)
+					t.Errorf("gomax=%d: VCD dump diverges from the reference", gomax)
 				}
 				if !bytes.Equal(gotTel, refTel) {
-					t.Errorf("%s: telemetry snapshot diverges from the sequential reference:\n%s",
-						pm.name, firstDiff(gotTel, refTel))
+					t.Errorf("gomax=%d: telemetry snapshot diverges from the reference:\n%s",
+						gomax, firstDiff(gotTel, refTel))
 				}
 			}
 		})

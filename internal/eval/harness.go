@@ -77,13 +77,6 @@ type RunConfig struct {
 	// the sensitivity-graph scheduler, for golden-determinism comparison and
 	// the kernel perf table.
 	LegacyKernel bool
-	// Workers bounds the scheduler's partition worker pool when >0 (1 forces
-	// sequential partition evaluation).
-	Workers int
-	// CoarsePartitions selects the coarse (reads-merged, single-layer)
-	// partitioning strategy instead of fine-grained sub-partitioning, the
-	// differential reference for the worker-matrix golden tests.
-	CoarsePartitions bool
 	// SensitivityCheck arms the kernel's dynamic declaration checker
 	// (sim.Simulator.SetSensitivityCheck): every Eval is audited against its
 	// module's declared Reads/Drives and a mismatch fails the run.
@@ -94,12 +87,6 @@ type RunConfig struct {
 	// byte-identical with or without a sink (enforced by the telemetry
 	// golden tests).
 	Telemetry *telemetry.Sink
-	// PerturbSeed, when non-zero, arms seeded schedule perturbation in the
-	// kernel's parallel worker loop (sim.Simulator.SetSchedulePerturb):
-	// deliberate goroutine yields that reshuffle partition→worker timing
-	// without being allowed to change any simulation output. Used by the
-	// dual-run determinism tripwire.
-	PerturbSeed uint64
 }
 
 // RunResult is the outcome of one experiment run.
@@ -158,15 +145,10 @@ func Build(rc RunConfig) (*Built, error) {
 		Telemetry: rc.Telemetry,
 	})
 	sys.Sim.SetLegacy(rc.LegacyKernel)
-	sys.Sim.SetCoarsePartitions(rc.CoarsePartitions)
 	sys.Sim.SetSensitivityCheck(rc.SensitivityCheck)
 	if rc.Telemetry != nil {
 		sys.Sim.SetTelemetry(rc.Telemetry)
 	}
-	if rc.Workers > 0 {
-		sys.Sim.SetWorkers(rc.Workers)
-	}
-	sys.Sim.SetSchedulePerturb(rc.PerturbSeed)
 	app, err := apps.New(rc.App, rc.Scale)
 	if err != nil {
 		return nil, err

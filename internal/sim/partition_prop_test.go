@@ -29,74 +29,71 @@ func (m *propMod) Sensitivity() Sensitivity { return m.sens }
 // TestPartitioningNeverSplitsTies is the tie-preservation property test:
 // across randomized designs — random drive/read edges, a sprinkling of
 // ReadsAll modules, random Tie groups — every declared Tie group must land
-// inside a single partition, under both the fine and the coarse strategy.
+// inside a single partition.
 func TestPartitioningNeverSplitsTies(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			for _, coarse := range []bool{false, true} {
-				s := New()
-				s.SetCoarsePartitions(coarse)
+			s := New()
 
-				nm := 4 + rng.Intn(16)
-				nw := 2 + rng.Intn(24)
-				wires := make([]*Wire, nw)
-				for i := range wires {
-					wires[i] = s.NewWire(fmt.Sprintf("w%d", i))
+			nm := 4 + rng.Intn(16)
+			nw := 2 + rng.Intn(24)
+			wires := make([]*Wire, nw)
+			for i := range wires {
+				wires[i] = s.NewWire(fmt.Sprintf("w%d", i))
+			}
+			mods := make([]*propMod, nm)
+			for i := range mods {
+				mods[i] = &propMod{name: fmt.Sprintf("m%d", i)}
+				s.Register(mods[i])
+			}
+			// Each wire gets at most one driver; each module reads a few
+			// random wires. One design in five has a ReadsAll module.
+			for _, w := range wires {
+				if rng.Intn(4) > 0 {
+					d := mods[rng.Intn(nm)]
+					d.sens.Drives = append(d.sens.Drives, w)
 				}
-				mods := make([]*propMod, nm)
-				for i := range mods {
-					mods[i] = &propMod{name: fmt.Sprintf("m%d", i)}
-					s.Register(mods[i])
+			}
+			for _, m := range mods {
+				for k := rng.Intn(4); k > 0; k-- {
+					m.sens.Reads = append(m.sens.Reads, wires[rng.Intn(nw)])
 				}
-				// Each wire gets at most one driver; each module reads a few
-				// random wires. One design in five has a ReadsAll module.
-				for _, w := range wires {
-					if rng.Intn(4) > 0 {
-						d := mods[rng.Intn(nm)]
-						d.sens.Drives = append(d.sens.Drives, w)
-					}
+			}
+			if rng.Intn(5) == 0 {
+				mods[rng.Intn(nm)].sens = Sensitivity{ReadsAll: true}
+			}
+			// Random Tie groups over disjoint module sets.
+			perm := rng.Perm(nm)
+			for len(perm) >= 2 && rng.Intn(2) == 0 {
+				n := 2 + rng.Intn(3)
+				if n > len(perm) {
+					n = len(perm)
 				}
-				for _, m := range mods {
-					for k := rng.Intn(4); k > 0; k-- {
-						m.sens.Reads = append(m.sens.Reads, wires[rng.Intn(nw)])
-					}
+				group := make([]Module, n)
+				for i := 0; i < n; i++ {
+					group[i] = mods[perm[i]]
 				}
-				if rng.Intn(5) == 0 {
-					mods[rng.Intn(nm)].sens = Sensitivity{ReadsAll: true}
-				}
-				// Random Tie groups over disjoint module sets.
-				perm := rng.Perm(nm)
-				for len(perm) >= 2 && rng.Intn(2) == 0 {
-					n := 2 + rng.Intn(3)
-					if n > len(perm) {
-						n = len(perm)
-					}
-					group := make([]Module, n)
-					for i := 0; i < n; i++ {
-						group[i] = mods[perm[i]]
-					}
-					perm = perm[n:]
-					s.Tie(group...)
-				}
+				perm = perm[n:]
+				s.Tie(group...)
+			}
 
-				layout, err := s.PartitionLayout()
-				if err != nil {
-					t.Fatalf("coarse=%v: %v", coarse, err)
+			layout, err := s.PartitionLayout()
+			if err != nil {
+				t.Fatal(err)
+			}
+			partOf := map[string]int{}
+			for pi, names := range layout {
+				for _, n := range names {
+					partOf[n] = pi
 				}
-				partOf := map[string]int{}
-				for pi, names := range layout {
-					for _, n := range names {
-						partOf[n] = pi
-					}
-				}
-				for gi, group := range s.TieGroups() {
-					for _, n := range group[1:] {
-						if partOf[n] != partOf[group[0]] {
-							t.Fatalf("coarse=%v: tie group %d split: %s in partition %d, %s in %d\nlayout: %v",
-								coarse, gi, group[0], partOf[group[0]], n, partOf[n], layout)
-						}
+			}
+			for gi, group := range s.TieGroups() {
+				for _, n := range group[1:] {
+					if partOf[n] != partOf[group[0]] {
+						t.Fatalf("tie group %d split: %s in partition %d, %s in %d\nlayout: %v",
+							gi, group[0], partOf[group[0]], n, partOf[n], layout)
 					}
 				}
 			}
@@ -166,13 +163,12 @@ func TestQuiescenceBatchingSkipsCycles(t *testing.T) {
 }
 
 // TestStatsLegacyReporting pins the shape counters the bench table prints:
-// the legacy kernel must always report exactly one partition, one settle
-// layer and one worker — including after a SetLegacy flip on a simulator
-// that already ran partitioned — so a bench row can never carry a
-// misleading worker count.
+// the legacy kernel must always report exactly one partition and one
+// settle layer — including after a SetLegacy flip on a simulator that
+// already ran partitioned — so a bench row can never carry a stale
+// scheduler shape.
 func TestStatsLegacyReporting(t *testing.T) {
 	s := New()
-	s.SetWorkers(4)
 	a := &propMod{name: "a"}
 	b := &propMod{name: "b"}
 	s.Register(a, b)
@@ -188,7 +184,7 @@ func TestStatsLegacyReporting(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := s.Stats()
-	if st.Partitions != 1 || st.Workers != 1 || st.SettleLayers != 1 {
+	if st.Partitions != 1 || st.SettleLayers != 1 {
 		t.Fatalf("legacy stats after SetLegacy: %+v", st)
 	}
 	if st.Cycles != 2 {

@@ -44,11 +44,6 @@ func (e *SensitivityViolationError) Unwrap() error { return ErrSensitivity }
 // returns, the scheduler cross-checks the record against the module's
 // declared Sensitivity. The probe is nil unless SetSensitivityCheck(true)
 // was called, so the accessor fast path costs a single pointer test.
-//
-// The probe forces the scheduler into sequential mode (workers=1), so the
-// record is never shared between goroutines. Sequential execution does not
-// change simulation results — partitions are independent by construction —
-// so golden traces stay byte-identical with the checker enabled.
 type sensProbe struct {
 	// active marks that a module Eval is in progress.
 	active bool
@@ -121,9 +116,8 @@ func (p *sensProbe) check(mi int, name string, cycle uint64) error {
 // The checker is the runtime complement of the static `vidi-lint sensaudit`
 // analyzer: the analyzer proves declaration hygiene for code it can resolve
 // at compile time, the checker audits whatever actually executes — including
-// dynamically constructed designs such as the fuzzer's. Checking forces the
-// scheduler into sequential mode; results are unchanged, only parallelism is
-// lost, so it is cheap enough to leave on in tests.
+// dynamically constructed designs such as the fuzzer's. Results are
+// unchanged with checking on, and it is cheap enough to leave on in tests.
 func (s *Simulator) SetSensitivityCheck(on bool) {
 	s.sensCheck = on
 	s.invalidate()

@@ -125,9 +125,6 @@ func TestSensitivityCheckCleanDesign(t *testing.T) {
 	if len(rcv.Received) != 1 {
 		t.Fatalf("received %d payloads, want 1", len(rcv.Received))
 	}
-	if st := s.Stats(); st.Workers != 1 {
-		t.Fatalf("checker must force sequential mode, workers=%d", st.Workers)
-	}
 }
 
 func TestSensitivityCheckLegacyNoop(t *testing.T) {

@@ -3,9 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"vidi/internal/telemetry"
@@ -28,12 +25,12 @@ type Signal interface {
 // machines: senders, FIFOs, AXI engines) should additionally implement
 // Stable so quiet cycles can skip its Eval entirely; see EvalTracker.
 //
-// Declaring too little is a correctness bug (stale outputs, and a data race
-// the -race golden tests will catch when partitions run in parallel);
-// declaring too much only costs performance. Modules that do not implement
-// Sensitive at all get the safe ReadsAll fallback: they are re-evaluated on
-// every settle wave and force the whole design into a single sequential
-// partition, which is exactly the legacy kernel's behaviour.
+// Declaring too little is a correctness bug (stale outputs, which the golden
+// legacy-vs-scheduler tests catch as a trace diff); declaring too much only
+// costs performance. Modules that do not implement Sensitive at all get the
+// safe ReadsAll fallback: they are re-evaluated on every settle wave and
+// force the whole design into a single partition, which is exactly the
+// legacy kernel's behaviour.
 //
 // Audit invariant (enforced by `vidi-lint`'s sensaudit analyzer statically
 // and by SetSensitivityCheck at runtime): every Wire/Data read reachable
@@ -263,19 +260,10 @@ type Stats struct {
 	// Partitions is the number of independent components the sensitivity
 	// graph was split into at Build time (1 on the legacy kernel).
 	Partitions int
-	// SettleLayers is the depth of the partition dependency DAG: partitions
-	// within a layer settle in parallel, layers settle in order so declared
-	// cross-partition reads always observe settled values (1 on the legacy
-	// kernel and under coarse partitioning).
+	// SettleLayers is the depth of the partition dependency DAG: layers
+	// settle in order so declared cross-partition reads always observe
+	// settled values (1 on the legacy kernel).
 	SettleLayers int
-	// Workers is the number of goroutines used per settle/tick phase
-	// (1 means fully sequential).
-	Workers int
-	// WorkerBusy counts, per worker slot, the partition settles/ticks that
-	// slot processed. Work is distributed by an atomic counter, so the split
-	// across slots is observational (it varies run to run); the total equals
-	// the partition-phase executions and is what matters for utilisation.
-	WorkerBusy []uint64
 	// ReadsAllModules names the modules scheduled with the conservative
 	// ReadsAll fallback, in registration order. Each one is re-evaluated on
 	// every settle wave and forces its whole component into one partition,
@@ -287,8 +275,8 @@ type Stats struct {
 // String formats the counters for vidi-bench -v.
 func (st Stats) String() string {
 	s := fmt.Sprintf(
-		"cycles=%d evals=%d waves=%d skipped=%d ticks-skipped=%d partitions=%d workers=%d",
-		st.Cycles, st.EvalCalls, st.SettleWaves, st.SkippedEvals, st.SkippedTicks, st.Partitions, st.Workers)
+		"cycles=%d evals=%d waves=%d skipped=%d ticks-skipped=%d partitions=%d",
+		st.Cycles, st.EvalCalls, st.SettleWaves, st.SkippedEvals, st.SkippedTicks, st.Partitions)
 	if st.SettleLayers > 1 {
 		s += fmt.Sprintf(" layers=%d", st.SettleLayers)
 	}
@@ -310,32 +298,22 @@ type modState struct {
 	part    int32         // owning partition index
 	pending bool
 	// needsTick wakes a gated module for the next clock edge. Written by the
-	// latch phase (main goroutine), by wake hooks and by earlier Ticks of the
-	// same partition; all of those are ordered before the module's own tick
-	// slot, so no synchronisation is needed. Meaningful only when ticks is
-	// non-nil; paired with the partition's awake counter.
+	// latch phase, by wake hooks and by earlier Ticks of the same partition.
+	// Meaningful only when ticks is non-nil; paired with the partition's
+	// awake counter.
 	needsTick bool
 }
 
 // partition is one node of the partition DAG: a group of modules that owns
 // every signal its members drive. Within a partition, module order is
-// registration order, same as the legacy kernel. Partitions that exchange no
-// signals are fully independent; a declared read of another partition's
-// signal places the reader in a strictly later settle layer, and the change
-// notification crosses over through the owner's outbox at a layer barrier —
-// so no two workers ever write the same partition's state, and determinism
-// is preserved at any worker count.
+// registration order, same as the legacy kernel. A declared read of another
+// partition's signal places the reader in a strictly later settle layer, so
+// a change marks the remote reader pending before its partition settles.
 type partition struct {
 	modules    []int32 // module indices, ascending (registration order)
 	allReaders []int32 // modules with the ReadsAll fallback, ascending
 	seedAlways []int32 // modules without Stable: evaluate on wave 0 every cycle
 	seedPoll   []int32 // StablePoll modules: EvalStable consulted every cycle
-
-	// outbox is the partition's mailbox of changed signals with readers in
-	// other partitions (signal ids, dedup'd by sigcore.queued). Appended only
-	// by this partition's own worker (its settle or tick) or by the caller's
-	// goroutine outside a Step; drained single-threaded at layer barriers.
-	outbox []int32
 
 	// ungated counts modules without tick gating; awake counts gated modules
 	// whose needsTick flag is set. When both are zero the whole tick phase is
@@ -345,7 +323,6 @@ type partition struct {
 
 	pendingCount  int
 	changedInWave bool
-	err           error
 
 	// counters (read via Stats after phases complete)
 	evals     uint64
@@ -353,8 +330,8 @@ type partition struct {
 	skipped   uint64
 	tickSkips uint64
 
-	// telemetry bookkeeping, written only by the partition's own worker and
-	// folded into the sink on scrape (never read during a Step). wakes
+	// telemetry bookkeeping, folded into the sink on scrape (never read
+	// during a Step). wakes
 	// counts event-driven pending marks (signal changes and Touch hooks);
 	// busyCycles counts cycles with at least one Eval; evalNS is the sampled
 	// settle time (every timingSampleEvery-th cycle, scaled back up).
@@ -368,22 +345,16 @@ type partition struct {
 	spanOpen  bool
 	spanStart uint64
 	spanEnd   uint64
-
-	_ [24]byte // pad to reduce false sharing between parallel partitions
 }
 
 // scheduler is the sensitivity-graph engine built by Simulator.Build.
 type scheduler struct {
-	sim     *Simulator
-	mods    []modState
-	parts   []partition
-	sigs    []*sigcore // dense signal table (wires then datas), for outbox drains
-	workers int        // effective worker count for parallel phases
+	sim   *Simulator
+	mods  []modState
+	parts []partition
 
-	// layers lists partition indices per settle layer of the dependency DAG;
-	// allIdx lists every partition (tick phase, which has no ordering).
+	// layers lists partition indices per settle layer of the dependency DAG.
 	layers [][]int32
-	allIdx []int32
 
 	// horizons caches each module's TickHorizon implementation (nil if none);
 	// batchable is the static precondition for quiescence batching: every
@@ -392,10 +363,6 @@ type scheduler struct {
 	horizons      []TickHorizon
 	batchable     bool
 	batchedCycles uint64
-
-	// workerBusy counts partition-phase executions per worker slot; each slot
-	// writes only its own entry, read after the phase barrier.
-	workerBusy []uint64
 
 	// timed arms the sampled per-partition settle timing (telemetry sink
 	// attached).
@@ -406,56 +373,24 @@ type scheduler struct {
 	readsAllNames []string
 }
 
-// touched marks the readers of a changed signal pending. It runs on the
-// goroutine that is settling (or ticking) the signal's owner partition, or
-// on the caller's goroutine outside a Step. Readers in the owner partition
-// are marked directly; readers elsewhere are reached by enqueueing the
-// signal in the owner's outbox, drained single-threaded at layer barriers —
-// so pending bits are never written across workers.
+// touched marks the readers of a changed signal pending, each in its own
+// partition. Readers in other partitions always sit in a strictly later
+// settle layer than the owner, so a change made while the owner settles
+// reaches them before their own layer runs; a change made by a Tick or by
+// the caller between Steps is picked up by the next settle.
 func (sc *scheduler) touched(g *sigcore) {
 	if g.part < 0 {
 		return
 	}
-	p := &sc.parts[g.part]
-	p.changedInWave = true
+	sc.parts[g.part].changedInWave = true
 	for _, mi := range g.readers {
 		ms := &sc.mods[mi]
 		if !ms.pending {
 			ms.pending = true
-			p.pendingCount++
-			p.wakes++
+			q := &sc.parts[ms.part]
+			q.pendingCount++
+			q.wakes++
 		}
-	}
-	if len(g.remote) > 0 && !g.queued {
-		g.queued = true
-		p.outbox = append(p.outbox, g.id)
-	}
-}
-
-// drainOutboxes flushes every partition's mailbox, marking remote readers
-// pending. It runs only on the settle barrier goroutine while no partition
-// workers are active, in partition-index then enqueue order, so the wakeups
-// it produces are deterministic.
-func (sc *scheduler) drainOutboxes() {
-	for i := range sc.parts {
-		p := &sc.parts[i]
-		if len(p.outbox) == 0 {
-			continue
-		}
-		for _, sid := range p.outbox {
-			g := sc.sigs[sid]
-			g.queued = false
-			for _, mi := range g.remote {
-				ms := &sc.mods[mi]
-				if !ms.pending {
-					ms.pending = true
-					q := &sc.parts[ms.part]
-					q.pendingCount++
-					q.wakes++
-				}
-			}
-		}
-		p.outbox = p.outbox[:0]
 	}
 }
 
@@ -613,97 +548,30 @@ func (sc *scheduler) tickPart(p *partition) {
 	}
 }
 
-// runParts runs fn over the given partitions, in parallel when there is more
-// than one of them and more than one worker. Work is distributed by an
-// atomic counter; that makes the partition→goroutine assignment
-// nondeterministic, but partitions within a batch are independent by
-// construction (a settle layer, or the whole tick phase), so simulation
-// results do not depend on it — only the observational workerBusy split does.
-func (sc *scheduler) runParts(idxs []int32, fn func(p *partition)) {
-	n := len(idxs)
-	if n == 0 {
-		return
-	}
-	if n == 1 || sc.workers <= 1 {
-		for _, pi := range idxs {
-			fn(&sc.parts[pi])
-		}
-		sc.workerBusy[0] += uint64(n)
-		return
-	}
-	w := sc.workers
-	if w > n {
-		w = n
-	}
-	perturb := sc.sim.perturbSeed
-	var next atomic.Int64
-	worker := func(slot int) {
-		// Seeded yield injection (SetSchedulePerturb): a cheap splitmix-style
-		// hash of (seed, slot, job) decides where this worker yields,
-		// deliberately perturbing the goroutine schedule without touching
-		// simulation state.
-		h := perturb ^ (uint64(slot)+1)*0x9e3779b97f4a7c15
-		ran := uint64(0)
-		for {
-			j := int(next.Add(1)) - 1
-			if j >= n {
-				break
-			}
-			if perturb != 0 {
-				h ^= uint64(j) + 0xbf58476d1ce4e5b9
-				h *= 0x94d049bb133111eb
-				h ^= h >> 31
-				if h&3 == 0 {
-					runtime.Gosched()
-				}
-			}
-			fn(&sc.parts[idxs[j]])
-			ran++
-		}
-		sc.workerBusy[slot] += ran
-	}
-	var wg sync.WaitGroup
-	wg.Add(w - 1)
-	for i := 1; i < w; i++ {
-		go func(slot int) {
-			defer wg.Done()
-			worker(slot)
-		}(i)
-	}
-	worker(0)
-	wg.Wait()
-}
-
-// settle runs the combinational phase layer by layer: partitions within a
-// layer settle in parallel, and every layer barrier flushes the outboxes so
-// cross-partition reads (always from an earlier layer, by construction of
-// the DAG) observe settled values. The first error in partition order wins,
-// keeping failures deterministic even when partitions run concurrently.
+// settle runs the combinational phase layer by layer, partition by
+// partition, so cross-partition reads (always from an earlier layer, by
+// construction of the DAG) observe settled values. The first error stops the
+// pass.
 func (sc *scheduler) settle(cycle uint64, maxIters int) error {
-	// Wakeups produced since the last settle — tick-phase writes, latch
-	// wakes, or the caller driving signals between Steps — land first.
-	sc.drainOutboxes()
 	for _, layer := range sc.layers {
-		sc.runParts(layer, func(p *partition) {
-			p.err = sc.settlePart(p, cycle, maxIters)
-		})
-		sc.drainOutboxes()
-	}
-	for i := range sc.parts {
-		if err := sc.parts[i].err; err != nil {
-			sc.parts[i].err = nil
-			return err
+		for _, pi := range layer {
+			if err := sc.settlePart(&sc.parts[pi], cycle, maxIters); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-// tick runs the clock edge across all partitions. Tick order across
-// partitions is unordered by contract: a module's Tick may only write
-// signals its own partition owns (cross-partition coupling in the tick
-// phase must be declared with Tie), so no layering is needed.
+// tick runs the clock edge across all partitions in partition-index order.
+// A module's Tick may only write signals its own partition owns
+// (cross-partition coupling in the tick phase must be declared with Tie), so
+// the order across partitions matches the legacy kernel's registration
+// order for every effect a correct design can observe.
 func (sc *scheduler) tick() {
-	sc.runParts(sc.allIdx, func(p *partition) { sc.tickPart(p) })
+	for i := range sc.parts {
+		sc.tickPart(&sc.parts[i])
+	}
 }
 
 // quiesce reports how many of the next limit cycles can be skipped outright:
@@ -726,7 +594,7 @@ func (sc *scheduler) quiesce(now, limit uint64) uint64 {
 	}
 	for i := range sc.parts {
 		p := &sc.parts[i]
-		if p.pendingCount > 0 || len(p.outbox) > 0 {
+		if p.pendingCount > 0 {
 			return 0
 		}
 		for _, mi := range p.seedPoll {
@@ -792,18 +660,6 @@ func (sc *scheduler) counters(st *Stats) {
 		st.SkippedTicks += p.tickSkips
 	}
 	st.BatchedCycles += sc.batchedCycles
-	if len(sc.workerBusy) > 0 || len(st.WorkerBusy) > 0 {
-		n := len(st.WorkerBusy)
-		if len(sc.workerBusy) > n {
-			n = len(sc.workerBusy)
-		}
-		wb := make([]uint64, n)
-		copy(wb, st.WorkerBusy)
-		for i, v := range sc.workerBusy {
-			wb[i] += v
-		}
-		st.WorkerBusy = wb
-	}
 }
 
 // Tie forces the given modules into the same partition even though they
@@ -817,39 +673,6 @@ func (s *Simulator) Tie(ms ...Module) {
 		return
 	}
 	s.ties = append(s.ties, ms)
-	s.invalidate()
-}
-
-// SetWorkers bounds the worker pool used for parallel partition evaluation.
-// n <= 0 restores the default (GOMAXPROCS, capped by the partition count);
-// n == 1 forces fully sequential execution.
-func (s *Simulator) SetWorkers(n int) {
-	s.workers = n
-	s.invalidate()
-}
-
-// SetSchedulePerturb arms deterministic schedule perturbation: with a
-// non-zero seed, the parallel worker loop injects runtime.Gosched calls at
-// points derived from (seed, worker slot, job index), deliberately
-// reshuffling which goroutine picks up which partition and when it yields.
-// Partitions within a batch are independent by construction, so simulation
-// results MUST NOT change — that is exactly what the dual-run determinism
-// tripwire (internal/eval) asserts by byte-comparing traces across
-// perturbed runs. Zero (the default) disables injection and adds no work
-// to the hot loop beyond one predictable branch.
-func (s *Simulator) SetSchedulePerturb(seed uint64) {
-	s.perturbSeed = seed
-}
-
-// SetCoarsePartitions selects the coarse partitioning strategy: union-find
-// merges read edges as well as drives, so a module lands in the same
-// partition as every signal it reads and the partition graph has no cross
-// edges (a single settle layer, no mailbox traffic). This was the only
-// strategy before fine-grained sub-partitioning; it is kept selectable as a
-// differential reference — the golden matrix tests assert byte-identical
-// traces across both strategies — and as an escape hatch.
-func (s *Simulator) SetCoarsePartitions(coarse bool) {
-	s.coarse = coarse
 	s.invalidate()
 }
 
@@ -1038,11 +861,10 @@ func (s *Simulator) Build() error {
 		}
 	}
 
-	// Partition granularity: by default only drive edges merge a module with
-	// a signal, so a signal lives with its driver(s) and a reader in another
-	// component stays there — read edges become directed dependencies between
-	// partitions instead of merging them. Coarse mode (SetCoarsePartitions)
-	// restores the original strategy of unioning reads too.
+	// Partition granularity: only drive edges merge a module with a signal,
+	// so a signal lives with its driver(s) and a reader in another component
+	// stays there — read edges become directed dependencies between
+	// partitions instead of merging them.
 	sens := make([]Sensitivity, nm)
 	haveAll := false
 	var readsAllNames []string
@@ -1064,9 +886,6 @@ func (s *Simulator) Build() error {
 				return fmt.Errorf("sim: module %s reads signal %s of a different simulator", m.Name(), sg.Name())
 			}
 			g.readers = append(g.readers, int32(i))
-			if s.coarse {
-				union(int32(i), int32(nm)+g.id)
-			}
 		}
 		for _, sg := range sens[i].Drives {
 			g := sg.sigmeta()
@@ -1080,14 +899,12 @@ func (s *Simulator) Build() error {
 		for _, g := range sigs {
 			union(int32(all), int32(nm)+g.id)
 		}
-		if !s.coarse {
-			// A ReadsAll module re-evaluates whenever anything in its
-			// partition changes (changedInWave), so every module — including
-			// pure readers no longer merged in by their read edges — must
-			// share its partition for that trigger to see all changes.
-			for i := 0; i < nm; i++ {
-				union(int32(all), int32(i))
-			}
+		// A ReadsAll module re-evaluates whenever anything in its partition
+		// changes (changedInWave), so every module — including pure readers
+		// not merged in by their read edges — must share its partition for
+		// that trigger to see all changes.
+		for i := 0; i < nm; i++ {
+			union(int32(all), int32(i))
 		}
 	}
 	midx := make(map[Module]int32, nm)
@@ -1195,7 +1012,7 @@ func (s *Simulator) Build() error {
 	// Partitions in order of their lowest-index module, modules ascending
 	// inside each: evaluation order within a partition is registration
 	// order, same as the legacy kernel.
-	sc := &scheduler{sim: s, mods: make([]modState, nm), sigs: sigs}
+	sc := &scheduler{sim: s, mods: make([]modState, nm)}
 	for _, ch := range s.channels {
 		ch.watchers = ch.watchers[:0]
 	}
@@ -1292,24 +1109,6 @@ func (s *Simulator) Build() error {
 			g.part = sc.mods[g.readers[0]].part
 		}
 	}
-	// Split each signal's readers into same-partition (marked pending
-	// directly) and remote (reached through the owner's outbox).
-	for _, g := range sigs {
-		g.remote = g.remote[:0]
-		g.queued = false
-		if len(g.readers) == 0 {
-			continue
-		}
-		local := g.readers[:0]
-		for _, mi := range g.readers {
-			if sc.mods[mi].part == g.part {
-				local = append(local, mi)
-			} else {
-				g.remote = append(g.remote, mi)
-			}
-		}
-		g.readers = local
-	}
 	// Layer the partition DAG by longest path: every remaining cross-
 	// partition read edge goes from a lower layer to a strictly higher one
 	// (cycles were collapsed by the SCC pass above), so settling layers in
@@ -1319,11 +1118,14 @@ func (s *Simulator) Build() error {
 	indeg := make([]int, npf)
 	seenEdge = make(map[int64]struct{})
 	for si, g := range sigs {
-		if !driven[si] || len(g.remote) == 0 {
+		if !driven[si] {
 			continue
 		}
-		for _, mi := range g.remote {
+		for _, mi := range g.readers {
 			dst := sc.mods[mi].part
+			if dst == g.part {
+				continue
+			}
 			key := int64(g.part)<<32 | int64(dst)
 			if _, dup := seenEdge[key]; dup {
 				continue
@@ -1360,36 +1162,17 @@ func (s *Simulator) Build() error {
 	for i := 0; i < npf; i++ {
 		sc.layers[layerOf[i]] = append(sc.layers[layerOf[i]], int32(i))
 	}
-	sc.allIdx = make([]int32, npf)
-	for i := range sc.allIdx {
-		sc.allIdx[i] = int32(i)
-	}
 
 	// Move signal state into the per-partition struct-of-arrays slabs now
 	// that ownership is final.
 	s.buildSlabs(npf)
 
-	sc.workers = s.workers
-	if sc.workers <= 0 {
-		sc.workers = runtime.GOMAXPROCS(0)
-	}
-	if sc.workers > len(sc.parts) {
-		sc.workers = len(sc.parts)
-	}
-	if sc.workers < 1 {
-		sc.workers = 1
-	}
-	sc.workerBusy = make([]uint64, sc.workers)
 	sc.readsAllNames = readsAllNames
 	if s.tel != nil {
 		sc.bindTelemetry(s.tel)
 	}
 	if s.sensCheck {
-		// The probe's access record is a single buffer, so checking runs the
-		// partitions sequentially; results are unchanged (partitions are
-		// independent), only parallelism is lost.
 		s.probe = s.buildProbe(sens)
-		sc.workers = 1
 	}
 	s.sched = sc
 	s.built = true
@@ -1404,15 +1187,12 @@ func (s *Simulator) Stats() Stats {
 		s.sched.counters(&st)
 		st.Partitions = len(s.sched.parts)
 		st.SettleLayers = len(s.sched.layers)
-		st.Workers = s.sched.workers
 		st.ReadsAllModules = append([]string(nil), s.sched.readsAllNames...)
 	} else {
-		// Legacy kernel (or no schedule built yet): one sequential partition,
-		// one worker — never report a stale scheduler shape.
+		// Legacy kernel (or no schedule built yet): one partition — never
+		// report a stale scheduler shape.
 		st.Partitions = 1
 		st.SettleLayers = 1
-		st.Workers = 1
-		st.WorkerBusy = append([]uint64(nil), st.WorkerBusy...)
 	}
 	return st
 }

@@ -110,13 +110,10 @@ func (p *tapProbe) Tick() {
 
 // runPipelines executes the n-pipeline design under the given kernel config
 // and returns each pipeline's fire log.
-func runPipelines(t *testing.T, n, payloads, workers int, legacy bool) [][]string {
+func runPipelines(t *testing.T, n, payloads int, legacy bool) [][]string {
 	t.Helper()
 	s := New()
 	s.SetLegacy(legacy)
-	if workers > 0 {
-		s.SetWorkers(workers)
-	}
 	senders, outs := buildPipelines(s, n, payloads, true)
 	probes := make([]*tapProbe, n)
 	for i, out := range outs {
@@ -133,7 +130,7 @@ func runPipelines(t *testing.T, n, payloads, workers int, legacy bool) [][]strin
 		return true
 	}
 	if _, err := s.Run(100000, done); err != nil {
-		t.Fatalf("run (workers=%d legacy=%v): %v", workers, legacy, err)
+		t.Fatalf("run (legacy=%v): %v", legacy, err)
 	}
 	if !legacy {
 		st := s.Stats()
@@ -148,33 +145,20 @@ func runPipelines(t *testing.T, n, payloads, workers int, legacy bool) [][]strin
 	return logs
 }
 
-// TestPartitionedParallelMatchesLegacy is the kernel's determinism
-// regression: N independent pipelines must produce cycle-identical fire
-// sequences on the legacy fixpoint kernel, the sequential scheduler, and the
-// parallel scheduler. Running it under -race also verifies that partitions
-// share no state.
-func TestPartitionedParallelMatchesLegacy(t *testing.T) {
+// TestPartitionedMatchesLegacy is the kernel's determinism regression: N
+// independent pipelines must produce cycle-identical fire sequences on the
+// legacy fixpoint kernel and the partitioned scheduler.
+func TestPartitionedMatchesLegacy(t *testing.T) {
 	const n, payloads = 8, 50
-	ref := runPipelines(t, n, payloads, 1, true)
-	for _, cfg := range []struct {
-		name    string
-		workers int
-	}{
-		{"sequential", 1},
-		{"parallel4", 4},
-		{"parallel-default", 0},
-	} {
-		got := runPipelines(t, n, payloads, cfg.workers, false)
-		for i := range ref {
-			if len(got[i]) != len(ref[i]) {
-				t.Fatalf("%s: pipeline %d fired %d times, legacy %d",
-					cfg.name, i, len(got[i]), len(ref[i]))
-			}
-			for j := range ref[i] {
-				if got[i][j] != ref[i][j] {
-					t.Fatalf("%s: pipeline %d event %d = %s, legacy %s",
-						cfg.name, i, j, got[i][j], ref[i][j])
-				}
+	ref := runPipelines(t, n, payloads, true)
+	got := runPipelines(t, n, payloads, false)
+	for i := range ref {
+		if len(got[i]) != len(ref[i]) {
+			t.Fatalf("pipeline %d fired %d times, legacy %d", i, len(got[i]), len(ref[i]))
+		}
+		for j := range ref[i] {
+			if got[i][j] != ref[i][j] {
+				t.Fatalf("pipeline %d event %d = %s, legacy %s", i, j, got[i][j], ref[i][j])
 			}
 		}
 	}

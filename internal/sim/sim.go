@@ -115,23 +115,15 @@ type Simulator struct {
 	legacy bool
 
 	// Sensitivity-graph schedule, compiled lazily by Build.
-	built   bool
-	sched   *scheduler
-	ties    [][]Module
-	workers int
-	// coarse selects read-edge unioning (the pre-sub-partitioning strategy);
-	// see SetCoarsePartitions.
-	coarse bool
-	// perturbSeed, when non-zero, arms seeded yield injection in the
-	// parallel worker loop; see SetSchedulePerturb.
-	perturbSeed uint64
-	stats       Stats
+	built bool
+	sched *scheduler
+	ties  [][]Module
+	stats Stats
 
-	// Struct-of-arrays signal state, rebuilt by Build: per-partition regions
-	// of wire values, generation counters, and data-bus bytes, padded so
-	// parallel partitions never share a cache line. Wires and Datas are thin
-	// handles pointing into these slabs; the fields only anchor the current
-	// slabs against the garbage collector.
+	// Struct-of-arrays signal state, rebuilt by Build: wire values,
+	// generation counters, and data-bus bytes, grouped by owning partition.
+	// Wires and Datas are thin handles pointing into these slabs; the fields
+	// only anchor the current slabs against the garbage collector.
 	slabBools []bool
 	slabGens  []uint64
 	slabArena []byte
@@ -197,9 +189,8 @@ func (s *Simulator) Step() error {
 		}
 	}
 	// Phase 2: clock edge. Latch handshake events in channel creation
-	// order (always sequential — this is the fixed global order parallel
-	// partitions synchronise on), then tick modules. Handshake activity
-	// wakes the channel's gated watchers for this cycle's tick phase.
+	// order, then tick modules. Handshake activity wakes the channel's gated
+	// watchers for this cycle's tick phase.
 	anyFire := false
 	for _, ch := range s.channels {
 		ch.latch(s.cycle)

@@ -8,11 +8,10 @@ import (
 )
 
 // SetTelemetry attaches a metrics/tracing sink to the simulator. The
-// scheduler keeps its counters on plain per-partition fields (each written
-// only by the partition's own worker) and registers a fold-the-deltas
-// callback that copies them into the sink when it is scraped — telemetry
-// never adds synchronisation or allocation to the hot path, which is what
-// keeps instrumented golden runs byte-identical, including under -race.
+// scheduler keeps its counters on plain per-partition fields and registers a
+// fold-the-deltas callback that copies them into the sink when it is scraped
+// — telemetry never adds allocation to the hot path, which is what keeps
+// instrumented golden runs byte-identical.
 //
 // A nil sink detaches instrumentation. The schedule is rebuilt lazily on
 // the next Step.
@@ -41,8 +40,6 @@ func (sc *scheduler) bindTelemetry(sink *telemetry.Sink) {
 		"Independent components of the sensitivity graph.").Set(float64(len(sc.parts)))
 	sink.Gauge("vidi_sched_layers",
 		"Settle layers of the partition dependency DAG.").Set(float64(len(sc.layers)))
-	sink.Gauge("vidi_sched_workers",
-		"Worker goroutines used per settle/tick phase.").Set(float64(sc.workers))
 	sink.Gauge("vidi_sched_modules",
 		"Registered modules in the schedule.").Set(float64(len(sc.mods)))
 	cycles := sink.Gauge("vidi_sched_cycles",
@@ -50,13 +47,6 @@ func (sc *scheduler) bindTelemetry(sink *telemetry.Sink) {
 	batched := sink.Counter("vidi_sched_batched_cycles_total",
 		"Clock cycles skipped wholesale by quiescence batching.")
 	var lastBatched uint64
-	workerBusy := make([]*telemetry.Counter, len(sc.workerBusy))
-	lastWorkerBusy := make([]uint64, len(sc.workerBusy))
-	for i := range workerBusy {
-		workerBusy[i] = sink.Counter("vidi_sched_worker_busy_total",
-			"Partition settles/ticks processed by the worker slot (observational split).",
-			telemetry.L("worker", strconv.Itoa(i)))
-	}
 
 	gs := make([]schedGather, len(sc.parts))
 	for i := range sc.parts {
@@ -73,7 +63,7 @@ func (sc *scheduler) bindTelemetry(sink *telemetry.Sink) {
 			wakes: sink.Counter("vidi_sched_wakeups_total",
 				"Event-driven pending marks (signal changes and Touch hooks).", lbl),
 			busy: sink.Counter("vidi_sched_busy_cycles_total",
-				"Cycles in which the partition ran at least one Eval; against vidi_sched_cycles this is the worker-pool occupancy.", lbl),
+				"Cycles in which the partition ran at least one Eval; against vidi_sched_cycles this is the partition's duty cycle.", lbl),
 			evalNS: sink.Counter("vidi_sched_eval_ns_total",
 				"Wall-clock nanoseconds spent settling the partition, sampled one cycle in 16 and scaled.", lbl),
 		}
@@ -85,10 +75,6 @@ func (sc *scheduler) bindTelemetry(sink *telemetry.Sink) {
 		cycles.Set(float64(sc.sim.cycle))
 		batched.Add(sc.batchedCycles - lastBatched)
 		lastBatched = sc.batchedCycles
-		for i := range workerBusy {
-			workerBusy[i].Add(sc.workerBusy[i] - lastWorkerBusy[i])
-			lastWorkerBusy[i] = sc.workerBusy[i]
-		}
 		for i := range sc.parts {
 			p, g := &sc.parts[i], &gs[i]
 			g.evals.Add(p.evals - g.lastEvals)

@@ -10,15 +10,7 @@ type sigcore struct {
 	sim     *Simulator
 	id      int32
 	part    int32   // owning partition (the driver's component); -1 if unobserved
-	readers []int32 // reader modules in the signal's own partition
-	// remote lists reader modules in other partitions. A change enqueues the
-	// signal in the owner partition's outbox (mailbox) instead of marking the
-	// remote readers directly, so pending bits are never written across
-	// workers; the scheduler drains outboxes single-threaded at layer
-	// barriers. queued dedups the enqueue (set by the owner's worker, cleared
-	// by the drain, which only runs while no workers are active).
-	remote []int32
-	queued bool
+	readers []int32 // reader modules, in any partition, ascending
 }
 
 func (g *sigcore) sigmeta() *sigcore { return g }
@@ -38,9 +30,9 @@ func (g *sigcore) changed() {
 // wire (or, on the legacy kernel, every module) until no wire changes.
 //
 // Storage is struct-of-arrays: the value and generation counter live in
-// slabs owned by the Simulator, grouped by partition so parallel partitions
-// never share cache lines. The Wire itself is a thin handle; until the first
-// Build the pointers target the handle's own inline fields.
+// slabs owned by the Simulator, grouped by partition so a partition's
+// signals sit together in memory. The Wire itself is a thin handle; until
+// the first Build the pointers target the handle's own inline fields.
 type Wire struct {
 	sigcore
 	name string
@@ -204,18 +196,13 @@ func allZero(b []byte) bool {
 	return true
 }
 
-// slabPad is the false-sharing guard between partition regions in the
-// signal slabs: no two partitions' state may share a 64-byte cache line.
-const slabPad = 64
-
 // buildSlabs moves every signal's value and generation state into
-// struct-of-arrays slabs grouped by owning partition, with padding between
-// partition regions so parallel settles never contend on a cache line.
-// Current values and generation counters are carried over — generations are
-// monotone across rebuilds, which is what lets observers cache them.
+// struct-of-arrays slabs grouped by owning partition. Current values and
+// generation counters are carried over — generations are monotone across
+// rebuilds, which is what lets observers cache them.
 func (s *Simulator) buildSlabs(nparts int) {
 	// Bucket signals by partition; unobserved signals (-1) share a trailing
-	// region, which is safe because nothing concurrent ever touches them.
+	// region.
 	bucket := func(part int32) int {
 		if part < 0 {
 			return nparts
@@ -235,16 +222,12 @@ func (s *Simulator) buildSlabs(nparts int) {
 		bytesNeeded += d.width
 	}
 
-	nsig := len(s.wires) + len(s.datas)
-	bools := make([]bool, len(s.wires)+slabPad*(nparts+1))
-	gens := make([]uint64, nsig+(slabPad/8+1)*(nparts+1))
-	// Each partition region costs at most one alignment round-up plus one
-	// trailing pad on top of its payload bytes.
-	arena := make([]byte, bytesNeeded+2*slabPad*(nparts+1))
+	bools := make([]bool, len(s.wires))
+	gens := make([]uint64, len(s.wires)+len(s.datas))
+	arena := make([]byte, bytesNeeded)
 
 	bi, gi, ai := 0, 0, 0
 	for p := 0; p <= nparts; p++ {
-		ai = (ai + slabPad - 1) &^ (slabPad - 1)
 		for _, w := range wiresBy[p] {
 			bools[bi] = *w.vp
 			gens[gi] = *w.gp
@@ -261,9 +244,6 @@ func (s *Simulator) buildSlabs(nparts int) {
 			d.val = arena[ai : ai+d.width : ai+d.width]
 			ai += d.width
 		}
-		bi += slabPad
-		gi += slabPad / 8
-		ai += slabPad
 	}
 	s.slabBools, s.slabGens, s.slabArena = bools, gens, arena
 }
