@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint waivers vuln staticcheck fmt-check test test-short test-race race-golden fuzz-smoke fuzz-guided-smoke telemetry-smoke serve-chaos-smoke serve-load-smoke ci bench tables examples fuzz clean
+.PHONY: all build vet lint waivers vuln staticcheck fmt-check test test-short test-race race-golden fuzz-smoke fuzz-guided-smoke telemetry-smoke serve-chaos-smoke serve-load-smoke serve-load-bench ci bench tables examples fuzz clean
 
 all: build vet lint test
 
@@ -101,11 +101,19 @@ serve-chaos-smoke:
 # (record/replay/compare/degraded mix) against a self-hosted vidi-serve,
 # rendezvous-held until at least 1000 run concurrently. Fails on any
 # session failure, silent divergence, spent error budget, or a peak below
-# the floor; the per-endpoint latency report lands in BENCH_serve.json
-# (render it with `vidi-top -load BENCH_serve.json`).
+# the floor. Race-detector latencies are not performance numbers, so the
+# report goes to serve-load-race.json; serve-load-bench writes the
+# committed BENCH_serve.json from the same workload without -race.
+SERVE_LOAD_FLAGS = -sessions 1100 -min-concurrent 1000 -min-peak 1000 \
+	-rate 4000 -seed 42 -segment-frames 32
+
 serve-load-smoke:
-	$(GO) run -race ./cmd/vidi-load -sessions 1100 -min-concurrent 1000 -min-peak 1000 \
-	    -rate 4000 -seed 42 -segment-frames 32 -out BENCH_serve.json
+	$(GO) run -race ./cmd/vidi-load $(SERVE_LOAD_FLAGS) -out serve-load-race.json
+
+# The same load run in a plain build: the per-endpoint latency report in
+# BENCH_serve.json (render it with `vidi-top -load BENCH_serve.json`).
+serve-load-bench:
+	$(GO) run ./cmd/vidi-load $(SERVE_LOAD_FLAGS) -out BENCH_serve.json
 
 # The exact sequence CI runs (.github/workflows/ci.yml).
 ci: build vet lint staticcheck vuln fmt-check test-short test-race race-golden fuzz-smoke fuzz-guided-smoke telemetry-smoke serve-chaos-smoke serve-load-smoke
@@ -134,4 +142,4 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 30s ./internal/trace
 
 clean:
-	rm -f test_output.txt bench_output.txt *.vidt *.vidz *.vcd
+	rm -f test_output.txt bench_output.txt serve-load-race.json *.vidt *.vidz *.vcd

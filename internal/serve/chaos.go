@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"net"
@@ -30,9 +31,9 @@ import (
 //     gap accounting matching the manifest exactly.
 //
 // The kill-restart scenario stops the server mid-session, plants the
-// torn-write artifacts a real crash leaves (journal tail, put-without-
-// done segment, temp file), and demands recovery quarantines all of them
-// while the session resumes and completes.
+// torn-write artifacts a real crash leaves (a half-appended segment log
+// record, a half-written journal line), and demands recovery quarantines
+// both while the session resumes and completes.
 
 // Chaos scenario kinds.
 const (
@@ -523,9 +524,9 @@ func (h *chaosHarness) breakerScenario(ctx context.Context, cl *Client, ls *live
 }
 
 // killRestart uploads half a run, stops the server, plants the artifacts
-// of a crash mid-write (torn journal tail, put-without-done segment, temp
-// leftover), and verifies restart recovery quarantines every one of them
-// while the session resumes, completes and replays cleanly.
+// of a crash mid-write (torn segment log record, torn journal tail), and
+// verifies restart recovery quarantines both while the session resumes,
+// completes and replays cleanly.
 func (h *chaosHarness) killRestart(sc ChaosScenario, res *ChaosResult) error {
 	tr, err := h.record(sc.App, false)
 	if err != nil {
@@ -563,31 +564,29 @@ func (h *chaosHarness) killRestart(sc ChaosScenario, res *ChaosResult) error {
 	}
 	ls.stop()
 
-	// The crash leaves what fsync ordering allows: a journaled put whose
-	// segment write never completed (torn, odd-length file), a temp file
-	// from an interrupted atomic write, and a half-written journal line.
-	runDir := filepath.Join(h.opts.Root, res.RunID)
-	tornHash := strings.Repeat("ab", 32)
-	jf, err := os.OpenFile(filepath.Join(runDir, "journal"), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("planting crash artifacts: %w", err)
-	}
-	fmt.Fprint(jf, journalLine("put", tornHash, "1024", "16", "999"))
-	fmt.Fprint(jf, "deadbeef gap 12") // torn tail: no newline, bad CRC
-	jf.Close()
-	tornSeg := filepath.Join(runDir, "segs", tornHash[:2], tornHash+".seg")
-	if err := os.MkdirAll(filepath.Dir(tornSeg), 0o755); err != nil {
-		return err
-	}
-	if err := os.WriteFile(tornSeg, make([]byte, 100), 0o644); err != nil { // not frame-aligned
-		return err
-	}
-	if err := os.WriteFile(tornSeg+".tmp", []byte("partial"), 0o644); err != nil {
-		return err
+	// The crash leaves what fsync ordering allows: a segment log record
+	// whose append never completed (half its bytes) and a half-written
+	// journal line.
+	tail := framesToBytes(frames[half : half+per])
+	rec := appendRecord(nil, sha256.Sum256(tail), encodeSegment(tail))
+	for _, a := range []struct {
+		name string
+		torn []byte
+	}{{"segments", rec[:len(rec)/2]}, {"journal", []byte("deadbeef gap 12")}} { // journal: no newline, bad CRC
+		f, err := os.OpenFile(filepath.Join(h.opts.Root, res.RunID, a.name), os.O_WRONLY|os.O_APPEND, 0o644)
+		if err == nil {
+			_, err = f.Write(a.torn)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}
+		if err != nil {
+			return fmt.Errorf("planting crash artifacts: %w", err)
+		}
 	}
 
-	// Phase 2: restart. Recovery must quarantine all three artifacts and
-	// keep the run resumable.
+	// Phase 2: restart. Recovery must quarantine both artifacts and keep
+	// the run resumable.
 	ls, err = startLiveServer(h.opts.Root, h.storeOpts(), Limits{}, nil)
 	if err != nil {
 		return err
@@ -598,8 +597,8 @@ func (h *chaosHarness) killRestart(sc ChaosScenario, res *ChaosResult) error {
 			res.Quarantined++
 		}
 	}
-	if res.Quarantined < 3 {
-		return fmt.Errorf("recovery quarantined %d artifact(s), expected the torn segment, temp file and journal tail (3)", res.Quarantined)
+	if res.Quarantined < 2 {
+		return fmt.Errorf("recovery quarantined %d artifact(s), expected the torn log record and journal tail (2)", res.Quarantined)
 	}
 	resumable := false
 	for _, id := range ls.rec.Resumable {

@@ -62,7 +62,7 @@ func TestChaosMatrix(t *testing.T) {
 	// torn artifacts and resumed via dedup — not vacuously passed.
 	for _, res := range report.Results {
 		if res.Kind == ChaosKillRestart {
-			if res.Quarantined < 3 || res.Deduped == 0 {
+			if res.Quarantined < 2 || res.Deduped == 0 {
 				t.Errorf("kill-restart: %d quarantined, %d deduped — recovery drill did not exercise the crash path", res.Quarantined, res.Deduped)
 			}
 		}

@@ -542,7 +542,7 @@ func TestServerRequestTracing(t *testing.T) {
 		}
 		if e.Endpoint == "put_segment" && !sawPut {
 			st := stagesOf(e)
-			if st["journal"] && st["write"] {
+			if st["write"] && !st["journal"] {
 				sawPut = true
 			}
 		}

@@ -5,14 +5,15 @@ import (
 	"compress/flate"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"hash/fnv"
 	"io"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -28,17 +29,16 @@ import (
 // (artifacts/<run_id>/ in a deployment):
 //
 //	<root>/<run_id>/journal            fsync'd append-only operation log
-//	<root>/<run_id>/segs/<hh>/<hash>.seg   content-addressed segments,
-//	                                   sharded by the first hash byte
+//	<root>/<run_id>/segments           fsync'd append-only segment log
 //	<root>/<run_id>/manifest.json      integrity manifest, written at commit
-//	<root>/<run_id>/quarantine/        damaged artifacts moved aside
+//	<root>/<run_id>/quarantine/        damaged log tails copied aside
 //	<root>/.quarantine/<run_id>...     whole runs recovery refused to trust
 //
-// Every mutation is journaled before it happens and journaled again when
-// it is durable ("put" → write+fsync+rename → "done"), so the recovery
-// scan can classify any crash point: a put without a done is a torn write
-// (quarantined), a done segment re-verifies by content hash, and a run
-// without a commit record resumes from its verified segments instead of
+// The journal records the run's lifecycle (open, gap, commit); the segment
+// log holds one CRC'd, content-hashed record per unique segment, fsync'd
+// before the segment is acknowledged. So recovery can classify any crash
+// point: a torn final record fails its CRC and is cut off, intact records
+// re-verify by hash, and an uncommitted run resumes from them instead of
 // serving a partial trace. Journal lines carry their own CRC so a torn
 // tail line is detected and dropped rather than misparsed.
 
@@ -53,8 +53,8 @@ type RunMeta struct {
 
 // SegmentRef is one content-addressed segment in stream order.
 type SegmentRef struct {
-	// Hash is the sha256 of the segment's raw frame bytes; also its
-	// filename. Identical content dedupes to one file.
+	// Hash is the sha256 of the segment's raw frame bytes. Identical
+	// content dedupes to one segment log record.
 	Hash string `json:"hash"`
 	// Bytes is the segment length (a multiple of the storage frame size).
 	Bytes int `json:"bytes"`
@@ -92,9 +92,10 @@ type Manifest struct {
 	// Replayable reports whether the stored stream decodes to a valid
 	// trace (false for upload-gapped runs).
 	Replayable bool `json:"replayable"`
-	// StoredBytes totals the on-disk size of the run's unique segment
-	// files (the flate storage codec usually makes this smaller than
-	// Bytes); CompressionRatio is Bytes/StoredBytes.
+	// StoredBytes totals the stored (codec container) lengths of the
+	// run's segment log records, headers excluded (the flate storage codec
+	// usually makes this smaller than Bytes); CompressionRatio is
+	// Bytes/StoredBytes.
 	StoredBytes      uint64  `json:"stored_bytes,omitempty"`
 	CompressionRatio float64 `json:"compression_ratio,omitempty"`
 }
@@ -132,7 +133,7 @@ func (e *CorruptRunError) Unwrap() error { return trace.ErrCorrupt }
 // Quarantine is one artifact the recovery scan refused to trust.
 type Quarantine struct {
 	RunID    string
-	Artifact string // "run", "manifest", "journal", or a segment hash
+	Artifact string // "run", "manifest", "journal", "segments", or a segment hash
 	Reason   string
 }
 
@@ -201,7 +202,8 @@ type runState struct {
 
 type partialRun struct {
 	meta RunMeta
-	segs map[string]SegmentRef // verified durable segments by hash
+	segs map[string]int // intact log records: hash → stored length
+	size int64          // length of the intact segment log
 }
 
 // OpenStore opens (or creates) a store rooted at root and runs the
@@ -236,10 +238,8 @@ func (st *Store) Breaker() *Breaker { return st.breaker }
 // Root returns the store root directory.
 func (st *Store) Root() string { return st.root }
 
-func (st *Store) runDir(runID string) string { return filepath.Join(st.root, runID) }
-func (st *Store) segPath(runID, hash string) string {
-	return filepath.Join(st.runDir(runID), "segs", hash[:2], hash+".seg")
-}
+func (st *Store) runDir(runID string) string  { return filepath.Join(st.root, runID) }
+func (st *Store) logPath(runID string) string { return filepath.Join(st.runDir(runID), "segments") }
 
 // validRunID restricts run ids to a path-safe charset.
 func validRunID(id string) bool {
@@ -281,37 +281,42 @@ func hashBytes(b []byte) string {
 
 // ---- storage codec ----
 
-// Segment files are stored behind a 4-byte codec header: "VZS1" + flate
-// stream (the normal case) or "VZS0" + raw bytes (incompressible
-// payloads). Content addressing is codec-invisible — SegmentRef.Hash
-// stays the sha256 of the RAW frame bytes, so dedup, journals, manifests
-// and the HTTP API never see compression. A file without a codec magic is
-// read as a legacy raw segment, which also keeps torn partial writes
-// classified by the raw length check instead of a decode error.
+// Segments are stored behind a 4-byte codec header: "VZS1" + flate stream
+// or "VZS0" + raw bytes (incompressible payloads). SegmentRef.Hash stays
+// the sha256 of the RAW frame bytes, so dedup, manifests and the HTTP API
+// never see compression.
 
 var (
 	segMagicFlate = []byte("VZS1")
 	segMagicRaw   = []byte("VZS0")
 )
 
+// flateWriters recycles BestSpeed compressors: a new one allocates over a
+// megabyte, and Reset is equivalent to NewWriter, so bytes do not change.
+var flateWriters = sync.Pool{New: func() any {
+	zw, _ := flate.NewWriter(nil, flate.BestSpeed)
+	return zw
+}}
+
 // encodeSegment compresses raw frame bytes for disk, falling back to the
 // raw container when flate does not help.
 func encodeSegment(raw []byte) []byte {
 	var buf bytes.Buffer
 	buf.Write(segMagicFlate)
-	zw, err := flate.NewWriter(&buf, flate.BestSpeed)
-	if err == nil {
-		_, werr := zw.Write(raw)
-		if cerr := zw.Close(); werr == nil && cerr == nil && buf.Len() < len(raw)+len(segMagicRaw) {
-			return buf.Bytes()
-		}
+	zw := flateWriters.Get().(*flate.Writer)
+	zw.Reset(&buf)
+	_, werr := zw.Write(raw)
+	cerr := zw.Close()
+	flateWriters.Put(zw)
+	if werr == nil && cerr == nil && buf.Len() < len(raw)+len(segMagicRaw) {
+		return buf.Bytes()
 	}
 	out := make([]byte, 0, len(raw)+len(segMagicRaw))
 	out = append(out, segMagicRaw...)
 	return append(out, raw...)
 }
 
-// decodeSegment recovers the raw frame bytes from a stored segment file.
+// decodeSegment recovers the raw frame bytes from a stored container.
 func decodeSegment(stored []byte) ([]byte, error) {
 	switch {
 	case bytes.HasPrefix(stored, segMagicFlate):
@@ -327,8 +332,82 @@ func decodeSegment(stored []byte) ([]byte, error) {
 	case bytes.HasPrefix(stored, segMagicRaw):
 		return stored[len(segMagicRaw):], nil
 	default:
-		return stored, nil // legacy uncompressed segment
+		return nil, errors.New("segment codec: unknown container magic")
 	}
+}
+
+// ---- segment log ----
+
+// A segment log record is "VSL1" | stored length (u32 BE) |
+// crc32(hash‖stored) (u32 BE) | sha256(raw) | stored, where stored is the
+// encodeSegment container. The CRC catches a torn or rotted record; the
+// hash is re-checked against the decoded bytes.
+var logMagic = []byte("VSL1")
+
+const logHeaderSize = 4 + 4 + 4 + sha256.Size
+
+// appendRecord appends one segment log record to dst.
+func appendRecord(dst []byte, sum [sha256.Size]byte, stored []byte) []byte {
+	dst = append(dst, logMagic...)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(stored)))
+	dst = binary.BigEndian.AppendUint32(dst, recordCRC(sum, stored))
+	dst = append(dst, sum[:]...)
+	return append(dst, stored...)
+}
+
+func recordCRC(sum [sha256.Size]byte, stored []byte) uint32 {
+	return crc32.Update(crc32.ChecksumIEEE(sum[:]), crc32.IEEETable, stored)
+}
+
+// logRecord is one verified segment log record.
+type logRecord struct {
+	sum    [sha256.Size]byte
+	stored []byte // the codec container, aliasing the scanned log
+	raw    []byte // the decoded frame bytes
+}
+
+// scanLog verifies a segment log up to its first damaged record. It
+// returns the intact records, the intact prefix length, and why the next
+// record is damaged ("" when the whole log is intact).
+func scanLog(data []byte) (recs []logRecord, off int, damage string) {
+	for off < len(data) {
+		rec, bad := parseRecord(data[off:])
+		if bad != "" {
+			return recs, off, fmt.Sprintf("record at offset %d: %s", off, bad)
+		}
+		recs = append(recs, rec)
+		off += logHeaderSize + len(rec.stored)
+	}
+	return recs, off, ""
+}
+
+// parseRecord verifies the record at the start of b, or says why it is
+// damaged.
+func parseRecord(b []byte) (rec logRecord, damage string) {
+	if len(b) < logHeaderSize {
+		return rec, "header cut short (torn write)"
+	}
+	if !bytes.Equal(b[:4], logMagic) {
+		return rec, "bad record magic"
+	}
+	n := uint64(binary.BigEndian.Uint32(b[4:8]))
+	if n > uint64(len(b)-logHeaderSize) {
+		return rec, "record runs past the end of the log (torn write)"
+	}
+	copy(rec.sum[:], b[12:logHeaderSize])
+	rec.stored = b[logHeaderSize : logHeaderSize+int(n)]
+	if recordCRC(rec.sum, rec.stored) != binary.BigEndian.Uint32(b[8:12]) {
+		return rec, "CRC mismatch"
+	}
+	raw, err := decodeSegment(rec.stored)
+	if err != nil {
+		return rec, err.Error()
+	}
+	if sha256.Sum256(raw) != rec.sum {
+		return rec, "segment content hash mismatch"
+	}
+	rec.raw = raw
+	return rec, ""
 }
 
 // ---- journal ----
@@ -463,19 +542,20 @@ type RunWriter struct {
 	runID string
 	meta  RunMeta
 
-	mu        sync.Mutex
-	journal   *os.File
-	refs      []SegmentRef
-	durable   map[string]SegmentRef // hash → durable segment (incl. resumed)
-	gaps      uint64
-	frames    uint64
-	bytes     uint64
-	closed    bool
-	committed bool
+	mu      sync.Mutex
+	journal *os.File
+	log     *os.File
+	logSize int64 // end of the last durable record
+	refs    []SegmentRef
+	durable map[string]int // hash → stored length (incl. resumed)
+	gaps    uint64
+	frames  uint64
+	bytes   uint64
+	closed  bool
 }
 
 // Begin opens a writer for runID. A committed or quarantined run refuses;
-// a resumable run (crash recovery) re-opens with its verified segments
+// a resumable run (crash recovery) re-opens with its intact segments
 // available for content-addressed dedup — the client re-uploads from
 // sequence zero and already-durable segments cost no disk writes.
 func (st *Store) Begin(ctx context.Context, runID string, meta RunMeta) (*RunWriter, error) {
@@ -507,51 +587,57 @@ func (st *Store) Begin(ctx context.Context, runID string, meta RunMeta) (*RunWri
 		}
 		resume = rs.partial
 	}
-	w := &RunWriter{st: st, runID: runID, meta: meta, durable: map[string]SegmentRef{}}
+	w := &RunWriter{st: st, runID: runID, meta: meta, durable: map[string]int{}}
 	rs.writer = w
 	st.mu.Unlock()
 
-	release := func() {
+	if resume != nil {
+		w.durable, w.logSize = maps.Clone(resume.segs), resume.size
+	}
+	// The directory fsyncs make the run's entries durable before any
+	// segment is acknowledged: the run directory holds the journal and
+	// log, the root holds the run directory.
+	dir := st.runDir(runID)
+	err := os.MkdirAll(dir, 0o755)
+	if err == nil {
+		w.journal, err = os.OpenFile(filepath.Join(dir, "journal"), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	}
+	if err == nil {
+		w.log, err = os.OpenFile(st.logPath(runID), os.O_CREATE|os.O_WRONLY, 0o644)
+	}
+	if err == nil {
+		err = syncDir(dir)
+	}
+	if err == nil {
+		err = syncDir(st.root)
+	}
+	if err == nil {
+		err = w.appendJournal(ctx, "open", meta.Tenant, meta.App,
+			strconv.Itoa(meta.Scale), strconv.FormatInt(meta.Seed, 10))
+	}
+	if err != nil {
+		w.journal.Close() // (*os.File).Close tolerates nil
+		w.log.Close()
 		st.mu.Lock()
 		rs.writer = nil
 		st.mu.Unlock()
-	}
-	dir := st.runDir(runID)
-	if err := os.MkdirAll(filepath.Join(dir, "segs"), 0o755); err != nil {
-		release()
-		return nil, err
-	}
-	jf, err := os.OpenFile(filepath.Join(dir, "journal"), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		release()
-		return nil, err
-	}
-	w.journal = jf
-	if resume != nil {
-		for h, ref := range resume.segs {
-			w.durable[h] = ref
-		}
-	}
-	if err := w.appendJournal(ctx, "open", meta.Tenant, meta.App,
-		strconv.Itoa(meta.Scale), strconv.FormatInt(meta.Seed, 10)); err != nil {
-		jf.Close()
-		release()
 		return nil, err
 	}
 	return w, nil
 }
 
-// PutSegment durably stores one segment of storage frames: journal "put",
-// write temp + fsync + rename (skipped when the content hash is already
-// durable), journal "done". The returned ref joins the stream order; the
-// bool reports content-addressed dedup (the bytes were already durable —
-// e.g. recovered from a crashed session and re-uploaded on resume).
+// PutSegment durably stores one segment of storage frames: one record
+// appended to the segment log and fsync'd, skipped when the content hash
+// is already durable. The returned ref joins the stream order; the bool
+// reports content-addressed dedup (the bytes were already durable — e.g.
+// recovered from a crashed session and re-uploaded on resume).
 func (w *RunWriter) PutSegment(ctx context.Context, data []byte, firstSeq uint32) (SegmentRef, bool, error) {
 	if len(data) == 0 || len(data)%trace.StoragePacketSize != 0 {
 		return SegmentRef{}, false, fmt.Errorf("serve: segment length %d is not a whole number of frames", len(data))
 	}
+	sum := sha256.Sum256(data)
 	ref := SegmentRef{
-		Hash:     hashBytes(data),
+		Hash:     hex.EncodeToString(sum[:]),
 		Bytes:    len(data),
 		Frames:   len(data) / trace.StoragePacketSize,
 		FirstSeq: firstSeq,
@@ -561,36 +647,34 @@ func (w *RunWriter) PutSegment(ctx context.Context, data []byte, firstSeq uint32
 	if w.closed {
 		return SegmentRef{}, false, fmt.Errorf("serve: run %s writer is closed", w.runID)
 	}
-	endJournal := stageTimer(ctx, "journal")
-	err := w.appendJournal(ctx, "put", ref.Hash, strconv.Itoa(ref.Bytes),
-		strconv.Itoa(ref.Frames), strconv.FormatUint(uint64(firstSeq), 10))
-	endJournal()
-	if err != nil {
-		return SegmentRef{}, false, err
-	}
 	_, dedup := w.durable[ref.Hash]
 	if !dedup {
-		path := w.st.segPath(w.runID, ref.Hash)
-		stored := encodeSegment(data)
+		var rec []byte
 		endWrite := stageTimer(ctx, "write")
 		err := w.st.retr.do(ctx, "segment write", func() error {
-			if err := w.st.fault("segment write"); err != nil {
-				return err
+			if rec == nil { // encoded on the first attempt: an open breaker sheds for free
+				stored := encodeSegment(data)
+				rec = appendRecord(make([]byte, 0, logHeaderSize+len(stored)), sum, stored)
 			}
-			return atomicWrite(path, stored)
+			err := w.st.fault("segment write")
+			if err == nil {
+				_, err = w.log.WriteAt(rec, w.logSize)
+			}
+			if err == nil {
+				err = w.log.Sync()
+			}
+			if err != nil { // the retry starts on a record boundary
+				_ = w.log.Truncate(w.logSize)
+			}
+			return err
 		})
 		endWrite()
 		if err != nil {
 			return SegmentRef{}, false, err
 		}
+		w.logSize += int64(len(rec))
+		w.durable[ref.Hash] = len(rec) - logHeaderSize
 	}
-	endJournal = stageTimer(ctx, "journal")
-	err = w.appendJournal(ctx, "done", ref.Hash)
-	endJournal()
-	if err != nil {
-		return SegmentRef{}, false, err
-	}
-	w.durable[ref.Hash] = ref
 	w.refs = append(w.refs, ref)
 	w.frames += uint64(ref.Frames)
 	w.bytes += uint64(ref.Bytes)
@@ -621,45 +705,44 @@ func (w *RunWriter) GapFrames() uint64 {
 }
 
 // ReadBack re-reads every stored segment from disk in stream order,
-// verifying content hashes — commit validates what was persisted, not
-// what the handler held in memory.
+// verifying every record — commit validates what was persisted, not what
+// the handler held in memory.
 func (w *RunWriter) ReadBack(ctx context.Context) ([]byte, error) {
 	w.mu.Lock()
 	refs := append([]SegmentRef(nil), w.refs...)
 	w.mu.Unlock()
 	defer stageTimer(ctx, "readback")()
-	return w.st.readSegments(ctx, w.runID, refs)
+	return w.st.readSegments(w.runID, refs)
 }
 
-func (st *Store) readSegments(ctx context.Context, runID string, refs []SegmentRef) ([]byte, error) {
+// readSegments verifies a run's segment log and returns the raw bytes of
+// refs in order. Damage past the records refs need is not the run's: an
+// append in flight, or a refused one the next append overwrites.
+func (st *Store) readSegments(runID string, refs []SegmentRef) ([]byte, error) {
+	data, err := os.ReadFile(st.logPath(runID))
+	if err != nil {
+		if errors.Is(err, fs.ErrNotExist) {
+			return nil, &CorruptRunError{RunID: runID, Artifact: "segments",
+				Reason: "segment log missing: " + err.Error()}
+		}
+		// A read failure that is not verified damage (fd exhaustion, a
+		// momentary I/O error) must stay retryable: it is the caller's
+		// 503, never grounds to quarantine an intact committed run.
+		return nil, &StoreFaultError{Op: "segment read", Err: err}
+	}
+	recs, _, damage := scanLog(data)
+	raws := make(map[string][]byte, len(recs))
+	for _, r := range recs {
+		raws[hex.EncodeToString(r.sum[:])] = r.raw
+	}
 	var out []byte
 	for _, ref := range refs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+		raw, ok := raws[ref.Hash]
+		if !ok && damage != "" {
+			return nil, &CorruptRunError{RunID: runID, Artifact: "segments", Reason: damage}
 		}
-		data, err := os.ReadFile(st.segPath(runID, ref.Hash))
-		if err != nil {
-			if errors.Is(err, fs.ErrNotExist) {
-				return nil, &CorruptRunError{RunID: runID, Artifact: ref.Hash,
-					Reason: "segment file missing: " + err.Error()}
-			}
-			// A read failure that is not verified damage (fd exhaustion, a
-			// momentary I/O error) must stay retryable: it is the caller's
-			// 503, never grounds to quarantine an intact committed run.
-			return nil, &StoreFaultError{Op: "segment read", Err: err}
-		}
-		raw, derr := decodeSegment(data)
-		if derr != nil {
-			return nil, &CorruptRunError{RunID: runID, Artifact: ref.Hash,
-				Reason: derr.Error()}
-		}
-		if len(raw) != ref.Bytes {
-			return nil, &CorruptRunError{RunID: runID, Artifact: ref.Hash,
-				Reason: fmt.Sprintf("segment is %d bytes, manifest says %d (torn write)", len(raw), ref.Bytes)}
-		}
-		if h := hashBytes(raw); h != ref.Hash {
-			return nil, &CorruptRunError{RunID: runID, Artifact: ref.Hash,
-				Reason: "segment content hash mismatch"}
+		if !ok {
+			return nil, &CorruptRunError{RunID: runID, Artifact: ref.Hash, Reason: "segment missing from the log"}
 		}
 		out = append(out, raw...)
 	}
@@ -688,21 +771,9 @@ func (w *RunWriter) Commit(ctx context.Context, stats TraceStats) (*Manifest, er
 		UploadGapFrames: w.gaps,
 		Replayable:      stats.Replayable && w.gaps == 0,
 	}
-	// Stat (not recompute) the unique segment files for the on-disk total:
-	// a resumed session's deduped segments were encoded by an earlier
-	// writer, and what counts is what is actually on disk.
-	seen := make(map[string]bool, len(w.refs))
 	var storedBytes uint64
-	for _, ref := range w.refs {
-		if seen[ref.Hash] {
-			continue
-		}
-		seen[ref.Hash] = true
-		if fi, err := os.Stat(w.st.segPath(w.runID, ref.Hash)); err == nil {
-			storedBytes += uint64(fi.Size())
-		} else {
-			storedBytes += uint64(ref.Bytes) // assume raw if unstattable
-		}
+	for _, n := range w.durable {
+		storedBytes += uint64(n)
 	}
 	m.StoredBytes = storedBytes
 	if storedBytes > 0 {
@@ -729,8 +800,8 @@ func (w *RunWriter) Commit(ctx context.Context, stats TraceStats) (*Manifest, er
 		return nil, err
 	}
 	w.closed = true
-	w.committed = true
 	w.journal.Close()
+	w.log.Close()
 
 	w.st.mu.Lock()
 	rs := w.st.runs[w.runID]
@@ -751,16 +822,14 @@ func (w *RunWriter) Abort() {
 	}
 	w.closed = true
 	w.journal.Close()
-	durable := make(map[string]SegmentRef, len(w.durable))
-	for h, r := range w.durable {
-		durable[h] = r
-	}
+	w.log.Close()
+	partial := &partialRun{meta: w.meta, segs: w.durable, size: w.logSize}
 	w.mu.Unlock()
 
 	w.st.mu.Lock()
 	rs := w.st.runs[w.runID]
 	if rs != nil && rs.manifest == nil {
-		rs.partial = &partialRun{meta: w.meta, segs: durable}
+		rs.partial = partial
 		rs.writer = nil
 	}
 	w.st.mu.Unlock()
@@ -794,7 +863,7 @@ func (st *Store) Runs() []string {
 }
 
 // ReadFrames returns a committed run's storage frames, fully re-verified:
-// per-segment content hashes plus the manifest's end-to-end body hash
+// every segment log record's CRC and content hash plus the manifest's end-to-end body hash
 // after deframing happens in the caller. A failed check quarantines the
 // run in memory so it is never served again, and returns a typed error
 // wrapping trace.ErrCorrupt.
@@ -803,7 +872,7 @@ func (st *Store) ReadFrames(ctx context.Context, runID string) ([][trace.Storage
 	if !ok {
 		return nil, nil, fmt.Errorf("serve: unknown run %s", runID)
 	}
-	body, err := st.readSegments(ctx, runID, m.Segments)
+	body, err := st.readSegments(runID, m.Segments)
 	if err != nil {
 		var ce *CorruptRunError
 		if errors.As(err, &ce) {
@@ -895,6 +964,10 @@ func (st *Store) recoverRun(runID string, rec *Recovery) {
 		st.quarantineRun(runID, reason)
 	}
 
+	if _, err := os.Stat(filepath.Join(dir, "segs")); err == nil {
+		condemn("run", preLogLayout)
+		return
+	}
 	jdata, err := os.ReadFile(filepath.Join(dir, "journal"))
 	if err != nil || len(jdata) == 0 {
 		// A run directory without a journal recorded nothing durably —
@@ -915,6 +988,27 @@ func (st *Store) recoverRun(runID string, rec *Recovery) {
 		condemn("journal", "no intact journal records")
 		return
 	}
+
+	var meta RunMeta
+	committed := ""
+	for _, r := range recs {
+		switch r.op {
+		case "open":
+			if len(r.args) >= 4 {
+				scale, _ := strconv.Atoi(r.args[2])
+				seed, _ := strconv.ParseInt(r.args[3], 10, 64)
+				meta = RunMeta{Tenant: r.args[0], App: r.args[1], Scale: scale, Seed: seed}
+			}
+		case "put", "done":
+			condemn("run", preLogLayout)
+			return
+		case "commit":
+			if len(r.args) >= 1 {
+				committed = r.args[0]
+			}
+		}
+	}
+
 	// Repair the journal file to exactly its intact records before anything
 	// appends to it again: a dropped torn tail (or a final line that lost
 	// its newline) would otherwise concatenate with the next append and
@@ -931,77 +1025,57 @@ func (st *Store) recoverRun(runID string, rec *Recovery) {
 		}
 	}
 
-	var meta RunMeta
-	puts := map[string]SegmentRef{} // put journaled, awaiting done
-	done := map[string]SegmentRef{} // durable per journal
-	committed := ""
-	for _, r := range recs {
-		switch r.op {
-		case "open":
-			if len(r.args) >= 4 {
-				scale, _ := strconv.Atoi(r.args[2])
-				seed, _ := strconv.ParseInt(r.args[3], 10, 64)
-				meta = RunMeta{Tenant: r.args[0], App: r.args[1], Scale: scale, Seed: seed}
-			}
-		case "put":
-			if len(r.args) >= 4 {
-				nbytes, _ := strconv.Atoi(r.args[1])
-				nframes, _ := strconv.Atoi(r.args[2])
-				seq, _ := strconv.ParseUint(r.args[3], 10, 32)
-				puts[r.args[0]] = SegmentRef{Hash: r.args[0], Bytes: nbytes, Frames: nframes, FirstSeq: uint32(seq)}
-			}
-		case "done":
-			if len(r.args) >= 1 {
-				if ref, ok := puts[r.args[0]]; ok {
-					done[r.args[0]] = ref
-				}
-			}
-		case "gap":
-			// accounted by the manifest at commit; nothing to rebuild
-		case "commit":
-			if len(r.args) >= 1 {
-				committed = r.args[0]
-			}
-		}
-	}
-
-	// Sweep temp leftovers (a crash between write and rename) into the
-	// run's quarantine directory.
-	st.sweepTemps(runID, rec)
-
-	if committed != "" {
-		st.recoverCommitted(runID, committed, rec, condemn)
+	segs, size, reason := st.recoverLog(runID, rec)
+	if reason != "" {
+		condemn("segments", reason)
 		return
 	}
-
-	// Uncommitted: verify each journal-durable segment on disk; torn or
-	// damaged ones are quarantined, intact ones seed the resume set.
-	verified := map[string]SegmentRef{}
-	for h, ref := range done {
-		if reason := st.verifySegment(runID, ref); reason != "" {
-			st.quarantineArtifact(runID, h, reason, rec)
-			continue
-		}
-		verified[h] = ref
+	if committed != "" {
+		st.recoverCommitted(runID, committed, segs, rec, condemn)
+		return
 	}
-	// A put without a done is a torn write by construction.
-	for h := range puts {
-		if _, ok := done[h]; ok {
-			continue
-		}
-		if _, err := os.Stat(st.segPath(runID, h)); err == nil {
-			st.quarantineArtifact(runID, h, "put without done (torn write)", rec)
-		}
-	}
+	// Uncommitted: the intact records seed the resume set.
 	st.mu.Lock()
-	st.runs[runID] = &runState{partial: &partialRun{meta: meta, segs: verified}}
+	st.runs[runID] = &runState{partial: &partialRun{meta: meta, segs: segs, size: size}}
 	st.mu.Unlock()
 	rec.Resumable = append(rec.Resumable, runID)
 }
 
+// preLogLayout condemns a run written by the per-segment-file store.
+const preLogLayout = "pre-log store layout (segs/ files, put/done journal records)"
+
+// recoverLog scans a run's segment log, copies a damaged tail to the run's
+// quarantine directory and cuts the log back to its intact prefix. It
+// returns the intact records' stored lengths by hash and the prefix
+// length, or why the log cannot be repaired.
+func (st *Store) recoverLog(runID string, rec *Recovery) (map[string]int, int64, string) {
+	path := st.logPath(runID)
+	data, err := os.ReadFile(path)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, 0, "segment log unreadable: " + err.Error()
+	}
+	recs, intact, damage := scanLog(data)
+	if damage != "" {
+		rec.Quarantined = append(rec.Quarantined, Quarantine{RunID: runID, Artifact: "segments", Reason: damage})
+		tail := filepath.Join(st.runDir(runID), "quarantine", fmt.Sprintf("segments.%d", intact))
+		if err := atomicWrite(tail, data[intact:]); err != nil {
+			return nil, 0, "quarantining the damaged log tail failed: " + err.Error()
+		}
+		if err := atomicWrite(path, data[:intact]); err != nil {
+			return nil, 0, "cutting the damaged log tail failed: " + err.Error()
+		}
+	}
+	segs := make(map[string]int, len(recs))
+	for _, r := range recs {
+		segs[hex.EncodeToString(r.sum[:])] = len(r.stored)
+	}
+	return segs, int64(intact), ""
+}
+
 // recoverCommitted verifies a committed run end to end: manifest bytes
-// against the journaled hash, manifest JSON, then every segment.
-func (st *Store) recoverCommitted(runID, wantHash string, rec *Recovery, condemn func(artifact, reason string)) {
+// against the journaled hash, manifest JSON, then every segment against
+// the intact log records.
+func (st *Store) recoverCommitted(runID, wantHash string, segs map[string]int, rec *Recovery, condemn func(artifact, reason string)) {
 	data, err := os.ReadFile(filepath.Join(st.runDir(runID), "manifest.json"))
 	if err != nil {
 		condemn("manifest", "committed but manifest unreadable: "+err.Error())
@@ -1017,8 +1091,8 @@ func (st *Store) recoverCommitted(runID, wantHash string, rec *Recovery, condemn
 		return
 	}
 	for _, ref := range m.Segments {
-		if reason := st.verifySegment(runID, ref); reason != "" {
-			condemn(ref.Hash, reason)
+		if _, ok := segs[ref.Hash]; !ok {
+			condemn(ref.Hash, "segment missing from the log")
 			return
 		}
 	}
@@ -1028,60 +1102,14 @@ func (st *Store) recoverCommitted(runID, wantHash string, rec *Recovery, condemn
 	rec.Intact = append(rec.Intact, runID)
 }
 
-// verifySegment re-hashes one segment file; "" means intact. Stored bytes
-// are decoded through the storage codec first, so a truncated flate
-// stream surfaces as damage just like a torn raw write.
-func (st *Store) verifySegment(runID string, ref SegmentRef) string {
-	data, err := os.ReadFile(st.segPath(runID, ref.Hash))
+// syncDir fsyncs a directory so the entries created in it are durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
 	if err != nil {
-		return "segment unreadable: " + err.Error()
+		return err
 	}
-	raw, derr := decodeSegment(data)
-	if derr != nil {
-		return derr.Error()
-	}
-	if len(raw) != ref.Bytes {
-		return fmt.Sprintf("segment is %d bytes, journal says %d (torn write)", len(raw), ref.Bytes)
-	}
-	if len(raw)%trace.StoragePacketSize != 0 {
-		return fmt.Sprintf("segment length %d is not a whole number of frames (torn final frame)", len(raw))
-	}
-	if hashBytes(raw) != ref.Hash {
-		return "segment content hash mismatch"
-	}
-	return ""
-}
-
-// quarantineArtifact moves one damaged file into <run>/quarantine/.
-func (st *Store) quarantineArtifact(runID, hash, reason string, rec *Recovery) {
-	rec.Quarantined = append(rec.Quarantined, Quarantine{RunID: runID, Artifact: hash, Reason: reason})
-	qdir := filepath.Join(st.runDir(runID), "quarantine")
-	_ = os.MkdirAll(qdir, 0o755)
-	_ = os.Rename(st.segPath(runID, hash), filepath.Join(qdir, hash+".seg"))
-}
-
-// sweepTemps quarantines atomic-write temp leftovers.
-func (st *Store) sweepTemps(runID string, rec *Recovery) {
-	segRoot := filepath.Join(st.runDir(runID), "segs")
-	_ = filepath.WalkDir(segRoot, func(path string, d os.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".tmp") {
-			return nil
-		}
-		rec.Quarantined = append(rec.Quarantined, Quarantine{
-			RunID: runID, Artifact: filepath.Base(path), Reason: "temp file leftover (crash mid-write)"})
-		qdir := filepath.Join(st.runDir(runID), "quarantine")
-		_ = os.MkdirAll(qdir, 0o755)
-		_ = os.Rename(path, filepath.Join(qdir, filepath.Base(path)))
-		return nil
-	})
-}
-
-// deriveSessionSeed mixes a label into the store jitter seed the way
-// fault.Plan.Derive does (fnv-64a), for per-session deterministic streams.
-func deriveSessionSeed(base int64, label string) int64 {
-	h := fnv.New64a()
-	h.Write([]byte(label))
-	return base ^ int64(h.Sum64())
+	defer d.Close()
+	return d.Sync()
 }
 
 // atomicWrite writes data durably: temp file in the target directory,
@@ -1114,9 +1142,6 @@ func atomicWrite(path string, data []byte) error {
 		os.Remove(tmp)
 		return err
 	}
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		d.Close()
-	}
+	_ = syncDir(dir)
 	return nil
 }

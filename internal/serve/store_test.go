@@ -58,15 +58,50 @@ func commitRun(t *testing.T, root, runID string) *Store {
 	return st
 }
 
-// segFile locates the single segment file for a content hash.
-func segFile(t *testing.T, root, runID string, data []byte) string {
+// logFile returns the path of a run's segment log.
+func logFile(root, runID string) string { return filepath.Join(root, runID, "segments") }
+
+// findRecord locates the log record holding data and returns the whole log
+// with the record's start and end offsets.
+func findRecord(t *testing.T, root, runID string, data []byte) ([]byte, int, int) {
 	t.Helper()
-	h := hashBytes(data)
-	p := filepath.Join(root, runID, "segs", h[:2], h+".seg")
-	if _, err := os.Stat(p); err != nil {
-		t.Fatalf("segment file missing: %v", err)
+	log, err := os.ReadFile(logFile(root, runID))
+	if err != nil {
+		t.Fatalf("segment log unreadable: %v", err)
 	}
-	return p
+	want := sha256.Sum256(data)
+	recs, _, damage := scanLog(log)
+	if damage != "" {
+		t.Fatalf("segment log damaged: %s", damage)
+	}
+	for off, i := 0, 0; i < len(recs); i++ {
+		end := off + logHeaderSize + len(recs[i].stored)
+		if recs[i].sum == want {
+			return log, off, end
+		}
+		off = end
+	}
+	t.Fatal("segment missing from the log")
+	return nil, 0, 0
+}
+
+// writeLog replaces a run's segment log.
+func writeLog(t *testing.T, root, runID string, log []byte) {
+	t.Helper()
+	if err := os.WriteFile(logFile(root, runID), log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// quarantinedAs reports whether rec quarantined runID's artifact with a
+// reason containing reason.
+func quarantinedAs(rec *Recovery, runID, artifact, reason string) bool {
+	for _, q := range rec.Quarantined {
+		if q.RunID == runID && q.Artifact == artifact && strings.Contains(q.Reason, reason) {
+			return true
+		}
+	}
+	return false
 }
 
 func TestStoreRoundTrip(t *testing.T) {
@@ -93,62 +128,81 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRecoveryTornFinalFrame: a crash mid-write leaves an uncommitted
-// segment whose file is not a whole number of frames. Recovery must
-// quarantine exactly that artifact and keep the run resumable on the
-// verified remainder.
+// TestRecoveryTornFinalFrame: a crash mid-append leaves a torn final log
+// record — its last frame cut, or only half of a further record written.
+// Recovery must quarantine exactly that tail, cut the log back to the
+// intact prefix and keep the run resumable: a re-upload dedups every
+// intact segment, and the repaired run commits and serves after a restart.
 func TestRecoveryTornFinalFrame(t *testing.T) {
-	root := t.TempDir()
-	st, _, err := OpenStore(root, fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	w, err := st.Begin(ctx, "r1", RunMeta{Tenant: "t0", App: "a"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	good := segData(4, 1)
-	torn := segData(4, 2)
-	if _, _, err := w.PutSegment(ctx, good, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := w.PutSegment(ctx, torn, 4); err != nil {
-		t.Fatal(err)
-	}
-	w.Abort()
-	// Tear the final frame of the second segment.
-	p := segFile(t, root, "r1", torn)
-	if err := os.Truncate(p, int64(len(torn)-trace.StoragePacketSize/2)); err != nil {
-		t.Fatal(err)
-	}
+	segs := [][]byte{segData(4, 1), segData(4, 2), incompressible(4), segData(8, 3)}
+	next := appendRecord(nil, sha256.Sum256(segs[3]), encodeSegment(segs[3]))
+	for _, c := range []struct {
+		name   string
+		intact int // how many of the three appended segments survive
+		tear   func(log []byte) []byte
+	}{
+		// The raw container puts the cut inside the last record's final frame.
+		{"final frame cut", 2, func(log []byte) []byte { return log[:len(log)-trace.StoragePacketSize/2] }},
+		{"half a record appended", 3, func(log []byte) []byte { return append(log, next[:len(next)/2]...) }},
+	} {
+		root := t.TempDir()
+		st, _, err := OpenStore(root, fastOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		meta := RunMeta{Tenant: "t0", App: "a"}
+		w, err := st.Begin(ctx, "r1", meta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, seg := range segs[:3] {
+			if _, _, err := w.PutSegment(ctx, seg, uint32(4*i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w.Abort()
+		log, _, prefix := findRecord(t, root, "r1", segs[c.intact-1])
+		torn := c.tear(log)
+		writeLog(t, root, "r1", torn)
 
-	st2, rec, err := OpenStore(root, fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.Resumable) != 1 || rec.Resumable[0] != "r1" {
-		t.Fatalf("run not resumable: %s", rec)
-	}
-	if len(rec.Quarantined) != 1 || rec.Quarantined[0].Artifact != hashBytes(torn) {
-		t.Fatalf("expected exactly the torn segment quarantined: %s", rec)
-	}
-	// The quarantined file moved aside; the good one still dedupes.
-	if _, err := os.Stat(p); !os.IsNotExist(err) {
-		t.Fatal("torn segment still in the segment tree")
-	}
-	w2, err := st2.Begin(ctx, "r1", RunMeta{Tenant: "t0", App: "a"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, dedup, err := w2.PutSegment(ctx, good, 0); err != nil || !dedup {
-		t.Fatalf("verified segment should dedup on resume: dedup=%v err=%v", dedup, err)
-	}
-	if _, dedup, err := w2.PutSegment(ctx, torn, 4); err != nil || dedup {
-		t.Fatalf("torn segment must be re-written, not deduped: dedup=%v err=%v", dedup, err)
-	}
-	if _, err := w2.Commit(ctx, TraceStats{Replayable: true}); err != nil {
-		t.Fatalf("commit after resume: %v", err)
+		st2, rec, err := OpenStore(root, fastOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rec.Resumable) != 1 || len(rec.Quarantined) != 1 || !quarantinedAs(rec, "r1", "segments", "torn write") {
+			t.Fatalf("%s: expected exactly the torn tail quarantined on a resumable run: %s", c.name, rec)
+		}
+		if got, err := os.ReadFile(logFile(root, "r1")); err != nil || string(got) != string(log[:prefix]) {
+			t.Fatalf("%s: log not cut back to its intact prefix: %v", c.name, err)
+		}
+		tail, err := os.ReadFile(filepath.Join(root, "r1", "quarantine", fmt.Sprintf("segments.%d", prefix)))
+		if err != nil || string(tail) != string(torn[prefix:]) {
+			t.Fatalf("%s: torn tail not copied aside intact: %v", c.name, err)
+		}
+		w2, err := st2.Begin(ctx, "r1", meta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []byte
+		for i, seg := range segs {
+			_, dedup, err := w2.PutSegment(ctx, seg, uint32(4*i))
+			if err != nil || dedup != (i < c.intact) {
+				t.Fatalf("%s: segment %d: dedup=%v err=%v", c.name, i, dedup, err)
+			}
+			want = append(want, seg...)
+		}
+		if _, err := w2.Commit(ctx, TraceStats{Replayable: true}); err != nil {
+			t.Fatalf("%s: commit after resume: %v", c.name, err)
+		}
+		st3, rec, err := OpenStore(root, fastOpts())
+		if err != nil || len(rec.Intact) != 1 || len(rec.Quarantined) != 0 {
+			t.Fatalf("%s: repaired run not intact after restart: %v %s", c.name, err, rec)
+		}
+		frames, _, err := st3.ReadFrames(ctx, "r1")
+		if err != nil || string(framesToBytes(frames)) != string(want) {
+			t.Fatalf("%s: repaired run reads back wrong: %v", c.name, err)
+		}
 	}
 }
 
@@ -224,31 +278,65 @@ func TestRecoveryManifestHashMismatch(t *testing.T) {
 	}
 }
 
-// TestRecoverySegmentHashMismatch: bit rot inside a committed segment
-// (same length, different bytes) must fail the hash re-verification and
-// quarantine the run.
+// TestRecoverySegmentHashMismatch: a committed record whose content no
+// longer matches its hash must fail re-verification and quarantine the
+// run — whether bit rot broke the CRC too or the record checksums but
+// carries the wrong hash.
 func TestRecoverySegmentHashMismatch(t *testing.T) {
+	for name, damage := range map[string]struct {
+		reason string
+		mutate func(rec []byte) []byte
+	}{
+		"bit rot": {"CRC mismatch", func(rec []byte) []byte {
+			rec[logHeaderSize+7] ^= 0x80
+			return rec
+		}},
+		"valid CRC, wrong hash": {"segment content hash mismatch", func(rec []byte) []byte {
+			return appendRecord(nil, sha256.Sum256(segData(4, 0x33)), rec[logHeaderSize:])
+		}},
+	} {
+		root := t.TempDir()
+		commitRun(t, root, "r1")
+		log, start, end := findRecord(t, root, "r1", segData(4, 0x22))
+		rec := damage.mutate(append([]byte{}, log[start:end]...))
+		writeLog(t, root, "r1", append(append(log[:start:start], rec...), log[end:]...))
+
+		_, recov, err := OpenStore(root, fastOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recov.Intact) != 0 {
+			t.Fatalf("%s: damaged segment still intact: %s", name, recov)
+		}
+		if !quarantinedAs(recov, "r1", "segments", damage.reason) ||
+			!quarantinedAs(recov, "r1", hashBytes(segData(4, 0x22)), "segment missing from the log") {
+			t.Fatalf("%s: wrong quarantine report: %s", name, recov)
+		}
+		if _, err := os.Stat(filepath.Join(root, ".quarantine", "r1")); err != nil {
+			t.Fatalf("%s: run not moved to .quarantine: %v", name, err)
+		}
+	}
+}
+
+// TestRecoveryManifestSegmentMissing: a committed run whose manifest names
+// a segment the log does not hold is condemned, even though every record
+// the log does hold is intact.
+func TestRecoveryManifestSegmentMissing(t *testing.T) {
 	root := t.TempDir()
 	commitRun(t, root, "r1")
-	p := segFile(t, root, "r1", segData(4, 0x22))
-	data, err := os.ReadFile(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[7] ^= 0x80
-	if err := os.WriteFile(p, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	log, start, end := findRecord(t, root, "r1", segData(4, 0x22))
+	writeLog(t, root, "r1", append(log[:start:start], log[end:]...))
 
-	_, rec, err := OpenStore(root, fastOpts())
+	st, rec, err := OpenStore(root, fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.Intact) != 0 {
-		t.Fatalf("rotted segment still intact: %s", rec)
+	if len(rec.Intact) != 0 || len(rec.Quarantined) != 1 ||
+		!quarantinedAs(rec, "r1", hashBytes(segData(4, 0x22)), "segment missing from the log") {
+		t.Fatalf("missing segment not condemned: %s", rec)
 	}
-	if len(rec.Quarantined) == 0 || rec.Quarantined[0].Reason != "segment content hash mismatch" {
-		t.Fatalf("wrong quarantine reason: %s", rec)
+	if _, ok := st.Manifest("r1"); ok {
+		t.Fatal("run with a missing segment still serveable")
 	}
 }
 
@@ -344,10 +432,9 @@ func TestRecoveryTornJournalTail(t *testing.T) {
 func TestReadFramesQuarantinesCorruption(t *testing.T) {
 	root := t.TempDir()
 	st := commitRun(t, root, "r1")
-	p := segFile(t, root, "r1", segData(4, 0x11))
-	if err := os.WriteFile(p, segData(4, 0x33), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	log, start, _ := findRecord(t, root, "r1", segData(4, 0x11))
+	log[start+logHeaderSize+5] ^= 0x01
+	writeLog(t, root, "r1", log)
 	_, _, err := st.ReadFrames(context.Background(), "r1")
 	if err == nil {
 		t.Fatal("corrupt read returned no error")
@@ -416,6 +503,66 @@ func TestStoreFaultEscalation(t *testing.T) {
 	}
 	if st.Breaker().State() != 0 {
 		t.Fatal("breaker did not close after successful probe")
+	}
+}
+
+// TestSegmentWriteRetryLeavesOneRecord: a "segment write" fault after a
+// partial append (junk longer than a record lands in the log) is retried;
+// the log must end with exactly one record per acknowledged segment and
+// recover with nothing to quarantine.
+func TestSegmentWriteRetryLeavesOneRecord(t *testing.T) {
+	root := t.TempDir()
+	st, _, err := OpenStore(root, fastOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	w, err := st.Begin(ctx, "r1", RunMeta{Tenant: "t0", App: "a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	st.FaultFn = func(op string) error {
+		if op != "segment write" {
+			return nil
+		}
+		if calls++; calls%2 == 1 {
+			f, err := os.OpenFile(logFile(root, "r1"), os.O_WRONLY|os.O_APPEND, 0o644)
+			if err != nil {
+				return err
+			}
+			defer f.Close()
+			if _, err := f.Write(make([]byte, 4096)); err != nil {
+				return err
+			}
+			return fmt.Errorf("injected fault during %s", op)
+		}
+		return nil
+	}
+	segs := [][]byte{segData(4, 1), segData(4, 2), segData(4, 1), incompressible(4)}
+	for i, seg := range segs {
+		if _, _, err := w.PutSegment(ctx, seg, uint32(4*i)); err != nil {
+			t.Fatalf("segment %d not acknowledged after a retry: %v", i, err)
+		}
+	}
+	w.Abort()
+	log, err := os.ReadFile(logFile(root, "r1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _, damage := scanLog(log)
+	if damage != "" || len(recs) != 3 {
+		t.Fatalf("want 3 intact records (one per unique segment), got %d, damage %q", len(recs), damage)
+	}
+	seen := map[[sha256.Size]byte]bool{}
+	for _, r := range recs {
+		if seen[r.sum] {
+			t.Fatal("segment appended twice")
+		}
+		seen[r.sum] = true
+	}
+	if _, rec, err := OpenStore(root, fastOpts()); err != nil || len(rec.Resumable) != 1 || len(rec.Quarantined) != 0 {
+		t.Fatalf("retried appends left damage: %v %s", err, rec)
 	}
 }
 
@@ -504,15 +651,19 @@ func TestEscapeArgRoundTrip(t *testing.T) {
 }
 
 // TestReadFramesTransientErrorIsRetryable: a read failure that is not
-// verified damage (here: the segment path turned into a directory, standing
+// verified damage (here: the segment log turned into a directory, standing
 // in for EMFILE/EIO) must surface as a retryable store fault and leave the
-// intact committed run in service; a *missing* segment is real corruption
-// and quarantines.
+// intact committed run in service; a *missing* log is real corruption and
+// quarantines.
 func TestReadFramesTransientErrorIsRetryable(t *testing.T) {
 	root := t.TempDir()
 	st := commitRun(t, root, "r1")
 	ctx := context.Background()
-	p := segFile(t, root, "r1", segData(4, 0x11))
+	p := logFile(root, "r1")
+	log, err := os.ReadFile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	if err := os.Remove(p); err != nil {
 		t.Fatal(err)
@@ -520,9 +671,9 @@ func TestReadFramesTransientErrorIsRetryable(t *testing.T) {
 	if err := os.Mkdir(p, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := st.ReadFrames(ctx, "r1")
+	_, _, err = st.ReadFrames(ctx, "r1")
 	if err == nil {
-		t.Fatal("unreadable segment returned no error")
+		t.Fatal("unreadable segment log returned no error")
 	}
 	var sfe *StoreFaultError
 	if !errors.As(err, &sfe) {
@@ -543,23 +694,21 @@ func TestReadFramesTransientErrorIsRetryable(t *testing.T) {
 	if err := os.Remove(p); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(p, segData(4, 0x11), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeLog(t, root, "r1", log)
 	if _, _, err := st.ReadFrames(ctx, "r1"); err != nil {
 		t.Fatalf("read after heal: %v", err)
 	}
 
-	// A missing segment is verified damage: typed corruption + quarantine.
+	// A missing log is verified damage: typed corruption + quarantine.
 	if err := os.Remove(p); err != nil {
 		t.Fatal(err)
 	}
 	_, _, err = st.ReadFrames(ctx, "r1")
 	if !errors.As(err, &cre) || !errors.Is(err, trace.ErrCorrupt) {
-		t.Fatalf("missing segment not reported as corruption: %v", err)
+		t.Fatalf("missing segment log not reported as corruption: %v", err)
 	}
 	if _, ok := st.Manifest("r1"); ok {
-		t.Fatal("run with missing segment still serveable")
+		t.Fatal("run with missing segment log still serveable")
 	}
 }
 
@@ -602,11 +751,9 @@ func TestSegmentCodecRoundTrip(t *testing.T) {
 	if stored := encodeSegment(segData(64, 0x5a)); len(stored) >= 64*trace.StoragePacketSize {
 		t.Fatalf("compressible data did not shrink: %d stored bytes", len(stored))
 	}
-	// No magic = legacy raw segment, passed through untouched.
-	legacy := segData(2, 0x01)
-	got, err := decodeSegment(legacy)
-	if err != nil || string(got) != string(legacy) {
-		t.Fatalf("legacy passthrough: got err %v", err)
+	// Every record is written through encodeSegment: no magic is damage.
+	if _, err := decodeSegment(segData(2, 0x01)); err == nil {
+		t.Fatal("container without codec magic decoded")
 	}
 }
 
@@ -654,36 +801,45 @@ func TestCommitRecordsCompression(t *testing.T) {
 	}
 }
 
-// TestLegacySegmentStillServed: a pre-codec store laid down raw segment
-// files with no magic. They must read back and survive recovery intact.
-func TestLegacySegmentStillServed(t *testing.T) {
+// TestPreLogLayoutQuarantined: run directories written by the
+// per-segment-file store (a segs/ tree, or put/done journal records) are
+// not read; recovery moves them aside whole with their own reason.
+func TestPreLogLayoutQuarantined(t *testing.T) {
 	root := t.TempDir()
-	commitRun(t, root, "r1")
-	// Rewrite both segments as raw legacy files.
-	for _, salt := range []byte{0x11, 0x22} {
-		data := segData(4, salt)
-		if err := os.WriteFile(segFile(t, root, "r1", data), data, 0o644); err != nil {
-			t.Fatalf("rewrite legacy: %v", err)
+	open := journalLine("open", "t0", "a", "1", "7")
+	put := journalLine("put", hashBytes(segData(4, 1)), "1024", "4", "0")
+	for runID, files := range map[string]map[string]string{
+		"with-segs":     {"journal": open, "segs/ab/x.seg": "raw"},
+		"with-put-done": {"journal": open + put + journalLine("done", hashBytes(segData(4, 1)))},
+	} {
+		for name, body := range files {
+			p := filepath.Join(root, runID, name)
+			if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	st, rec, err := OpenStore(root, fastOpts())
+	_, rec, err := OpenStore(root, fastOpts())
 	if err != nil {
-		t.Fatalf("reopen: %v", err)
+		t.Fatal(err)
 	}
-	if len(rec.Intact) != 1 || len(rec.Quarantined) != 0 {
-		t.Fatalf("legacy run not intact: %s", rec)
+	if len(rec.Intact)+len(rec.Resumable) != 0 || len(rec.Quarantined) != 2 ||
+		!quarantinedAs(rec, "with-segs", "run", preLogLayout) ||
+		!quarantinedAs(rec, "with-put-done", "run", preLogLayout) {
+		t.Fatalf("pre-log runs not quarantined whole: %s", rec)
 	}
-	frames, _, err := st.ReadFrames(context.Background(), "r1")
-	if err != nil {
-		t.Fatalf("read legacy: %v", err)
-	}
-	if len(frames) != 8 {
-		t.Fatalf("got %d frames, want 8", len(frames))
+	for _, runID := range []string{"with-segs", "with-put-done"} {
+		if _, err := os.Stat(filepath.Join(root, ".quarantine", runID, "journal")); err != nil {
+			t.Fatalf("%s not moved to .quarantine whole: %v", runID, err)
+		}
 	}
 }
 
-// TestTruncatedCompressedSegmentQuarantined: tearing a flate stream is
-// verified damage — recovery must quarantine it, not serve it.
+// TestTruncatedCompressedSegmentQuarantined: a cut flate stream is verified
+// damage — recovery must quarantine it, not serve it.
 func TestTruncatedCompressedSegmentQuarantined(t *testing.T) {
 	root := t.TempDir()
 	st, _, err := OpenStore(root, fastOpts())
@@ -702,22 +858,55 @@ func TestTruncatedCompressedSegmentQuarantined(t *testing.T) {
 	if _, err := w.Commit(ctx, TraceStats{Transactions: 1, BodySHA256: "x", Replayable: true}); err != nil {
 		t.Fatalf("commit: %v", err)
 	}
-	p := segFile(t, root, "r1", data)
-	stored, err := os.ReadFile(p)
-	if err != nil {
-		t.Fatalf("read seg: %v", err)
-	}
+	// Re-frame the record around a cut flate stream with a valid CRC, so
+	// only the codec can catch it.
+	log, start, end := findRecord(t, root, "r1", data)
+	stored := log[start+logHeaderSize : end]
 	if string(stored[:4]) != "VZS1" {
 		t.Fatalf("expected compressed container, got %q", stored[:4])
 	}
-	if err := os.WriteFile(p, stored[:len(stored)-3], 0o644); err != nil {
-		t.Fatalf("truncate: %v", err)
-	}
+	writeLog(t, root, "r1", appendRecord(log[:start:start], sha256.Sum256(data), stored[:len(stored)-3]))
 	_, rec, err := OpenStore(root, fastOpts())
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	if len(rec.Quarantined) == 0 {
+	if len(rec.Intact) != 0 || !quarantinedAs(rec, "r1", "segments", "segment codec") {
 		t.Fatalf("truncated compressed segment not quarantined: %s", rec)
 	}
+}
+
+// FuzzSegmentLog: the record parser must never panic on arbitrary bytes,
+// must report damage whenever it stops short of the end, and the intact
+// prefix it returns must re-encode byte for byte.
+func FuzzSegmentLog(f *testing.F) {
+	var log []byte
+	for _, raw := range [][]byte{segData(4, 1), incompressible(2), segData(1, 9)} {
+		log = appendRecord(log, sha256.Sum256(raw), encodeSegment(raw))
+	}
+	f.Add([]byte{})
+	f.Add(log)
+	f.Add(log[:len(log)-7])
+	f.Add(log[:logHeaderSize-1])
+	bad := append([]byte{}, log...)
+	bad[9] ^= 0xff
+	f.Add(bad)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recs, intact, damage := scanLog(data)
+		if intact < 0 || intact > len(data) {
+			t.Fatalf("intact prefix %d outside [0, %d]", intact, len(data))
+		}
+		if (damage == "") != (intact == len(data)) {
+			t.Fatalf("damage %q with intact prefix %d of %d bytes", damage, intact, len(data))
+		}
+		var again []byte
+		for _, r := range recs {
+			if sha256.Sum256(r.raw) != r.sum {
+				t.Fatal("accepted a record whose content does not match its hash")
+			}
+			again = appendRecord(again, r.sum, r.stored)
+		}
+		if string(again) != string(data[:intact]) {
+			t.Fatal("intact prefix does not re-encode byte for byte")
+		}
+	})
 }
