@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint waivers vuln staticcheck fmt-check test test-short test-race race-golden fuzz-smoke fuzz-guided-smoke telemetry-smoke serve-chaos-smoke serve-load-smoke serve-load-bench ci bench tables examples fuzz clean
+.PHONY: all build vet lint waivers vuln staticcheck fmt-check test test-short test-race race-golden fuzz-smoke fuzz-guided-smoke fuzz-native telemetry-smoke serve-chaos-smoke serve-chaos serve-load-smoke serve-load-bench bench-test ci bench tables examples clean
 
 all: build vet lint test
 
@@ -80,6 +80,17 @@ fuzz-smoke:
 fuzz-guided-smoke:
 	$(GO) run ./cmd/vidi-fuzz -guided -seeds 60 -min-new 1 -coverage-out BENCH_coverage.json
 
+# Native Go fuzzing, 20 s per target: the trace decoder, the storage frame
+# codec, the trace round trip, the run log parser and the design-graph
+# compiler. Arbitrary bytes must never panic, rejections must be typed or
+# reported, and accepted inputs must re-encode to a fixpoint.
+fuzz-native:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 20s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime 20s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzTraceRoundTrip$$' -fuzztime 20s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzSegmentLog$$' -fuzztime 20s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzGraphCompile$$' -fuzztime 20s ./internal/design
+
 # End-to-end telemetry smoke: an instrumented recording must emit a metrics
 # snapshot vidi-top can render and a timeline it validates as trace_event
 # JSON, and the live -app mode must work for both acceptance apps.
@@ -96,6 +107,10 @@ telemetry-smoke:
 # and zero silent divergences. The full 13-scenario matrix, not -short.
 serve-chaos-smoke:
 	$(GO) test -race -count=1 -run TestChaosMatrix ./internal/serve
+
+# The same matrix through the shipped binary's operator entry point.
+serve-chaos:
+	$(GO) run ./cmd/vidi-serve -chaos
 
 # Open-loop load harness under the race detector: 1100 seeded sessions
 # (record/replay/compare/degraded mix) against a self-hosted vidi-serve,
@@ -115,8 +130,13 @@ serve-load-smoke:
 serve-load-bench:
 	$(GO) run ./cmd/vidi-load $(SERVE_LOAD_FLAGS) -out BENCH_serve.json
 
+# The repo benchmark's own tests (bench/ is a separate module): the
+# workload plans, the gates and the compare report.
+bench-test:
+	cd bench && $(GO) test ./...
+
 # The exact sequence CI runs (.github/workflows/ci.yml).
-ci: build vet lint staticcheck vuln fmt-check test-short test-race race-golden fuzz-smoke fuzz-guided-smoke telemetry-smoke serve-chaos-smoke serve-load-smoke
+ci: build vet lint staticcheck vuln fmt-check test-short test-race race-golden fuzz-smoke fuzz-guided-smoke fuzz-native telemetry-smoke serve-chaos-smoke serve-chaos serve-load-smoke bench-test
 
 # One benchmark run per table/figure; results also land in bench_output.txt.
 # Also regenerates BENCH_kernel.json (cycles/sec per app, legacy vs
@@ -136,10 +156,6 @@ examples:
 	$(GO) run ./examples/debugging
 	$(GO) run ./examples/testing
 	$(GO) run ./examples/custom-boundary
-
-# Exercise the trace-decoder fuzz target for 30s.
-fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 30s ./internal/trace
 
 clean:
 	rm -f test_output.txt bench_output.txt serve-load-race.json *.vidt *.vidz *.vcd

@@ -1,8 +1,8 @@
 // vidi-serve is the multi-tenant record/replay service: tenants open
 // recording sessions over HTTP, stream CRC/sequenced storage frames into a
 // crash-safe content-addressed trace store, and queue replay/compare/
-// diagnose jobs executed by a bounded worker pool. Every start replays the
-// store journal and quarantines torn or damaged artifacts before serving.
+// diagnose jobs executed by a bounded worker pool. Every start replays each
+// run's log and quarantines torn or damaged artifacts before serving.
 //
 // Usage:
 //

@@ -4,11 +4,11 @@
 // request replay/compare/diagnose jobs executed by a bounded worker pool.
 //
 // The package is engineered to the PR 1 contract — *degrade, never
-// corrupt*: every write is journaled and fsync'd before it counts, every
-// read is verified against the manifest's integrity hashes, a restart
-// replays the journal and quarantines torn or damaged artifacts instead of
-// serving them, and the store write path retries with seeded jitter behind
-// a circuit breaker that escalates to a typed error wrapping
+// corrupt*: every write is appended to the run's log and fsync'd before it
+// counts, every read is verified against the manifest's integrity hashes, a
+// restart replays each run's log and quarantines torn or damaged artifacts
+// instead of serving them, and the store write path retries with seeded
+// jitter behind a circuit breaker that escalates to a typed error wrapping
 // core.ErrStoreFault. The chaos harness in this package arms
 // internal/fault plans against a live server — including a kill-and-
 // restart mid-session — and asserts zero corrupted manifests and zero
@@ -37,7 +37,7 @@ var ErrBreakerOpen = errors.New("serve: store circuit breaker open")
 // exactly like the PR 1 simulated store — alongside the underlying cause,
 // so both errors.Is(err, core.ErrStoreFault) and cause inspection work.
 type StoreFaultError struct {
-	// Op names the failed operation ("journal append", "segment write", ...).
+	// Op names the failed operation ("segment write", "commit write", ...).
 	Op string
 	// Attempts counts the transfer attempts made (0 when the breaker shed
 	// the write without attempting).

@@ -132,7 +132,7 @@ func TestRetrierEscalation(t *testing.T) {
 	}
 	// Breaker opened (threshold 1); next call sheds without attempting.
 	calls := 0
-	err = r.do(context.Background(), "journal append", func() error { calls++; return nil })
+	err = r.do(context.Background(), "open write", func() error { calls++; return nil })
 	if !errors.Is(err, ErrBreakerOpen) || calls != 0 {
 		t.Fatalf("open breaker did not shed (calls=%d): %v", calls, err)
 	}

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -30,10 +31,11 @@ import (
 //     and its divergence report must be clean, with degraded-recording
 //     gap accounting matching the manifest exactly.
 //
-// The kill-restart scenario stops the server mid-session, plants the
-// torn-write artifacts a real crash leaves (a half-appended segment log
-// record, a half-written journal line), and demands recovery quarantines
-// both while the session resumes and completes.
+// The kill-restart scenario stops the server mid-session, plants what a
+// real crash leaves in the run log (a whole segment record that was never
+// acknowledged, then a half-written gap record), and demands recovery
+// keeps the segment and quarantines the torn record while the session
+// resumes, dedups and completes.
 
 // Chaos scenario kinds.
 const (
@@ -524,9 +526,9 @@ func (h *chaosHarness) breakerScenario(ctx context.Context, cl *Client, ls *live
 }
 
 // killRestart uploads half a run, stops the server, plants the artifacts
-// of a crash mid-write (torn segment log record, torn journal tail), and
-// verifies restart recovery quarantines both while the session resumes,
-// completes and replays cleanly.
+// of a crash mid-write (an unacknowledged segment record, a torn gap
+// record), and verifies restart recovery keeps the one and quarantines the
+// other while the session resumes, dedups, completes and replays cleanly.
 func (h *chaosHarness) killRestart(sc ChaosScenario, res *ChaosResult) error {
 	tr, err := h.record(sc.App, false)
 	if err != nil {
@@ -564,29 +566,26 @@ func (h *chaosHarness) killRestart(sc ChaosScenario, res *ChaosResult) error {
 	}
 	ls.stop()
 
-	// The crash leaves what fsync ordering allows: a segment log record
-	// whose append never completed (half its bytes) and a half-written
-	// journal line.
-	tail := framesToBytes(frames[half : half+per])
-	rec := appendRecord(nil, sha256.Sum256(tail), encodeSegment(tail))
-	for _, a := range []struct {
-		name string
-		torn []byte
-	}{{"segments", rec[:len(rec)/2]}, {"journal", []byte("deadbeef gap 12")}} { // journal: no newline, bad CRC
-		f, err := os.OpenFile(filepath.Join(h.opts.Root, res.RunID, a.name), os.O_WRONLY|os.O_APPEND, 0o644)
-		if err == nil {
-			_, err = f.Write(a.torn)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			return fmt.Errorf("planting crash artifacts: %w", err)
+	// The crash leaves what fsync ordering allows: a segment record that
+	// landed but was never acknowledged, then a gap record whose append
+	// never completed (half its bytes).
+	next := framesToBytes(frames[half : half+per])
+	planted := appendRecord(nil, recSegment, sha256.Sum256(next), encodeSegment(next))
+	gap := lifecycleRecord(recGap, binary.BigEndian.AppendUint64(nil, 12))
+	planted = append(planted, gap[:len(gap)/2]...)
+	f, err := os.OpenFile(filepath.Join(h.opts.Root, res.RunID, "log"), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err == nil {
+		_, err = f.Write(planted)
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
 	}
+	if err != nil {
+		return fmt.Errorf("planting crash artifacts: %w", err)
+	}
 
-	// Phase 2: restart. Recovery must quarantine both artifacts and keep
-	// the run resumable.
+	// Phase 2: restart. Recovery must quarantine the torn record, keep
+	// the planted segment and keep the run resumable.
 	ls, err = startLiveServer(h.opts.Root, h.storeOpts(), Limits{}, nil)
 	if err != nil {
 		return err
@@ -597,8 +596,8 @@ func (h *chaosHarness) killRestart(sc ChaosScenario, res *ChaosResult) error {
 			res.Quarantined++
 		}
 	}
-	if res.Quarantined < 2 {
-		return fmt.Errorf("recovery quarantined %d artifact(s), expected the torn log record and journal tail (2)", res.Quarantined)
+	if res.Quarantined != 1 {
+		return fmt.Errorf("recovery quarantined %d artifact(s), expected the torn gap record (1)", res.Quarantined)
 	}
 	resumable := false
 	for _, id := range ls.rec.Resumable {
@@ -623,8 +622,8 @@ func (h *chaosHarness) killRestart(sc ChaosScenario, res *ChaosResult) error {
 		return fmt.Errorf("resumed upload: %w", err)
 	}
 	res.Deduped = up.Deduped
-	if up.Deduped == 0 {
-		return errors.New("resumed upload re-wrote every segment; recovered segments did not dedup")
+	if want := half/per + 1; up.Deduped < want {
+		return fmt.Errorf("resumed upload deduped %d segment(s), want the %d recovered ones", up.Deduped, want)
 	}
 	if up.GapFrames != 0 {
 		return fmt.Errorf("resumed upload degraded (%d gap frames)", up.GapFrames)

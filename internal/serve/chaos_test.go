@@ -59,10 +59,10 @@ func TestChaosMatrix(t *testing.T) {
 		t.Fatal("matrix did not run the final cold-store audit")
 	}
 	// The kill-restart drill must actually have quarantined its planted
-	// torn artifacts and resumed via dedup — not vacuously passed.
+	// torn record and resumed via dedup — not vacuously passed.
 	for _, res := range report.Results {
 		if res.Kind == ChaosKillRestart {
-			if res.Quarantined < 2 || res.Deduped == 0 {
+			if res.Quarantined != 1 || res.Deduped == 0 {
 				t.Errorf("kill-restart: %d quarantined, %d deduped — recovery drill did not exercise the crash path", res.Quarantined, res.Deduped)
 			}
 		}

@@ -120,8 +120,8 @@ func noteRetry(ctx context.Context) {
 }
 
 // requestID returns the client-supplied X-Vidi-Request-Id when it is safe
-// to journal and log (same charset as tenant labels), or "" for the
-// server to generate one.
+// to echo and log (same charset as tenant labels), or "" for the server to
+// generate one.
 func requestID(r *http.Request) string {
 	id := r.Header.Get("X-Vidi-Request-Id")
 	if id != "" && validLabel(id) {

@@ -171,6 +171,32 @@ func TestServerRejectsCorruptAndConflictingSegments(t *testing.T) {
 	expectStatus(err, http.StatusConflict, "segment_conflict")
 }
 
+// TestServerRejectsVersion1Trace: a 20-byte version-1 trace body (no
+// channels, 2^40 packets) sent in one valid frame must be refused as an
+// undecodable trace at commit, promptly — the version-1 layout had no
+// per-packet bytes, so decoding it would loop over zero-byte packets.
+func TestServerRejectsVersion1Trace(t *testing.T) {
+	_, cl := newTestServer(t, Limits{})
+	ctx := context.Background()
+	sess, err := cl.OpenSession(ctx, "run-v1", RunMeta{Tenant: "acme", App: "dma-irq"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := []byte("VIDT\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00")
+	if _, err := cl.putSegmentOnce(ctx, sess.SessionID, 0, framesToBytes(trace.FrameStream(body))); err != nil {
+		t.Fatalf("put: %v", err)
+	}
+	start := time.Now()
+	_, err = cl.Commit(ctx, sess.SessionID)
+	var ae *APIError
+	if !asAPI(err, &ae) || ae.Status != http.StatusUnprocessableEntity || ae.Code != "undecodable_trace" {
+		t.Fatalf("want HTTP 422 undecodable_trace, got %v", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("commit took %v to refuse a 20-byte trace", d)
+	}
+}
+
 func TestServerAdmissionQuotas(t *testing.T) {
 	_, cl := newTestServer(t, Limits{
 		MaxSessionsPerTenant: 1,
@@ -330,9 +356,9 @@ func TestServerHealthAndRecoveryEndpoints(t *testing.T) {
 	}
 }
 
-// TestServerRejectsHostileTenantApp: tenant/app values that would collide
-// with journal framing (whitespace, control bytes, empties) are 400s at
-// the API boundary — they never reach the store.
+// TestServerRejectsHostileTenantApp: tenant/app values outside the label
+// charset (whitespace, control bytes, empties, overlong) are 400s at the
+// API boundary — they never reach the store.
 func TestServerRejectsHostileTenantApp(t *testing.T) {
 	_, cl := newTestServer(t, Limits{})
 	ctx := context.Background()
@@ -542,7 +568,7 @@ func TestServerRequestTracing(t *testing.T) {
 		}
 		if e.Endpoint == "put_segment" && !sawPut {
 			st := stagesOf(e)
-			if st["write"] && !st["journal"] {
+			if st["write"] {
 				sawPut = true
 			}
 		}

@@ -17,10 +17,10 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"vidi/internal/trace"
 )
@@ -28,19 +28,17 @@ import (
 // Trace-store layout, one directory per run under the store root
 // (artifacts/<run_id>/ in a deployment):
 //
-//	<root>/<run_id>/journal            fsync'd append-only operation log
-//	<root>/<run_id>/segments           fsync'd append-only segment log
+//	<root>/<run_id>/log                fsync'd append-only run log
 //	<root>/<run_id>/manifest.json      integrity manifest, written at commit
 //	<root>/<run_id>/quarantine/        damaged log tails copied aside
 //	<root>/.quarantine/<run_id>...     whole runs recovery refused to trust
 //
-// The journal records the run's lifecycle (open, gap, commit); the segment
-// log holds one CRC'd, content-hashed record per unique segment, fsync'd
-// before the segment is acknowledged. So recovery can classify any crash
-// point: a torn final record fails its CRC and is cut off, intact records
-// re-verify by hash, and an uncommitted run resumes from them instead of
-// serving a partial trace. Journal lines carry their own CRC so a torn
-// tail line is detected and dropped rather than misparsed.
+// The log holds the run's lifecycle (open, gap, commit) and one CRC'd,
+// content-hashed record per unique segment, each fsync'd before it is
+// acknowledged. So recovery can classify any crash point: a torn final
+// record fails its CRC and is cut off, intact records re-verify by hash,
+// and an uncommitted run resumes from them instead of serving a partial
+// trace.
 
 // RunMeta is the replay identity of an uploaded run: everything a worker
 // needs to re-execute it.
@@ -54,7 +52,7 @@ type RunMeta struct {
 // SegmentRef is one content-addressed segment in stream order.
 type SegmentRef struct {
 	// Hash is the sha256 of the segment's raw frame bytes. Identical
-	// content dedupes to one segment log record.
+	// content dedupes to one segment record in the run log.
 	Hash string `json:"hash"`
 	// Bytes is the segment length (a multiple of the storage frame size).
 	Bytes int `json:"bytes"`
@@ -93,7 +91,7 @@ type Manifest struct {
 	// trace (false for upload-gapped runs).
 	Replayable bool `json:"replayable"`
 	// StoredBytes totals the stored (codec container) lengths of the
-	// run's segment log records, headers excluded (the flate storage codec
+	// run's segment records, headers excluded (the flate storage codec
 	// usually makes this smaller than Bytes); CompressionRatio is
 	// Bytes/StoredBytes.
 	StoredBytes      uint64  `json:"stored_bytes,omitempty"`
@@ -133,7 +131,7 @@ func (e *CorruptRunError) Unwrap() error { return trace.ErrCorrupt }
 // Quarantine is one artifact the recovery scan refused to trust.
 type Quarantine struct {
 	RunID    string
-	Artifact string // "run", "manifest", "journal", "segments", or a segment hash
+	Artifact string // "run", "manifest", "log", or a segment hash
 	Reason   string
 }
 
@@ -203,11 +201,11 @@ type runState struct {
 type partialRun struct {
 	meta RunMeta
 	segs map[string]int // intact log records: hash → stored length
-	size int64          // length of the intact segment log
+	size int64          // length of the intact run log
 }
 
 // OpenStore opens (or creates) a store rooted at root and runs the
-// recovery scan: journals are replayed, torn writes quarantined, committed
+// recovery scan: run logs are replayed, torn writes quarantined, committed
 // manifests re-verified hash by hash. The store never serves bytes the
 // scan did not vouch for.
 func OpenStore(root string, opts StoreOptions) (*Store, *Recovery, error) {
@@ -239,7 +237,7 @@ func (st *Store) Breaker() *Breaker { return st.breaker }
 func (st *Store) Root() string { return st.root }
 
 func (st *Store) runDir(runID string) string  { return filepath.Join(st.root, runID) }
-func (st *Store) logPath(runID string) string { return filepath.Join(st.runDir(runID), "segments") }
+func (st *Store) logPath(runID string) string { return filepath.Join(st.runDir(runID), "log") }
 
 // validRunID restricts run ids to a path-safe charset.
 func validRunID(id string) bool {
@@ -257,8 +255,9 @@ func validRunID(id string) bool {
 	return true
 }
 
-// validLabel restricts tenant/app names to a printable, whitespace-free
-// charset so they journal and log without framing ambiguity.
+// validLabel is the API's check on tenant and app names and client request
+// ids: a printable, whitespace-free charset, so they render unambiguously
+// in metrics labels and logs.
 func validLabel(s string) bool {
 	if s == "" || len(s) > 128 {
 		return false
@@ -336,39 +335,63 @@ func decodeSegment(stored []byte) ([]byte, error) {
 	}
 }
 
-// ---- segment log ----
+// ---- run log ----
 
-// A segment log record is "VSL1" | stored length (u32 BE) |
-// crc32(hash‖stored) (u32 BE) | sha256(raw) | stored, where stored is the
-// encodeSegment container. The CRC catches a torn or rotted record; the
-// hash is re-checked against the decoded bytes.
-var logMagic = []byte("VSL1")
+// A run log record is magic | payload length (u32 BE) |
+// crc32(sum‖payload) (u32 BE) | sum | payload, and the magic names its
+// kind:
+//
+//	VSL1  segment  payload: the encodeSegment container; sum: sha256(raw frames)
+//	VSLO  open     payload: the RunMeta as JSON
+//	VSLG  gap      payload: the declared lost frame count (u64 BE)
+//	VSLC  commit   payload: sha256(manifest.json)
+//
+// Every kind but a segment is its own content, so its sum is
+// sha256(payload). The CRC catches a torn or rotted record; the sum is
+// re-checked against the content.
+type recKind uint8
+
+const (
+	recSegment recKind = iota
+	recOpen
+	recGap
+	recCommit
+)
+
+var recMagic = [...]string{recSegment: "VSL1", recOpen: "VSLO", recGap: "VSLG", recCommit: "VSLC"}
 
 const logHeaderSize = 4 + 4 + 4 + sha256.Size
 
-// appendRecord appends one segment log record to dst.
-func appendRecord(dst []byte, sum [sha256.Size]byte, stored []byte) []byte {
-	dst = append(dst, logMagic...)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(stored)))
-	dst = binary.BigEndian.AppendUint32(dst, recordCRC(sum, stored))
+// appendRecord appends one run log record to dst.
+func appendRecord(dst []byte, kind recKind, sum [sha256.Size]byte, payload []byte) []byte {
+	dst = append(dst, recMagic[kind]...)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.BigEndian.AppendUint32(dst, recordCRC(sum, payload))
 	dst = append(dst, sum[:]...)
-	return append(dst, stored...)
+	return append(dst, payload...)
 }
 
-func recordCRC(sum [sha256.Size]byte, stored []byte) uint32 {
-	return crc32.Update(crc32.ChecksumIEEE(sum[:]), crc32.IEEETable, stored)
+// lifecycleRecord encodes an open, gap or commit record.
+func lifecycleRecord(kind recKind, payload []byte) []byte {
+	return appendRecord(make([]byte, 0, logHeaderSize+len(payload)), kind, sha256.Sum256(payload), payload)
 }
 
-// logRecord is one verified segment log record.
+func recordCRC(sum [sha256.Size]byte, payload []byte) uint32 {
+	return crc32.Update(crc32.ChecksumIEEE(sum[:]), crc32.IEEETable, payload)
+}
+
+// logRecord is one verified run log record.
 type logRecord struct {
-	sum    [sha256.Size]byte
-	stored []byte // the codec container, aliasing the scanned log
-	raw    []byte // the decoded frame bytes
+	kind    recKind
+	sum     [sha256.Size]byte
+	payload []byte  // aliasing the scanned log
+	raw     []byte  // the content sum hashes: decoded frame bytes for a segment, else the payload
+	meta    RunMeta // open records only
 }
 
-// scanLog verifies a segment log up to its first damaged record. It
-// returns the intact records, the intact prefix length, and why the next
-// record is damaged ("" when the whole log is intact).
+// scanLog verifies a run log up to its first damaged record. It returns
+// the intact records, the intact prefix length, and why the next record is
+// damaged ("" when the whole log is intact).
 func scanLog(data []byte) (recs []logRecord, off int, damage string) {
 	for off < len(data) {
 		rec, bad := parseRecord(data[off:])
@@ -376,7 +399,7 @@ func scanLog(data []byte) (recs []logRecord, off int, damage string) {
 			return recs, off, fmt.Sprintf("record at offset %d: %s", off, bad)
 		}
 		recs = append(recs, rec)
-		off += logHeaderSize + len(rec.stored)
+		off += logHeaderSize + len(rec.payload)
 	}
 	return recs, off, ""
 }
@@ -387,144 +410,80 @@ func parseRecord(b []byte) (rec logRecord, damage string) {
 	if len(b) < logHeaderSize {
 		return rec, "header cut short (torn write)"
 	}
-	if !bytes.Equal(b[:4], logMagic) {
+	kind := -1
+	for k, m := range recMagic {
+		if string(b[:4]) == m {
+			kind = k
+		}
+	}
+	if kind < 0 {
 		return rec, "bad record magic"
 	}
+	rec.kind = recKind(kind)
 	n := uint64(binary.BigEndian.Uint32(b[4:8]))
 	if n > uint64(len(b)-logHeaderSize) {
 		return rec, "record runs past the end of the log (torn write)"
 	}
 	copy(rec.sum[:], b[12:logHeaderSize])
-	rec.stored = b[logHeaderSize : logHeaderSize+int(n)]
-	if recordCRC(rec.sum, rec.stored) != binary.BigEndian.Uint32(b[8:12]) {
+	rec.payload = b[logHeaderSize : logHeaderSize+int(n)]
+	if recordCRC(rec.sum, rec.payload) != binary.BigEndian.Uint32(b[8:12]) {
 		return rec, "CRC mismatch"
 	}
-	raw, err := decodeSegment(rec.stored)
-	if err != nil {
-		return rec, err.Error()
+	rec.raw = rec.payload
+	if rec.kind == recSegment {
+		raw, err := decodeSegment(rec.payload)
+		if err != nil {
+			return rec, err.Error()
+		}
+		rec.raw = raw
 	}
-	if sha256.Sum256(raw) != rec.sum {
-		return rec, "segment content hash mismatch"
+	if sha256.Sum256(rec.raw) != rec.sum {
+		return rec, "content hash mismatch"
 	}
-	rec.raw = raw
+	switch rec.kind {
+	case recOpen:
+		if err := json.Unmarshal(rec.raw, &rec.meta); err != nil {
+			return rec, "open record: " + err.Error()
+		}
+	case recGap:
+		if len(rec.raw) != 8 {
+			return rec, "gap record is not a u64 frame count"
+		}
+	case recCommit:
+		if len(rec.raw) != sha256.Size {
+			return rec, "commit record is not a sha256"
+		}
+	}
 	return rec, ""
 }
 
-// ---- journal ----
-
-// journal line: "<crc32:08x> <op> <args...>", CRC over everything after
-// the separating space. A torn tail (partial line, missing newline, or
-// CRC mismatch on the final line) is dropped by recovery; a damaged line
-// anywhere else condemns the journal. Args are percent-escaped so the
-// space-separated, line-framed format survives any argument bytes.
-func journalLine(op string, args ...string) string {
-	rest := op
-	for _, a := range args {
-		rest += " " + escapeArg(a)
-	}
-	return fmt.Sprintf("%08x %s\n", crc32.ChecksumIEEE([]byte(rest)), rest)
-}
-
-// escapeArg percent-encodes '%', whitespace, and control bytes so a
-// journal argument can never shift fields or split lines; the bare
-// sentinel "%" stands for an empty argument. Safe strings (hashes,
-// numbers, plain names) round-trip unchanged.
-func escapeArg(s string) string {
-	if s == "" {
-		return "%"
-	}
-	var b strings.Builder
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c == '%' || c <= ' ' || c == 0x7f {
-			fmt.Fprintf(&b, "%%%02x", c)
-		} else {
-			b.WriteByte(c)
+// appendLog durably appends the record encode returns: one write at the
+// end of the last durable record and an fsync, behind the retrier under
+// op. A failed attempt truncates back to the durable end, so a retry
+// leaves exactly one record. It returns the record's length.
+func (w *RunWriter) appendLog(ctx context.Context, op string, encode func() []byte) (int, error) {
+	var rec []byte
+	err := w.st.retr.do(ctx, op, func() error {
+		if rec == nil { // encoded on the first attempt: an open breaker sheds for free
+			rec = encode()
 		}
-	}
-	return b.String()
-}
-
-func unescapeArg(s string) string {
-	if s == "%" {
-		return ""
-	}
-	if !strings.Contains(s, "%") {
-		return s
-	}
-	var b strings.Builder
-	for i := 0; i < len(s); i++ {
-		if s[i] == '%' && i+2 < len(s) {
-			if v, err := strconv.ParseUint(s[i+1:i+3], 16, 8); err == nil {
-				b.WriteByte(byte(v))
-				i += 2
-				continue
-			}
+		err := w.st.fault(op)
+		if err == nil {
+			_, err = w.log.WriteAt(rec, w.logSize)
 		}
-		b.WriteByte(s[i])
-	}
-	return b.String()
-}
-
-type journalRec struct {
-	op   string
-	args []string
-}
-
-// parseJournal returns the intact records and whether a torn tail was
-// dropped. Damage on the final line of the file is a torn write (tolerated
-// and dropped); damage anywhere earlier means the journal itself cannot be
-// trusted and returns an error.
-func parseJournal(data []byte) ([]journalRec, bool, error) {
-	var recs []journalRec
-	lines := strings.Split(string(data), "\n")
-	// Drop the empty element a well-formed trailing newline produces; if
-	// the last element is non-empty the final append lost its newline —
-	// already evidence of a torn write.
-	if n := len(lines); lines[n-1] == "" {
-		lines = lines[:n-1]
-	}
-	for i, line := range lines {
-		bad := ""
-		switch {
-		case len(line) < 10 || line[8] != ' ' || strings.TrimSpace(line[9:]) == "":
-			bad = "malformed line"
-		default:
-			crcv, err := strconv.ParseUint(line[:8], 16, 32)
-			if err != nil || uint32(crcv) != crc32.ChecksumIEEE([]byte(line[9:])) {
-				bad = "CRC mismatch"
-			}
+		if err == nil {
+			err = w.log.Sync()
 		}
-		if bad != "" {
-			if i == len(lines)-1 {
-				return recs, true, nil // torn tail: drop and report
-			}
-			return nil, false, fmt.Errorf("journal line %d: %s", i+1, bad)
+		if err != nil { // the retry starts on a record boundary
+			_ = w.log.Truncate(w.logSize)
 		}
-		fields := strings.Fields(line[9:])
-		args := make([]string, len(fields)-1)
-		for k, f := range fields[1:] {
-			args[k] = unescapeArg(f)
-		}
-		recs = append(recs, journalRec{op: fields[0], args: args})
-	}
-	// A final line that lost its newline but still checksums is the
-	// moment before the fsync landed; it is intact, keep it.
-	return recs, false, nil
-}
-
-// appendJournal durably appends one record through the hardened write
-// path.
-func (w *RunWriter) appendJournal(ctx context.Context, op string, args ...string) error {
-	line := journalLine(op, args...)
-	return w.st.retr.do(ctx, "journal append", func() error {
-		if err := w.st.fault("journal append"); err != nil {
-			return err
-		}
-		if _, err := w.journal.WriteString(line); err != nil {
-			return err
-		}
-		return w.journal.Sync()
+		return err
 	})
+	if err != nil {
+		return 0, err
+	}
+	w.logSize += int64(len(rec))
+	return len(rec), nil
 }
 
 func (st *Store) fault(op string) error {
@@ -543,7 +502,6 @@ type RunWriter struct {
 	meta  RunMeta
 
 	mu      sync.Mutex
-	journal *os.File
 	log     *os.File
 	logSize int64 // end of the last durable record
 	refs    []SegmentRef
@@ -561,6 +519,11 @@ type RunWriter struct {
 func (st *Store) Begin(ctx context.Context, runID string, meta RunMeta) (*RunWriter, error) {
 	if !validRunID(runID) {
 		return nil, fmt.Errorf("serve: invalid run id %q", runID)
+	}
+	// The open record holds the metadata as JSON, which would rewrite
+	// invalid UTF-8 and break the resume match after a restart.
+	if !utf8.ValidString(meta.Tenant) || !utf8.ValidString(meta.App) {
+		return nil, fmt.Errorf("serve: run %s metadata is not valid UTF-8", runID)
 	}
 	st.mu.Lock()
 	rs := st.runs[runID]
@@ -595,13 +558,10 @@ func (st *Store) Begin(ctx context.Context, runID string, meta RunMeta) (*RunWri
 		w.durable, w.logSize = maps.Clone(resume.segs), resume.size
 	}
 	// The directory fsyncs make the run's entries durable before any
-	// segment is acknowledged: the run directory holds the journal and
-	// log, the root holds the run directory.
+	// segment is acknowledged: the run directory holds the log, the root
+	// holds the run directory.
 	dir := st.runDir(runID)
 	err := os.MkdirAll(dir, 0o755)
-	if err == nil {
-		w.journal, err = os.OpenFile(filepath.Join(dir, "journal"), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	}
 	if err == nil {
 		w.log, err = os.OpenFile(st.logPath(runID), os.O_CREATE|os.O_WRONLY, 0o644)
 	}
@@ -612,12 +572,13 @@ func (st *Store) Begin(ctx context.Context, runID string, meta RunMeta) (*RunWri
 		err = syncDir(st.root)
 	}
 	if err == nil {
-		err = w.appendJournal(ctx, "open", meta.Tenant, meta.App,
-			strconv.Itoa(meta.Scale), strconv.FormatInt(meta.Seed, 10))
+		_, err = w.appendLog(ctx, "open write", func() []byte {
+			payload, _ := json.Marshal(meta) // strings and integers always marshal
+			return lifecycleRecord(recOpen, payload)
+		})
 	}
 	if err != nil {
-		w.journal.Close() // (*os.File).Close tolerates nil
-		w.log.Close()
+		w.log.Close() // (*os.File).Close tolerates nil
 		st.mu.Lock()
 		rs.writer = nil
 		st.mu.Unlock()
@@ -627,7 +588,7 @@ func (st *Store) Begin(ctx context.Context, runID string, meta RunMeta) (*RunWri
 }
 
 // PutSegment durably stores one segment of storage frames: one record
-// appended to the segment log and fsync'd, skipped when the content hash
+// appended to the run log and fsync'd, skipped when the content hash
 // is already durable. The returned ref joins the stream order; the bool
 // reports content-addressed dedup (the bytes were already durable — e.g.
 // recovered from a crashed session and re-uploaded on resume).
@@ -649,31 +610,16 @@ func (w *RunWriter) PutSegment(ctx context.Context, data []byte, firstSeq uint32
 	}
 	_, dedup := w.durable[ref.Hash]
 	if !dedup {
-		var rec []byte
 		endWrite := stageTimer(ctx, "write")
-		err := w.st.retr.do(ctx, "segment write", func() error {
-			if rec == nil { // encoded on the first attempt: an open breaker sheds for free
-				stored := encodeSegment(data)
-				rec = appendRecord(make([]byte, 0, logHeaderSize+len(stored)), sum, stored)
-			}
-			err := w.st.fault("segment write")
-			if err == nil {
-				_, err = w.log.WriteAt(rec, w.logSize)
-			}
-			if err == nil {
-				err = w.log.Sync()
-			}
-			if err != nil { // the retry starts on a record boundary
-				_ = w.log.Truncate(w.logSize)
-			}
-			return err
+		n, err := w.appendLog(ctx, "segment write", func() []byte {
+			stored := encodeSegment(data)
+			return appendRecord(make([]byte, 0, logHeaderSize+len(stored)), recSegment, sum, stored)
 		})
 		endWrite()
 		if err != nil {
 			return SegmentRef{}, false, err
 		}
-		w.logSize += int64(len(rec))
-		w.durable[ref.Hash] = len(rec) - logHeaderSize
+		w.durable[ref.Hash] = n - logHeaderSize
 	}
 	w.refs = append(w.refs, ref)
 	w.frames += uint64(ref.Frames)
@@ -681,7 +627,7 @@ func (w *RunWriter) PutSegment(ctx context.Context, data []byte, firstSeq uint32
 	return ref, dedup, nil
 }
 
-// MarkGap journals frames the client permanently failed to deliver. The
+// MarkGap logs frames the client permanently failed to deliver. The
 // run commits as degraded and unreplayable — preserved, never served as
 // an intact trace.
 func (w *RunWriter) MarkGap(ctx context.Context, frames uint64) error {
@@ -690,7 +636,9 @@ func (w *RunWriter) MarkGap(ctx context.Context, frames uint64) error {
 	if w.closed {
 		return fmt.Errorf("serve: run %s writer is closed", w.runID)
 	}
-	if err := w.appendJournal(ctx, "gap", strconv.FormatUint(frames, 10)); err != nil {
+	if _, err := w.appendLog(ctx, "gap write", func() []byte {
+		return lifecycleRecord(recGap, binary.BigEndian.AppendUint64(nil, frames))
+	}); err != nil {
 		return err
 	}
 	w.gaps += frames
@@ -715,15 +663,15 @@ func (w *RunWriter) ReadBack(ctx context.Context) ([]byte, error) {
 	return w.st.readSegments(w.runID, refs)
 }
 
-// readSegments verifies a run's segment log and returns the raw bytes of
+// readSegments verifies a run's log and returns the raw bytes of
 // refs in order. Damage past the records refs need is not the run's: an
 // append in flight, or a refused one the next append overwrites.
 func (st *Store) readSegments(runID string, refs []SegmentRef) ([]byte, error) {
 	data, err := os.ReadFile(st.logPath(runID))
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
-			return nil, &CorruptRunError{RunID: runID, Artifact: "segments",
-				Reason: "segment log missing: " + err.Error()}
+			return nil, &CorruptRunError{RunID: runID, Artifact: "log",
+				Reason: "run log missing: " + err.Error()}
 		}
 		// A read failure that is not verified damage (fd exhaustion, a
 		// momentary I/O error) must stay retryable: it is the caller's
@@ -733,13 +681,15 @@ func (st *Store) readSegments(runID string, refs []SegmentRef) ([]byte, error) {
 	recs, _, damage := scanLog(data)
 	raws := make(map[string][]byte, len(recs))
 	for _, r := range recs {
-		raws[hex.EncodeToString(r.sum[:])] = r.raw
+		if r.kind == recSegment {
+			raws[hex.EncodeToString(r.sum[:])] = r.raw
+		}
 	}
 	var out []byte
 	for _, ref := range refs {
 		raw, ok := raws[ref.Hash]
 		if !ok && damage != "" {
-			return nil, &CorruptRunError{RunID: runID, Artifact: "segments", Reason: damage}
+			return nil, &CorruptRunError{RunID: runID, Artifact: "log", Reason: damage}
 		}
 		if !ok {
 			return nil, &CorruptRunError{RunID: runID, Artifact: ref.Hash, Reason: "segment missing from the log"}
@@ -749,8 +699,9 @@ func (st *Store) readSegments(runID string, refs []SegmentRef) ([]byte, error) {
 	return out, nil
 }
 
-// Commit seals the run: manifest written + fsync'd, its hash journaled,
-// the journal closed. After Commit the run is immutable and servable.
+// Commit seals the run: manifest written + fsync'd, its hash appended to
+// the log as the commit record, the log closed. After Commit the run is
+// immutable and servable.
 func (w *RunWriter) Commit(ctx context.Context, stats TraceStats) (*Manifest, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -796,11 +747,11 @@ func (w *RunWriter) Commit(ctx context.Context, stats TraceStats) (*Manifest, er
 	if err != nil {
 		return nil, err
 	}
-	if err := w.appendJournal(ctx, "commit", hashBytes(data)); err != nil {
+	sum := sha256.Sum256(data)
+	if _, err := w.appendLog(ctx, "commit write", func() []byte { return lifecycleRecord(recCommit, sum[:]) }); err != nil {
 		return nil, err
 	}
 	w.closed = true
-	w.journal.Close()
 	w.log.Close()
 
 	w.st.mu.Lock()
@@ -821,7 +772,6 @@ func (w *RunWriter) Abort() {
 		return
 	}
 	w.closed = true
-	w.journal.Close()
 	w.log.Close()
 	partial := &partialRun{meta: w.meta, segs: w.durable, size: w.logSize}
 	w.mu.Unlock()
@@ -863,10 +813,10 @@ func (st *Store) Runs() []string {
 }
 
 // ReadFrames returns a committed run's storage frames, fully re-verified:
-// every segment log record's CRC and content hash plus the manifest's end-to-end body hash
-// after deframing happens in the caller. A failed check quarantines the
-// run in memory so it is never served again, and returns a typed error
-// wrapping trace.ErrCorrupt.
+// every segment record's CRC and content hash, plus the manifest's
+// end-to-end body hash after deframing in the caller. A failed check
+// quarantines the run in memory so it is never served again, and returns a
+// typed error wrapping trace.ErrCorrupt.
 func (st *Store) ReadFrames(ctx context.Context, runID string) ([][trace.StoragePacketSize]byte, *Manifest, error) {
 	m, ok := st.Manifest(runID)
 	if !ok {
@@ -937,8 +887,8 @@ func (st *Store) quarantineRun(runID, reason string) {
 
 // ---- recovery ----
 
-// recover scans every run directory, replays its journal and classifies
-// the run. It returns an error only for store-level failures (unreadable
+// recover scans every run directory, replays its log and classifies the
+// run. It returns an error only for store-level failures (unreadable
 // root); per-run damage is quarantined and reported, never fatal.
 func (st *Store) recover() (*Recovery, error) {
 	rec := &Recovery{}
@@ -964,125 +914,85 @@ func (st *Store) recoverRun(runID string, rec *Recovery) {
 		st.quarantineRun(runID, reason)
 	}
 
-	if _, err := os.Stat(filepath.Join(dir, "segs")); err == nil {
+	if _, err := os.Stat(filepath.Join(dir, "journal")); err == nil {
 		condemn("run", preLogLayout)
 		return
 	}
-	jdata, err := os.ReadFile(filepath.Join(dir, "journal"))
-	if err != nil || len(jdata) == 0 {
-		// A run directory without a journal recorded nothing durably —
-		// nothing in it can be trusted.
-		condemn("journal", "empty or missing journal")
+	recs, size, damaged, fail := st.recoverLog(runID, rec)
+	switch {
+	case fail != "":
+		condemn("log", fail)
+		return
+	case len(recs) == 0 || recs[0].kind != recOpen:
+		// The run recorded nothing durably: nothing in it can be trusted.
+		condemn("log", "no leading open record")
 		return
 	}
-	recs, torn, perr := parseJournal(jdata)
-	if perr != nil {
-		condemn("journal", perr.Error())
-		return
-	}
-	if torn {
-		rec.Quarantined = append(rec.Quarantined,
-			Quarantine{RunID: runID, Artifact: "journal", Reason: "torn tail line dropped"})
-	}
-	if len(recs) == 0 {
-		condemn("journal", "no intact journal records")
-		return
-	}
-
-	var meta RunMeta
-	committed := ""
+	segs := make(map[string]int, len(recs))
+	var commit []byte
 	for _, r := range recs {
-		switch r.op {
-		case "open":
-			if len(r.args) >= 4 {
-				scale, _ := strconv.Atoi(r.args[2])
-				seed, _ := strconv.ParseInt(r.args[3], 10, 64)
-				meta = RunMeta{Tenant: r.args[0], App: r.args[1], Scale: scale, Seed: seed}
-			}
-		case "put", "done":
-			condemn("run", preLogLayout)
-			return
-		case "commit":
-			if len(r.args) >= 1 {
-				committed = r.args[0]
-			}
+		switch r.kind {
+		case recSegment:
+			segs[hex.EncodeToString(r.sum[:])] = len(r.payload)
+		case recCommit:
+			commit = r.raw
 		}
 	}
-
-	// Repair the journal file to exactly its intact records before anything
-	// appends to it again: a dropped torn tail (or a final line that lost
-	// its newline) would otherwise concatenate with the next append and
-	// condemn the whole journal on the following restart. An undamaged
-	// journal round-trips byte for byte and is left untouched.
-	rebuilt := make([]byte, 0, len(jdata))
-	for _, r := range recs {
-		rebuilt = append(rebuilt, journalLine(r.op, r.args...)...)
-	}
-	if !bytes.Equal(rebuilt, jdata) {
-		if err := atomicWrite(filepath.Join(dir, "journal"), rebuilt); err != nil {
-			condemn("journal", "journal repair failed: "+err.Error())
-			return
-		}
-	}
-
-	segs, size, reason := st.recoverLog(runID, rec)
-	if reason != "" {
-		condemn("segments", reason)
+	if commit != nil {
+		st.recoverCommitted(runID, commit, segs, rec, condemn)
 		return
 	}
-	if committed != "" {
-		st.recoverCommitted(runID, committed, segs, rec, condemn)
+	if _, err := os.Stat(filepath.Join(dir, "manifest.json")); err == nil && damaged {
+		condemn("run", "log damaged after the manifest was written: an acknowledged commit may be lost")
 		return
 	}
-	// Uncommitted: the intact records seed the resume set.
+	// Uncommitted: the intact segment records seed the resume set.
 	st.mu.Lock()
-	st.runs[runID] = &runState{partial: &partialRun{meta: meta, segs: segs, size: size}}
+	st.runs[runID] = &runState{partial: &partialRun{meta: recs[0].meta, segs: segs, size: size}}
 	st.mu.Unlock()
 	rec.Resumable = append(rec.Resumable, runID)
 }
 
-// preLogLayout condemns a run written by the per-segment-file store.
-const preLogLayout = "pre-log store layout (segs/ files, put/done journal records)"
+// preLogLayout condemns a run written by an older store: both the
+// per-segment-file layout and the journal-plus-segment-log layout kept
+// the run's lifecycle in a journal file.
+const preLogLayout = "pre-one-log store layout (journal file)"
 
-// recoverLog scans a run's segment log, copies a damaged tail to the run's
+// recoverLog scans a run's log, copies a damaged tail to the run's
 // quarantine directory and cuts the log back to its intact prefix. It
-// returns the intact records' stored lengths by hash and the prefix
-// length, or why the log cannot be repaired.
-func (st *Store) recoverLog(runID string, rec *Recovery) (map[string]int, int64, string) {
+// returns the intact records, the prefix length and whether a tail was
+// cut, or why the log cannot be repaired.
+func (st *Store) recoverLog(runID string, rec *Recovery) (recs []logRecord, size int64, damaged bool, fail string) {
 	path := st.logPath(runID)
 	data, err := os.ReadFile(path)
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return nil, 0, "segment log unreadable: " + err.Error()
+		return nil, 0, false, "run log unreadable: " + err.Error()
 	}
 	recs, intact, damage := scanLog(data)
 	if damage != "" {
-		rec.Quarantined = append(rec.Quarantined, Quarantine{RunID: runID, Artifact: "segments", Reason: damage})
-		tail := filepath.Join(st.runDir(runID), "quarantine", fmt.Sprintf("segments.%d", intact))
+		rec.Quarantined = append(rec.Quarantined, Quarantine{RunID: runID, Artifact: "log", Reason: damage})
+		tail := filepath.Join(st.runDir(runID), "quarantine", fmt.Sprintf("log.%d", intact))
 		if err := atomicWrite(tail, data[intact:]); err != nil {
-			return nil, 0, "quarantining the damaged log tail failed: " + err.Error()
+			return nil, 0, true, "quarantining the damaged log tail failed: " + err.Error()
 		}
 		if err := atomicWrite(path, data[:intact]); err != nil {
-			return nil, 0, "cutting the damaged log tail failed: " + err.Error()
+			return nil, 0, true, "cutting the damaged log tail failed: " + err.Error()
 		}
 	}
-	segs := make(map[string]int, len(recs))
-	for _, r := range recs {
-		segs[hex.EncodeToString(r.sum[:])] = len(r.stored)
-	}
-	return segs, int64(intact), ""
+	return recs, int64(intact), damage != "", ""
 }
 
 // recoverCommitted verifies a committed run end to end: manifest bytes
-// against the journaled hash, manifest JSON, then every segment against
+// against the commit record, manifest JSON, then every segment against
 // the intact log records.
-func (st *Store) recoverCommitted(runID, wantHash string, segs map[string]int, rec *Recovery, condemn func(artifact, reason string)) {
+func (st *Store) recoverCommitted(runID string, commit []byte, segs map[string]int, rec *Recovery, condemn func(artifact, reason string)) {
 	data, err := os.ReadFile(filepath.Join(st.runDir(runID), "manifest.json"))
 	if err != nil {
 		condemn("manifest", "committed but manifest unreadable: "+err.Error())
 		return
 	}
-	if h := hashBytes(data); h != wantHash {
-		condemn("manifest", "manifest hash does not match journal commit record")
+	if sum := sha256.Sum256(data); !bytes.Equal(sum[:], commit) {
+		condemn("manifest", "manifest hash does not match the log's commit record")
 		return
 	}
 	var m Manifest

@@ -3,6 +3,8 @@ package serve
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -58,25 +60,25 @@ func commitRun(t *testing.T, root, runID string) *Store {
 	return st
 }
 
-// logFile returns the path of a run's segment log.
-func logFile(root, runID string) string { return filepath.Join(root, runID, "segments") }
+// logFile returns the path of a run's log.
+func logFile(root, runID string) string { return filepath.Join(root, runID, "log") }
 
-// findRecord locates the log record holding data and returns the whole log
-// with the record's start and end offsets.
+// findRecord locates the segment record holding data and returns the whole
+// log with the record's start and end offsets.
 func findRecord(t *testing.T, root, runID string, data []byte) ([]byte, int, int) {
 	t.Helper()
 	log, err := os.ReadFile(logFile(root, runID))
 	if err != nil {
-		t.Fatalf("segment log unreadable: %v", err)
+		t.Fatalf("run log unreadable: %v", err)
 	}
 	want := sha256.Sum256(data)
 	recs, _, damage := scanLog(log)
 	if damage != "" {
-		t.Fatalf("segment log damaged: %s", damage)
+		t.Fatalf("run log damaged: %s", damage)
 	}
 	for off, i := 0, 0; i < len(recs); i++ {
-		end := off + logHeaderSize + len(recs[i].stored)
-		if recs[i].sum == want {
+		end := off + logHeaderSize + len(recs[i].payload)
+		if recs[i].kind == recSegment && recs[i].sum == want {
 			return log, off, end
 		}
 		off = end
@@ -85,7 +87,7 @@ func findRecord(t *testing.T, root, runID string, data []byte) ([]byte, int, int
 	return nil, 0, 0
 }
 
-// writeLog replaces a run's segment log.
+// writeLog replaces a run's log.
 func writeLog(t *testing.T, root, runID string, log []byte) {
 	t.Helper()
 	if err := os.WriteFile(logFile(root, runID), log, 0o644); err != nil {
@@ -135,7 +137,7 @@ func TestStoreRoundTrip(t *testing.T) {
 // intact segment, and the repaired run commits and serves after a restart.
 func TestRecoveryTornFinalFrame(t *testing.T) {
 	segs := [][]byte{segData(4, 1), segData(4, 2), incompressible(4), segData(8, 3)}
-	next := appendRecord(nil, sha256.Sum256(segs[3]), encodeSegment(segs[3]))
+	next := appendRecord(nil, recSegment, sha256.Sum256(segs[3]), encodeSegment(segs[3]))
 	for _, c := range []struct {
 		name   string
 		intact int // how many of the three appended segments survive
@@ -170,13 +172,13 @@ func TestRecoveryTornFinalFrame(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(rec.Resumable) != 1 || len(rec.Quarantined) != 1 || !quarantinedAs(rec, "r1", "segments", "torn write") {
+		if len(rec.Resumable) != 1 || len(rec.Quarantined) != 1 || !quarantinedAs(rec, "r1", "log", "torn write") {
 			t.Fatalf("%s: expected exactly the torn tail quarantined on a resumable run: %s", c.name, rec)
 		}
 		if got, err := os.ReadFile(logFile(root, "r1")); err != nil || string(got) != string(log[:prefix]) {
 			t.Fatalf("%s: log not cut back to its intact prefix: %v", c.name, err)
 		}
-		tail, err := os.ReadFile(filepath.Join(root, "r1", "quarantine", fmt.Sprintf("segments.%d", prefix)))
+		tail, err := os.ReadFile(filepath.Join(root, "r1", "quarantine", fmt.Sprintf("log.%d", prefix)))
 		if err != nil || string(tail) != string(torn[prefix:]) {
 			t.Fatalf("%s: torn tail not copied aside intact: %v", c.name, err)
 		}
@@ -206,7 +208,7 @@ func TestRecoveryTornFinalFrame(t *testing.T) {
 	}
 }
 
-// TestRecoveryDuplicatedSegment: identical content journaled twice (the
+// TestRecoveryDuplicatedSegment: identical content uploaded twice (the
 // retry/dedup path) must recover to a single verified segment, not an
 // error.
 func TestRecoveryDuplicatedSegment(t *testing.T) {
@@ -239,7 +241,7 @@ func TestRecoveryDuplicatedSegment(t *testing.T) {
 }
 
 // TestRecoveryManifestHashMismatch: a committed manifest whose bytes do
-// not match the journaled commit hash is a damaged run — quarantined
+// not match the log's commit record is a damaged run — quarantined
 // whole, never served.
 func TestRecoveryManifestHashMismatch(t *testing.T) {
 	root := t.TempDir()
@@ -281,7 +283,8 @@ func TestRecoveryManifestHashMismatch(t *testing.T) {
 // TestRecoverySegmentHashMismatch: a committed record whose content no
 // longer matches its hash must fail re-verification and quarantine the
 // run — whether bit rot broke the CRC too or the record checksums but
-// carries the wrong hash.
+// carries the wrong hash. The cut takes the commit record with it, and a
+// run with a manifest but no surviving commit record is condemned whole.
 func TestRecoverySegmentHashMismatch(t *testing.T) {
 	for name, damage := range map[string]struct {
 		reason string
@@ -291,8 +294,8 @@ func TestRecoverySegmentHashMismatch(t *testing.T) {
 			rec[logHeaderSize+7] ^= 0x80
 			return rec
 		}},
-		"valid CRC, wrong hash": {"segment content hash mismatch", func(rec []byte) []byte {
-			return appendRecord(nil, sha256.Sum256(segData(4, 0x33)), rec[logHeaderSize:])
+		"valid CRC, wrong hash": {"content hash mismatch", func(rec []byte) []byte {
+			return appendRecord(nil, recSegment, sha256.Sum256(segData(4, 0x33)), rec[logHeaderSize:])
 		}},
 	} {
 		root := t.TempDir()
@@ -308,8 +311,8 @@ func TestRecoverySegmentHashMismatch(t *testing.T) {
 		if len(recov.Intact) != 0 {
 			t.Fatalf("%s: damaged segment still intact: %s", name, recov)
 		}
-		if !quarantinedAs(recov, "r1", "segments", damage.reason) ||
-			!quarantinedAs(recov, "r1", hashBytes(segData(4, 0x22)), "segment missing from the log") {
+		if !quarantinedAs(recov, "r1", "log", damage.reason) ||
+			!quarantinedAs(recov, "r1", "run", "acknowledged commit may be lost") {
 			t.Fatalf("%s: wrong quarantine report: %s", name, recov)
 		}
 		if _, err := os.Stat(filepath.Join(root, ".quarantine", "r1")); err != nil {
@@ -340,16 +343,23 @@ func TestRecoveryManifestSegmentMissing(t *testing.T) {
 	}
 }
 
-// TestRecoveryEmptyJournal: a run directory with an empty (or absent)
-// journal recorded nothing durably and is quarantined whole.
-func TestRecoveryEmptyJournal(t *testing.T) {
+// TestRecoveryNoOpenRecord: a run whose log does not start with an intact
+// open record recorded nothing durably and is quarantined whole — whether
+// the log is absent, empty, or starts with another kind of record.
+func TestRecoveryNoOpenRecord(t *testing.T) {
 	root := t.TempDir()
-	for _, name := range []string{"empty-journal", "no-journal"} {
-		if err := os.MkdirAll(filepath.Join(root, name), 0o755); err != nil {
+	seg := segData(2, 1)
+	for runID, log := range map[string][]byte{
+		"empty-log":     {},
+		"segment-first": appendRecord(nil, recSegment, sha256.Sum256(seg), encodeSegment(seg)),
+		"gap-first":     lifecycleRecord(recGap, make([]byte, 8)),
+	} {
+		if err := os.MkdirAll(filepath.Join(root, runID), 0o755); err != nil {
 			t.Fatal(err)
 		}
+		writeLog(t, root, runID, log)
 	}
-	if err := os.WriteFile(filepath.Join(root, "empty-journal", "journal"), nil, 0o644); err != nil {
+	if err := os.MkdirAll(filepath.Join(root, "no-log"), 0o755); err != nil {
 		t.Fatal(err)
 	}
 
@@ -357,72 +367,99 @@ func TestRecoveryEmptyJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.Quarantined) != 2 {
-		t.Fatalf("expected both journal-less runs quarantined: %s", rec)
+	for _, runID := range []string{"empty-log", "segment-first", "gap-first", "no-log"} {
+		if !quarantinedAs(rec, runID, "log", "no leading open record") {
+			t.Fatalf("%s not condemned: %s", runID, rec)
+		}
 	}
-	if len(rec.Intact)+len(rec.Resumable) != 0 {
-		t.Fatalf("journal-less runs classified as usable: %s", rec)
+	if len(rec.Quarantined) != 4 || len(rec.Intact)+len(rec.Resumable) != 0 {
+		t.Fatalf("runs without an open record classified as usable: %s", rec)
 	}
 }
 
-// TestRecoveryTornJournalTail: a half-written final journal line is
-// dropped (reported, tolerated); a damaged line mid-journal condemns the
-// run.
-func TestRecoveryTornJournalTail(t *testing.T) {
-	root := t.TempDir()
-	st, _, err := OpenStore(root, fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestRecoveryTornLifecycleRecord: a half-written final gap or commit
+// record is cut off and reported. A torn gap leaves the run resumable. A
+// torn commit after the manifest landed condemns the run whole: recovery
+// cannot tell whether the commit was acknowledged. Damage to the open
+// record leaves no leading open record and condemns the run.
+func TestRecoveryTornLifecycleRecord(t *testing.T) {
 	ctx := context.Background()
-	w, err := st.Begin(ctx, "r1", RunMeta{Tenant: "t0", App: "a"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := w.PutSegment(ctx, segData(2, 4), 0); err != nil {
-		t.Fatal(err)
-	}
-	w.Abort()
-	jp := filepath.Join(root, "r1", "journal")
-	jf, err := os.OpenFile(jp, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fmt.Fprint(jf, "0badc0de put deadbeef") // no newline, wrong CRC
-	jf.Close()
+	meta := RunMeta{Tenant: "t0", App: "a"}
+	gap := lifecycleRecord(recGap, make([]byte, 8))
+	for _, c := range []struct {
+		name      string
+		commit    bool
+		torn      []byte
+		resumable bool
+		condemned string
+	}{
+		{"torn gap", false, gap[:len(gap)-3], true, ""},
+		{"torn commit after the manifest", true, nil, false, "acknowledged commit may be lost"},
+	} {
+		root := t.TempDir()
+		st, _, err := OpenStore(root, fastOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := st.Begin(ctx, "r1", meta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := w.PutSegment(ctx, segData(2, 4), 0); err != nil {
+			t.Fatal(err)
+		}
+		log, _, intact := findRecord(t, root, "r1", segData(2, 4))
+		torn := append(log, c.torn...)
+		if c.commit {
+			if _, err := w.Commit(ctx, TraceStats{Replayable: true}); err != nil {
+				t.Fatal(err)
+			}
+			full, err := os.ReadFile(logFile(root, "r1"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			torn = full[:len(full)-1]
+		} else {
+			w.Abort()
+		}
+		writeLog(t, root, "r1", torn)
 
+		_, rec, err := OpenStore(root, fastOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !quarantinedAs(rec, "r1", "log", "torn write") {
+			t.Fatalf("%s: torn record not reported: %s", c.name, rec)
+		}
+		if c.resumable {
+			if len(rec.Resumable) != 1 || len(rec.Quarantined) != 1 {
+				t.Fatalf("%s: want a resumable run: %s", c.name, rec)
+			}
+			if got, err := os.ReadFile(logFile(root, "r1")); err != nil || string(got) != string(log[:intact]) {
+				t.Fatalf("%s: log not cut back to its intact prefix: %v", c.name, err)
+			}
+			continue
+		}
+		if len(rec.Resumable)+len(rec.Intact) != 0 || !quarantinedAs(rec, "r1", "run", c.condemned) {
+			t.Fatalf("%s: want the run condemned: %s", c.name, rec)
+		}
+	}
+
+	// Damage inside the open record: nothing after it can be trusted.
+	root := t.TempDir()
+	commitRun(t, root, "r1")
+	log, err := os.ReadFile(logFile(root, "r1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	log[logHeaderSize+2] ^= 0x04
+	writeLog(t, root, "r1", log)
 	_, rec, err := OpenStore(root, fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.Resumable) != 1 {
-		t.Fatalf("torn tail should leave the run resumable: %s", rec)
-	}
-	foundTail := false
-	for _, q := range rec.Quarantined {
-		if q.Artifact == "journal" && q.Reason == "torn tail line dropped" {
-			foundTail = true
-		}
-	}
-	if !foundTail {
-		t.Fatalf("torn tail not reported: %s", rec)
-	}
-
-	// Now corrupt a *middle* line: the journal can no longer be trusted.
-	data, err := os.ReadFile(jp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[2] ^= 0x04 // inside the first line's CRC field
-	if err := os.WriteFile(jp, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, rec2, err := OpenStore(root, fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rec2.Resumable) != 0 || len(rec2.Quarantined) == 0 {
-		t.Fatalf("mid-journal damage must condemn the run: %s", rec2)
+	if len(rec.Intact)+len(rec.Resumable) != 0 || !quarantinedAs(rec, "r1", "log", "no leading open record") {
+		t.Fatalf("damaged open record must condemn the run: %s", rec)
 	}
 }
 
@@ -527,15 +564,7 @@ func TestSegmentWriteRetryLeavesOneRecord(t *testing.T) {
 			return nil
 		}
 		if calls++; calls%2 == 1 {
-			f, err := os.OpenFile(logFile(root, "r1"), os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if _, err := f.Write(make([]byte, 4096)); err != nil {
-				return err
-			}
-			return fmt.Errorf("injected fault during %s", op)
+			return tornAppend(root, "r1", op)
 		}
 		return nil
 	}
@@ -551,18 +580,90 @@ func TestSegmentWriteRetryLeavesOneRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs, _, damage := scanLog(log)
-	if damage != "" || len(recs) != 3 {
-		t.Fatalf("want 3 intact records (one per unique segment), got %d, damage %q", len(recs), damage)
+	if damage != "" || len(recs) != 4 || recs[0].kind != recOpen {
+		t.Fatalf("want the open record and one record per unique segment, got %d, damage %q", len(recs), damage)
 	}
 	seen := map[[sha256.Size]byte]bool{}
-	for _, r := range recs {
-		if seen[r.sum] {
+	for _, r := range recs[1:] {
+		if r.kind != recSegment || seen[r.sum] {
 			t.Fatal("segment appended twice")
 		}
 		seen[r.sum] = true
 	}
 	if _, rec, err := OpenStore(root, fastOpts()); err != nil || len(rec.Resumable) != 1 || len(rec.Quarantined) != 0 {
 		t.Fatalf("retried appends left damage: %v %s", err, rec)
+	}
+}
+
+// tornAppend stands in for a write that failed part way: it appends junk
+// longer than any record to the run's log and returns an injected fault.
+func tornAppend(root, runID, op string) error {
+	f, err := os.OpenFile(logFile(root, runID), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	if _, err := f.Write(make([]byte, 4096)); err != nil {
+		return err
+	}
+	return fmt.Errorf("injected fault during %s", op)
+}
+
+// TestLifecycleAppendRetryLeavesOneRecord: the open, gap and commit
+// appends each fail once after a partial write and are retried. The log
+// must hold exactly one record per acknowledged append, and a run
+// acknowledged as committed must come back intact after a restart.
+func TestLifecycleAppendRetryLeavesOneRecord(t *testing.T) {
+	ctx := context.Background()
+	for _, op := range []string{"open write", "gap write", "commit write"} {
+		root := t.TempDir()
+		st, _, err := OpenStore(root, fastOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		failed := false
+		st.FaultFn = func(got string) error {
+			if got != op || failed {
+				return nil
+			}
+			failed = true
+			return tornAppend(root, "r1", got)
+		}
+		w, err := st.Begin(ctx, "r1", RunMeta{Tenant: "t0", App: "a"})
+		if err != nil {
+			t.Fatalf("%s: begin: %v", op, err)
+		}
+		if _, _, err := w.PutSegment(ctx, segData(4, 1), 0); err != nil {
+			t.Fatalf("%s: put: %v", op, err)
+		}
+		if err := w.MarkGap(ctx, 3); err != nil {
+			t.Fatalf("%s: gap: %v", op, err)
+		}
+		if _, err := w.Commit(ctx, TraceStats{Transactions: 1, BodySHA256: "x"}); err != nil {
+			t.Fatalf("%s: commit: %v", op, err)
+		}
+		if !failed {
+			t.Fatalf("%s: the fault never fired", op)
+		}
+		log, err := os.ReadFile(logFile(root, "r1"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, _, damage := scanLog(log)
+		var kinds []recKind
+		for _, r := range recs {
+			kinds = append(kinds, r.kind)
+		}
+		if want := []recKind{recOpen, recSegment, recGap, recCommit}; damage != "" || fmt.Sprint(kinds) != fmt.Sprint(want) {
+			t.Fatalf("%s: log holds kinds %v (damage %q), want %v", op, kinds, damage, want)
+		}
+		st2, rec, err := OpenStore(root, fastOpts())
+		if err != nil || len(rec.Intact) != 1 || len(rec.Quarantined) != 0 {
+			t.Fatalf("%s: acknowledged commit not intact after restart: %v %s", op, err, rec)
+		}
+		if m, ok := st2.Manifest("r1"); !ok || m.UploadGapFrames != 3 {
+			t.Fatalf("%s: manifest lost the gap: %+v", op, m)
+		}
 	}
 }
 
@@ -591,15 +692,17 @@ func TestBeginConflicts(t *testing.T) {
 	}
 }
 
-// TestJournalEscapesHostileMetaArgs: tenant/app bytes that collide with
-// the journal's framing (spaces, newlines, '%', empty strings) must not
-// shift fields or split lines — the run stays resumable with its exact
-// metadata across a restart, and the journal is never condemned.
-func TestJournalEscapesHostileMetaArgs(t *testing.T) {
+// TestOpenRecordKeepsHostileMeta: tenant/app strings that would collide
+// with a text framing (spaces, newlines, quotes, braces, empty strings)
+// round-trip through the JSON open record — the run stays resumable with
+// its exact metadata across a restart. Metadata JSON cannot carry
+// (invalid UTF-8) is refused up front.
+func TestOpenRecordKeepsHostileMeta(t *testing.T) {
 	for i, meta := range []RunMeta{
 		{Tenant: "a b", App: "x\ny%z", Scale: 2, Seed: 9},
 		{Tenant: "", App: "tail \r\n", Scale: 1, Seed: -3},
 		{Tenant: "%", App: "%%25", Scale: 0, Seed: 0},
+		{Tenant: `"},"app":"x`, App: "\\\u0000\x00\x7f", Scale: -1, Seed: 1 << 62},
 	} {
 		root := t.TempDir()
 		st, _, err := OpenStore(root, fastOpts())
@@ -622,7 +725,7 @@ func TestJournalEscapesHostileMetaArgs(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(rec.Quarantined) != 0 || len(rec.Resumable) != 1 {
-			t.Fatalf("meta %+q damaged the journal: %s", meta, rec)
+			t.Fatalf("meta %+q damaged the log: %s", meta, rec)
 		}
 		// Resume with the identical metadata must succeed (fields intact)...
 		w2, err := st2.Begin(ctx, runID, meta)
@@ -635,18 +738,12 @@ func TestJournalEscapesHostileMetaArgs(t *testing.T) {
 			t.Fatalf("meta %+q: mismatched resume accepted", meta)
 		}
 	}
-}
-
-// TestEscapeArgRoundTrip pins the journal argument encoding.
-func TestEscapeArgRoundTrip(t *testing.T) {
-	for _, s := range []string{"", " ", "%", "plain", "a b\tc", "nl\nend", "%20", "100% done", string([]byte{0, 1, 0x7f})} {
-		esc := escapeArg(s)
-		if strings.ContainsAny(esc, " \t\n\r") || esc == "" {
-			t.Fatalf("escapeArg(%q) = %q still carries framing bytes", s, esc)
-		}
-		if got := unescapeArg(esc); got != s {
-			t.Fatalf("round trip %q -> %q -> %q", s, esc, got)
-		}
+	st, _, err := OpenStore(t.TempDir(), fastOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Begin(context.Background(), "bad-utf8", RunMeta{Tenant: "t\xff", App: "a"}); err == nil {
+		t.Fatal("metadata with invalid UTF-8 accepted")
 	}
 }
 
@@ -801,17 +898,21 @@ func TestCommitRecordsCompression(t *testing.T) {
 	}
 }
 
-// TestPreLogLayoutQuarantined: run directories written by the
-// per-segment-file store (a segs/ tree, or put/done journal records) are
-// not read; recovery moves them aside whole with their own reason.
+// TestPreLogLayoutQuarantined: run directories written by an older store
+// — a segs/ tree with put/done journal records, or a journal beside a
+// segment log — are not read; recovery moves them aside whole with their
+// own reason.
 func TestPreLogLayoutQuarantined(t *testing.T) {
 	root := t.TempDir()
-	open := journalLine("open", "t0", "a", "1", "7")
-	put := journalLine("put", hashBytes(segData(4, 1)), "1024", "4", "0")
-	for runID, files := range map[string]map[string]string{
-		"with-segs":     {"journal": open, "segs/ab/x.seg": "raw"},
-		"with-put-done": {"journal": open + put + journalLine("done", hashBytes(segData(4, 1)))},
-	} {
+	journal := "3a1c0f2e open t0 a 1 7\n"
+	seg := segData(4, 1)
+	segLog := string(appendRecord(nil, recSegment, sha256.Sum256(seg), encodeSegment(seg)))
+	runs := map[string]map[string]string{
+		"with-segs":     {"journal": journal, "segs/ab/x.seg": "raw"},
+		"with-put-done": {"journal": journal + "5b2d1e4f put " + hashBytes(seg) + " 1024 4 0\n"},
+		"with-segments": {"journal": journal, "segments": segLog},
+	}
+	for runID, files := range runs {
 		for name, body := range files {
 			p := filepath.Join(root, runID, name)
 			if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
@@ -826,12 +927,13 @@ func TestPreLogLayoutQuarantined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.Intact)+len(rec.Resumable) != 0 || len(rec.Quarantined) != 2 ||
-		!quarantinedAs(rec, "with-segs", "run", preLogLayout) ||
-		!quarantinedAs(rec, "with-put-done", "run", preLogLayout) {
+	if len(rec.Intact)+len(rec.Resumable) != 0 || len(rec.Quarantined) != len(runs) {
 		t.Fatalf("pre-log runs not quarantined whole: %s", rec)
 	}
-	for _, runID := range []string{"with-segs", "with-put-done"} {
+	for runID := range runs {
+		if !quarantinedAs(rec, runID, "run", preLogLayout) {
+			t.Fatalf("%s not quarantined as a pre-log layout: %s", runID, rec)
+		}
 		if _, err := os.Stat(filepath.Join(root, ".quarantine", runID, "journal")); err != nil {
 			t.Fatalf("%s not moved to .quarantine whole: %v", runID, err)
 		}
@@ -865,24 +967,29 @@ func TestTruncatedCompressedSegmentQuarantined(t *testing.T) {
 	if string(stored[:4]) != "VZS1" {
 		t.Fatalf("expected compressed container, got %q", stored[:4])
 	}
-	writeLog(t, root, "r1", appendRecord(log[:start:start], sha256.Sum256(data), stored[:len(stored)-3]))
+	cut := appendRecord(log[:start:start], recSegment, sha256.Sum256(data), stored[:len(stored)-3])
+	writeLog(t, root, "r1", append(cut, log[end:]...))
 	_, rec, err := OpenStore(root, fastOpts())
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	if len(rec.Intact) != 0 || !quarantinedAs(rec, "r1", "segments", "segment codec") {
+	if len(rec.Intact) != 0 || !quarantinedAs(rec, "r1", "log", "segment codec") {
 		t.Fatalf("truncated compressed segment not quarantined: %s", rec)
 	}
 }
 
 // FuzzSegmentLog: the record parser must never panic on arbitrary bytes,
 // must report damage whenever it stops short of the end, and the intact
-// prefix it returns must re-encode byte for byte.
+// prefix it returns must re-encode byte for byte, for every record kind.
 func FuzzSegmentLog(f *testing.F) {
-	var log []byte
+	meta, _ := json.Marshal(RunMeta{Tenant: "t0", App: "a", Scale: 1, Seed: 7})
+	manifest := sha256.Sum256([]byte("{}"))
+	log := lifecycleRecord(recOpen, meta)
 	for _, raw := range [][]byte{segData(4, 1), incompressible(2), segData(1, 9)} {
-		log = appendRecord(log, sha256.Sum256(raw), encodeSegment(raw))
+		log = appendRecord(log, recSegment, sha256.Sum256(raw), encodeSegment(raw))
 	}
+	log = append(log, lifecycleRecord(recGap, binary.BigEndian.AppendUint64(nil, 5))...)
+	log = append(log, lifecycleRecord(recCommit, manifest[:])...)
 	f.Add([]byte{})
 	f.Add(log)
 	f.Add(log[:len(log)-7])
@@ -890,6 +997,9 @@ func FuzzSegmentLog(f *testing.F) {
 	bad := append([]byte{}, log...)
 	bad[9] ^= 0xff
 	f.Add(bad)
+	f.Add(lifecycleRecord(recOpen, []byte("{")))
+	f.Add(lifecycleRecord(recGap, []byte{1, 2, 3}))
+	f.Add(lifecycleRecord(recCommit, manifest[:8]))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, intact, damage := scanLog(data)
 		if intact < 0 || intact > len(data) {
@@ -903,7 +1013,7 @@ func FuzzSegmentLog(f *testing.F) {
 			if sha256.Sum256(r.raw) != r.sum {
 				t.Fatal("accepted a record whose content does not match its hash")
 			}
-			again = appendRecord(again, r.sum, r.stored)
+			again = appendRecord(again, r.kind, r.sum, r.payload)
 		}
 		if string(again) != string(data[:intact]) {
 			t.Fatal("intact prefix does not re-encode byte for byte")

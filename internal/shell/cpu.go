@@ -58,7 +58,7 @@ type CPU struct {
 
 	// Telemetry (attached by System.bindTelemetry; nil without a sink).
 	tel        *telemetry.Sink
-	jitterHist *telemetry.Histogram
+	jitterHist *telemetry.QuantileHistogram
 
 	irqConsumed int
 	tickWake    func()

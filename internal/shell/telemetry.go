@@ -54,11 +54,8 @@ func (sys *System) bindTelemetry(sink *telemetry.Sink) {
 		bindW(c.dmaW, c.dmaW.Name())
 		bindR(c.dmaR, c.dmaR.Name())
 		c.tel = sink
-		// Jitter draws are small cycle counts; 1..128 exponential buckets
-		// cover every plausible JitterMax.
-		c.jitterHist = sink.Histogram("vidi_cpu_jitter_cycles",
-			"Seeded inter-op delays drawn by CPU agent threads.",
-			telemetry.ExpBuckets(1, 2, 8))
+		c.jitterHist = sink.Quantile("vidi_cpu_jitter_cycles",
+			"Seeded inter-op delays drawn by CPU agent threads.")
 	}
 
 	irqs := sink.Counter("vidi_shell_irqs_total",

@@ -7,15 +7,17 @@ import (
 )
 
 // TestPrometheusGolden pins the exact exposition output: HELP/TYPE lines,
-// label rendering, histogram expansion and integral value formatting.
+// label rendering, summary expansion and integral value formatting.
 func TestPrometheusGolden(t *testing.T) {
 	s := New()
 	s.Counter("vidi_events_total", "Events observed.", L("channel", "pcis.W")).Add(41)
 	s.Counter("vidi_events_total", "Events observed.", L("channel", "pcis.W")).Inc() // second shard, same series
 	s.Counter("vidi_events_total", "Events observed.", L("channel", "irq")).Add(2)
 	s.Gauge("vidi_buffer_bytes", "Buffered bytes.").Set(4096)
-	h := s.Histogram("vidi_latency_cycles", "Latency.", []float64{1, 4, 16})
-	for _, v := range []float64{0, 3, 3, 20} {
+	h := s.Quantile("vidi_latency_cycles", "Latency.")
+	// Quantiles report the geometric midpoint of the sample's log bucket:
+	// 2^(log2(v) - 1/64) for a power of two v.
+	for _, v := range []float64{2, 4, 4, 16} {
 		h.Observe(v)
 	}
 
@@ -31,11 +33,12 @@ vidi_buffer_bytes 4096
 vidi_events_total{channel="irq"} 2
 vidi_events_total{channel="pcis.W"} 42
 # HELP vidi_latency_cycles Latency.
-# TYPE vidi_latency_cycles histogram
-vidi_latency_cycles_bucket{le="1"} 1
-vidi_latency_cycles_bucket{le="4"} 3
-vidi_latency_cycles_bucket{le="16"} 3
-vidi_latency_cycles_bucket{le="+Inf"} 4
+# TYPE vidi_latency_cycles summary
+vidi_latency_cycles{quantile="0.5"} 3.956912052775902
+vidi_latency_cycles{quantile="0.9"} 15.827648211103607
+vidi_latency_cycles{quantile="0.95"} 15.827648211103607
+vidi_latency_cycles{quantile="0.99"} 15.827648211103607
+vidi_latency_cycles{quantile="0.999"} 15.827648211103607
 vidi_latency_cycles_sum 26
 vidi_latency_cycles_count 4
 `
@@ -96,11 +99,10 @@ func TestNameValidation(t *testing.T) {
 		s.Counter("clash", "")
 		s.Gauge("clash", "")
 	})
-	mustPanic(t, "bucket clash", func() {
-		s.Histogram("h", "", []float64{1, 2})
-		s.Histogram("h", "", []float64{1, 3})
+	mustPanic(t, "summary kind clash", func() {
+		s.Quantile("q", "")
+		s.Counter("q", "")
 	})
-	mustPanic(t, "unsorted buckets", func() { s.Histogram("h2", "", []float64{2, 1}) })
 }
 
 // TestNilSinkIsFree exercises every instrument through a nil sink: nothing
@@ -111,7 +113,7 @@ func TestNilSinkIsFree(t *testing.T) {
 	s.Counter("vidi_c_total", "c").Add(7)
 	s.Gauge("vidi_g", "g").Set(3)
 	s.Gauge("vidi_g", "g").Add(1)
-	s.Histogram("vidi_h", "h", []float64{1}).Observe(2)
+	s.Quantile("vidi_q", "q").Observe(2)
 	s.Track("p", "t").Span("x", 0, 10)
 	s.Track("p", "t").Instant("y", 3)
 	s.OnGather(func() { t.Fatal("flusher ran on nil sink") })
@@ -135,7 +137,7 @@ func TestNilSinkIsFree(t *testing.T) {
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	s := New(WithConstLabels(L("app", "sssp")))
 	s.Counter("vidi_events_total", "e", L("channel", "ocl.AW")).Add(9)
-	s.Histogram("vidi_jitter", "j", []float64{1, 2, 4}).Observe(3)
+	s.Quantile("vidi_jitter", "j").Observe(3)
 	snap := s.Gather()
 	var b bytes.Buffer
 	if err := snap.WriteJSON(&b); err != nil {
@@ -153,8 +155,8 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 		t.Fatalf("labels lost in round-trip: %+v", f)
 	}
 	hf := got.Family("vidi_jitter")
-	if hf == nil || hf.Series[0].Count != 1 || len(hf.Series[0].Buckets) != 3 {
-		t.Fatalf("histogram lost in round-trip: %+v", hf)
+	if hf == nil || hf.Series[0].Count != 1 || hf.Series[0].Sum != 3 || len(hf.Series[0].Centroids) != 1 {
+		t.Fatalf("summary lost in round-trip: %+v", hf)
 	}
 }
 

@@ -16,10 +16,11 @@ import (
 // endpoint, so a running server needs no second exchange format.
 //
 // The parser accepts what WritePrometheus emits plus the usual latitude of
-// the exposition format: families in any order, HELP optional, histogram
-// series reassembled from their _bucket/_sum/_count expansion. Undeclared
-// sample names (no # TYPE line) are folded in as untyped value series so a
-// foreign exporter still renders.
+// the exposition format: families in any order, HELP optional, summary
+// series reassembled from their quantile and _sum/_count lines. Sample
+// names of no declared summary (undeclared names, a foreign exporter's
+// histogram _bucket/_sum/_count lines) are folded in as untyped value
+// series so a foreign exporter still renders.
 func ParsePrometheus(r io.Reader) (*Snapshot, error) {
 	p := &promParser{fams: map[string]*promFamily{}}
 	sc := bufio.NewScanner(r)
@@ -55,14 +56,11 @@ type promFamily struct {
 }
 
 type promSeries struct {
-	labels  map[string]string
-	value   float64
-	sum     float64
-	count   uint64
-	hasInf  bool
-	infCnt  uint64
-	buckets map[float64]uint64
-	quants  map[float64]float64
+	labels map[string]string
+	value  float64
+	sum    float64
+	count  uint64
+	quants map[float64]float64
 }
 
 type promParser struct {
@@ -127,46 +125,18 @@ func (p *promParser) sample(line string) error {
 		return fmt.Errorf("sample %q: %w", line, err)
 	}
 
-	// Histogram and summary expansion lines attach to their base family.
-	for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+	// Summary expansion lines attach to their base family.
+	for _, suffix := range []string{"_sum", "_count"} {
 		base := strings.TrimSuffix(name, suffix)
-		if base == name {
-			continue
-		}
-		f, ok := p.fams[base]
-		if !ok || (f.kind != "histogram" && f.kind != "summary") {
-			continue
-		}
-		if suffix == "_bucket" && f.kind == "summary" {
-			continue // a summary has no buckets; treat X_bucket as its own name
-		}
-		le, hasLE := labels["le"]
-		if suffix == "_bucket" && !hasLE {
-			return fmt.Errorf("sample %q: histogram bucket without le label", line)
-		}
-		delete(labels, "le")
-		se := f.at(labels)
-		switch suffix {
-		case "_sum":
-			se.sum += val
-		case "_count":
-			se.count += uint64(val)
-		case "_bucket":
-			if le == "+Inf" {
-				se.hasInf = true
-				se.infCnt = uint64(val)
-				return nil
+		if f, ok := p.fams[base]; ok && base != name && f.kind == "summary" {
+			se := f.at(labels)
+			if suffix == "_sum" {
+				se.sum += val
+			} else {
+				se.count += uint64(val)
 			}
-			bound, err := strconv.ParseFloat(le, 64)
-			if err != nil {
-				return fmt.Errorf("sample %q: bad le %q", line, le)
-			}
-			if se.buckets == nil {
-				se.buckets = map[float64]uint64{}
-			}
-			se.buckets[bound] = uint64(val)
+			return nil
 		}
-		return nil
 	}
 
 	// Summary quantile samples: name{quantile="0.99"} v on a declared
@@ -302,19 +272,6 @@ func (p *promParser) snapshot() *Snapshot {
 			ss := SeriesSnap{Value: se.value, Sum: se.sum, Count: se.count}
 			if len(se.labels) > 0 {
 				ss.Labels = se.labels
-			}
-			if f.kind == "histogram" {
-				if ss.Count == 0 && se.hasInf {
-					ss.Count = se.infCnt
-				}
-				bounds := make([]float64, 0, len(se.buckets))
-				for b := range se.buckets {
-					bounds = append(bounds, b)
-				}
-				sort.Float64s(bounds)
-				for _, b := range bounds {
-					ss.Buckets = append(ss.Buckets, Bucket{LE: b, Count: se.buckets[b]})
-				}
 			}
 			if f.kind == "summary" && len(se.quants) > 0 {
 				qs := make([]float64, 0, len(se.quants))

@@ -10,7 +10,7 @@ import (
 
 // TestPrometheusRoundTrip gathers a mixed registry, writes the text
 // exposition, parses it back, and demands the snapshot survives: same
-// family names/kinds, same folded values, same histogram buckets.
+// family names/kinds, same folded values, same summary quantiles.
 func TestPrometheusRoundTrip(t *testing.T) {
 	sink := New(WithConstLabels(L("app", "sssp")))
 	c := sink.Counter("vidi_rt_events_total", "Events with a \"quoted\" label.", L("kind", "link-brownout"))
@@ -18,7 +18,7 @@ func TestPrometheusRoundTrip(t *testing.T) {
 	c.Inc()
 	g := sink.Gauge("vidi_rt_depth", "Queue depth.")
 	g.Set(3.5)
-	h := sink.Histogram("vidi_rt_latency_cycles", "Latency.", ExpBuckets(1, 4, 3))
+	h := sink.Quantile("vidi_rt_latency_cycles", "Latency.")
 	for _, v := range []float64{0.5, 2, 2, 9, 100} {
 		h.Observe(v)
 	}
@@ -60,20 +60,21 @@ func TestPrometheusRoundTrip(t *testing.T) {
 	hf := got.Family("vidi_rt_latency_cycles")
 	whf := want.Family("vidi_rt_latency_cycles")
 	if hf == nil || len(hf.Series) != 1 {
-		t.Fatalf("histogram family missing: %+v", hf)
+		t.Fatalf("summary family missing: %+v", hf)
 	}
 	gs, ws := hf.Series[0], whf.Series[0]
 	if gs.Count != ws.Count || gs.Sum != ws.Sum {
-		t.Errorf("histogram sum/count: got %v/%d, want %v/%d", gs.Sum, gs.Count, ws.Sum, ws.Count)
+		t.Errorf("summary sum/count: got %v/%d, want %v/%d", gs.Sum, gs.Count, ws.Sum, ws.Count)
 	}
-	if !reflect.DeepEqual(gs.Buckets, ws.Buckets) {
-		t.Errorf("histogram buckets: got %v, want %v", gs.Buckets, ws.Buckets)
+	if !reflect.DeepEqual(gs.Quantiles, ws.Quantiles) {
+		t.Errorf("summary quantiles: got %v, want %v", gs.Quantiles, ws.Quantiles)
 	}
 }
 
 // TestParsePrometheusForeign exercises latitude the exposition format
 // allows but our writer never emits: no HELP, untyped samples, timestamps,
-// blank and comment lines.
+// blank and comment lines, and histogram lines, which parse as untyped
+// series.
 func TestParsePrometheusForeign(t *testing.T) {
 	text := strings.Join([]string{
 		"# a bare comment",
@@ -81,6 +82,11 @@ func TestParsePrometheusForeign(t *testing.T) {
 		"up 1",
 		"requests_total{code=\"200\"} 7 1712000000000",
 		"requests_total{code=\"500\"} 1",
+		"# TYPE latency_seconds histogram",
+		"latency_seconds_bucket{le=\"0.1\"} 3",
+		"latency_seconds_bucket{le=\"+Inf\"} 4",
+		"latency_seconds_sum 0.7",
+		"latency_seconds_count 4",
 	}, "\n")
 	snap, err := ParsePrometheus(strings.NewReader(text))
 	if err != nil {
@@ -91,6 +97,15 @@ func TestParsePrometheusForeign(t *testing.T) {
 	}
 	if v := snap.Total("requests_total"); v != 8 {
 		t.Errorf("requests_total: got %v", v)
+	}
+	if f := snap.Family("latency_seconds_bucket"); f == nil || f.Kind != "untyped" || len(f.Series) != 2 {
+		t.Errorf("histogram buckets not parsed as untyped series: %+v", f)
+	}
+	if v := snap.Total("latency_seconds_count"); v != 4 {
+		t.Errorf("latency_seconds_count: got %v", v)
+	}
+	if f := snap.Family("latency_seconds"); f != nil {
+		t.Errorf("histogram family without samples kept: %+v", f)
 	}
 }
 

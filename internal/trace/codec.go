@@ -24,15 +24,16 @@ import (
 // Content lengths are implied by the channel widths recorded in the header,
 // exactly as in hardware where each channel's DATA bus has a fixed width.
 // Every region is CRC-protected, so a flipped byte anywhere surfaces as a
-// typed *CorruptError instead of a silently wrong decode. Version 1 files
-// (no flags byte, no CRCs) remain readable.
+// typed *CorruptError instead of a silently wrong decode. Only this version
+// is read: version 1 had no flags byte and no CRCs, so a header with no
+// channels could claim 2^64 packets of zero bytes each.
 
 const (
 	magic   = "VIDT"
 	version = 2
 )
 
-// Per-packet flag bits (version ≥ 2).
+// Per-packet flag bits.
 const pktFlagLossy = 1 << 0
 
 // WriteTo serializes the trace.
@@ -80,37 +81,31 @@ func ReadFrom(r io.Reader) (*Trace, error) {
 		return nil, corruptf("magic", "bad magic %q", mg)
 	}
 	cr := &crcReader{r: br}
-	m, ver, err := readHeader(cr)
+	m, err := readHeader(cr)
 	if err != nil {
 		return nil, err
 	}
-	if ver >= 2 {
-		if err := cr.checkCRC("header"); err != nil {
-			return nil, err
-		}
+	if err := cr.checkCRC("header"); err != nil {
+		return nil, err
 	}
 	cr.reset()
 	var count uint64
 	if err := binary.Read(cr, binary.LittleEndian, &count); err != nil {
 		return nil, corruptf("packet count", "reading: %v", err)
 	}
-	if ver >= 2 {
-		if err := cr.checkCRC("packet count"); err != nil {
-			return nil, err
-		}
+	if err := cr.checkCRC("packet count"); err != nil {
+		return nil, err
 	}
 	t := NewTrace(m)
 	for i := uint64(0); i < count; i++ {
 		site := fmt.Sprintf("packet %d", i)
 		cr.reset()
-		p, err := readPacket(cr, m, ver)
+		p, err := readPacket(cr, m)
 		if err != nil {
 			return nil, corruptf(site, "%v", err)
 		}
-		if ver >= 2 {
-			if err := cr.checkCRC(site); err != nil {
-				return nil, err
-			}
+		if err := cr.checkCRC(site); err != nil {
+			return nil, err
 		}
 		t.Append(p)
 	}
@@ -184,53 +179,52 @@ func writeHeader(w io.Writer, m *Meta) error {
 	return nil
 }
 
-// readHeader reads the post-magic header and returns the metadata and the
-// file's format version.
-func readHeader(r io.Reader) (*Meta, uint16, error) {
+// readHeader reads the post-magic header and returns the metadata.
+func readHeader(r io.Reader) (*Meta, error) {
 	var ver, flags uint16
 	if err := binary.Read(r, binary.LittleEndian, &ver); err != nil {
-		return nil, 0, corruptf("header", "reading version: %v", err)
+		return nil, corruptf("header", "reading version: %v", err)
 	}
-	if ver == 0 || ver > version {
-		return nil, 0, corruptf("header", "unsupported version %d", ver)
+	if ver != version {
+		return nil, corruptf("header", "unsupported version %d", ver)
 	}
 	if err := binary.Read(r, binary.LittleEndian, &flags); err != nil {
-		return nil, 0, corruptf("header", "reading flags: %v", err)
+		return nil, corruptf("header", "reading flags: %v", err)
 	}
 	var nch uint32
 	if err := binary.Read(r, binary.LittleEndian, &nch); err != nil {
-		return nil, 0, corruptf("header", "reading channel count: %v", err)
+		return nil, corruptf("header", "reading channel count: %v", err)
 	}
 	if nch > 1<<16 {
-		return nil, 0, corruptf("header", "implausible channel count %d", nch)
+		return nil, corruptf("header", "implausible channel count %d", nch)
 	}
 	chans := make([]ChannelInfo, nch)
 	for i := range chans {
 		name, err := readString(r)
 		if err != nil {
-			return nil, 0, corruptf("header", "channel %d name: %v", i, err)
+			return nil, corruptf("header", "channel %d name: %v", i, err)
 		}
 		iface, err := readString(r)
 		if err != nil {
-			return nil, 0, corruptf("header", "channel %q interface: %v", name, err)
+			return nil, corruptf("header", "channel %q interface: %v", name, err)
 		}
 		var width uint32
 		if err := binary.Read(r, binary.LittleEndian, &width); err != nil {
-			return nil, 0, corruptf("header", "channel %q width: %v", name, err)
+			return nil, corruptf("header", "channel %q width: %v", name, err)
 		}
 		if width > 1<<20 {
-			return nil, 0, corruptf("header", "channel %q: implausible width %d", name, width)
+			return nil, corruptf("header", "channel %q: implausible width %d", name, width)
 		}
 		var dir uint8
 		if err := binary.Read(r, binary.LittleEndian, &dir); err != nil {
-			return nil, 0, corruptf("header", "channel %q direction: %v", name, err)
+			return nil, corruptf("header", "channel %q direction: %v", name, err)
 		}
 		if dir > 1 {
-			return nil, 0, corruptf("header", "channel %q: bad direction %d", name, dir)
+			return nil, corruptf("header", "channel %q: bad direction %d", name, dir)
 		}
 		chans[i] = ChannelInfo{Name: name, Interface: iface, Width: int(width), Dir: Direction(dir)}
 	}
-	return NewMeta(chans, flags&1 != 0), ver, nil
+	return NewMeta(chans, flags&1 != 0), nil
 }
 
 func writePacket(w io.Writer, m *Meta, p CyclePacket) error {
@@ -255,17 +249,14 @@ func writePacket(w io.Writer, m *Meta, p CyclePacket) error {
 	return nil
 }
 
-func readPacket(r io.Reader, m *Meta, ver uint16) (CyclePacket, error) {
-	var flags uint8
-	if ver >= 2 {
-		var fb [1]byte
-		if _, err := io.ReadFull(r, fb[:]); err != nil {
-			return CyclePacket{}, err
-		}
-		flags = fb[0]
-		if flags&^uint8(pktFlagLossy) != 0 {
-			return CyclePacket{}, fmt.Errorf("unknown packet flags %#x", flags)
-		}
+func readPacket(r io.Reader, m *Meta) (CyclePacket, error) {
+	var fb [1]byte
+	if _, err := io.ReadFull(r, fb[:]); err != nil {
+		return CyclePacket{}, err
+	}
+	flags := fb[0]
+	if flags&^uint8(pktFlagLossy) != 0 {
+		return CyclePacket{}, fmt.Errorf("unknown packet flags %#x", flags)
 	}
 	sb := make([]byte, ByteLen(m.NumInputs()))
 	if _, err := io.ReadFull(r, sb); err != nil {
