@@ -12,7 +12,7 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Project-specific analyzers (sensaudit + handshake + detaudit + partwrite).
+# Project-specific analyzers (sensaudit + handshake + detaudit).
 # Runs standalone with -tests (so _test.go packages are audited too) and
 # through go vet's -vettool protocol so the two entry points cannot drift
 # apart.

@@ -17,7 +17,7 @@
 //	vidi-bench -all
 //
 // -v prints the simulation kernel's scheduler counters (eval calls, settle
-// waves, skipped evals, partitions) for every run it performs.
+// waves, skipped evals, skipped ticks) for every run it performs.
 //
 // With -table kernel, -metrics writes the merged telemetry snapshot of the
 // instrumented runs (each app's series labelled app=<name>; inspect with

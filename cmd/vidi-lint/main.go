@@ -1,5 +1,5 @@
 // Command vidi-lint runs the vidi analyzer suite (sensaudit, handshake,
-// detaudit, partwrite) over Go packages. It works in two modes:
+// detaudit) over Go packages. It works in two modes:
 //
 // Standalone, over go-list patterns:
 //

@@ -1,6 +1,6 @@
 // vidi-top is the run inspector of the unified telemetry layer: it renders
-// sorted end-of-run tables — per-partition eval-time share, hottest
-// monitored channels, AXI engine traffic, stall/retry totals — from a
+// sorted end-of-run tables — a scheduler overview, hottest monitored
+// channels, AXI engine traffic, stall/retry totals — from a
 // metrics snapshot, or runs an instrumented recording itself, or
 // validates and summarises a Perfetto timeline.
 //
@@ -160,7 +160,6 @@ func render(w io.Writer, snap *telemetry.Snapshot, topN int) {
 		return
 	}
 	renderOverview(w, snap)
-	renderPartitions(w, snap, topN)
 	renderChannels(w, snap, topN)
 	renderEngines(w, snap, topN)
 	renderStalls(w, snap)
@@ -302,47 +301,9 @@ func renderLoad(w io.Writer, path string, topN int) error {
 
 func renderOverview(w io.Writer, snap *telemetry.Snapshot) {
 	fmt.Fprintf(w, "== run overview ==\n")
-	fmt.Fprintf(w, "cycles %.0f  partitions %.0f  modules %.0f  evals %.0f  waves %.0f\n\n",
-		snap.Total("vidi_sched_cycles"), snap.Total("vidi_sched_partitions"),
-		snap.Total("vidi_sched_modules"),
+	fmt.Fprintf(w, "cycles %.0f  modules %.0f  evals %.0f  waves %.0f\n\n",
+		snap.Total("vidi_sched_cycles"), snap.Total("vidi_sched_modules"),
 		snap.Total("vidi_sched_evals_total"), snap.Total("vidi_sched_waves_total"))
-}
-
-// renderPartitions is the scheduler heat table: where the eval wall-clock
-// went, partition by partition.
-func renderPartitions(w io.Writer, snap *telemetry.Snapshot, topN int) {
-	fmt.Fprintf(w, "== scheduler partitions by eval time ==\n")
-	ns := values(snap, "vidi_sched_eval_ns_total")
-	if len(ns) == 0 {
-		fmt.Fprintf(w, "(no scheduler series — legacy kernel run, or nothing gathered)\n\n")
-		return
-	}
-	evals := values(snap, "vidi_sched_evals_total")
-	skipped := values(snap, "vidi_sched_skipped_evals_total")
-	busy := values(snap, "vidi_sched_busy_cycles_total")
-	wakes := values(snap, "vidi_sched_wakeups_total")
-	var total float64
-	rows := make([]row, 0, len(ns))
-	for k, v := range ns {
-		total += v
-		rows = append(rows, row{key: k, cols: []float64{v, 0, evals[k], skipped[k], busy[k], wakes[k]}})
-	}
-	sortRows(rows)
-	fmt.Fprintf(w, "%-28s %9s %7s %10s %10s %10s %10s\n",
-		"partition", "eval ms", "share", "evals", "skipped", "busy cyc", "wakeups")
-	for i, r := range rows {
-		if i >= topN {
-			fmt.Fprintf(w, "(%d more)\n", len(rows)-topN)
-			break
-		}
-		share := 0.0
-		if total > 0 {
-			share = 100 * r.cols[0] / total
-		}
-		fmt.Fprintf(w, "%-28s %9.2f %6.1f%% %10.0f %10.0f %10.0f %10.0f\n",
-			r.key, r.cols[0]/1e6, share, r.cols[2], r.cols[3], r.cols[4], r.cols[5])
-	}
-	fmt.Fprintln(w)
 }
 
 // renderChannels ranks the monitored boundary channels by observed events.

@@ -137,7 +137,7 @@ func TestRenderOverviewHeader(t *testing.T) {
 	var sb strings.Builder
 	renderOverview(&sb, sink.Gather())
 	out := sb.String()
-	for _, want := range []string{"cycles 5 ", "partitions 2 ", "modules 2 "} {
+	for _, want := range []string{"cycles 5 ", "modules 2 "} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("overview missing %q:\n%s", want, out)
 		}

@@ -60,7 +60,7 @@ func (p *Pass) Report(pos token.Pos, format string, args ...any) {
 
 // All returns the analyzers of the suite, in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{SensAudit, Handshake, DetAudit, PartWrite}
+	return []*Analyzer{SensAudit, Handshake, DetAudit}
 }
 
 // Run executes the analyzers over every target package of the loader and

@@ -13,8 +13,9 @@ import (
 //
 //   - a signal read by Eval but absent from Reads∪Drives is a missed-wakeup
 //     bug (the scheduler will not re-run Eval when that signal changes);
-//   - a signal driven by Eval but absent from Drives can leave another
-//     partition unsettled;
+//   - a signal driven by Eval but absent from Drives is a hidden writer: a
+//     module that re-reads the signal under its own Drives declaration
+//     assumes nobody else changes it, and can miss a wakeup;
 //   - a declared signal Eval never touches is a dead declaration that
 //     causes spurious wakeups and hides real dependencies.
 //
@@ -101,7 +102,7 @@ func auditEval(pass *Pass, evalFD *ast.FuncDecl) {
 	for _, p := range sortedPaths(sc.drives) {
 		if _, ok := decl.drives[p]; !ok {
 			pass.Report(clampPos(pass.Pkg, sc.drives[p], evalFD),
-				"Eval of %s drives %s, which is not in its declared Drives: readers in other partitions may not settle",
+				"Eval of %s drives %s, which is not in its declared Drives: a hidden writer can change it under a module that re-reads it as its own output",
 				typeName, renderPath(p, recvName))
 		}
 	}

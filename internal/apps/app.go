@@ -142,9 +142,6 @@ func BuildPlumbing(sys *shell.System) *Plumbing {
 	sys.Sim.Register(p.Pcim)
 	p.Irq = sim.NewSender("irq-sender", sys.IRQ)
 	sys.Sim.Register(p.Irq)
-	// The pcis window and the DDR controller both serve card DRAM; their
-	// Ticks must not run in parallel partitions.
-	sys.Sim.Tie(p.PcisMem, sys.DDRSub)
 	return p
 }
 

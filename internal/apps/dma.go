@@ -161,10 +161,6 @@ func newDMAKernel(pl *Plumbing, interrupts bool) *dmaKernel {
 	k.rd = axi.NewReadManager("dma-kernel-rd", pl.Sys.DDR)
 	k.wr = axi.NewWriteManager("dma-kernel-wr", pl.Sys.DDR)
 	pl.Sys.Sim.Register(k.rd, k.wr)
-	// The kernel is started from the register hook, pushes DDR ops whose
-	// Done callbacks chain read→write, copies card DRAM on the fast path and
-	// raises interrupts from Tick.
-	pl.Sys.Sim.Tie(k, k.rd, k.wr, pl.Regs.Sub, pl.Irq, pl.PcisMem, pl.Sys.DDRSub)
 	return k
 }
 
@@ -191,7 +187,7 @@ func (k *dmaKernel) TickWatch() []*sim.Channel { return nil }
 func (k *dmaKernel) TickStable() bool { return !k.busy }
 
 // BindTickWake implements sim.TickWakeable. The register hook fires from the
-// tied register subordinate's Tick, which precedes this module in
+// register subordinate's Tick, which precedes this module in
 // registration order, so the woken Tick lands in the same cycle as on the
 // legacy kernel.
 func (k *dmaKernel) BindTickWake(wake func()) { k.tickWake = wake }

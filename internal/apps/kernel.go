@@ -47,10 +47,6 @@ func NewKernel(name string, pl *Plumbing) *Kernel {
 			k.start()
 		}
 	}
-	// The kernel is started from the register file's write hook, reads and
-	// writes card DRAM (shared with the pcis window and DDR controller), and
-	// pushes to the pcim writer and IRQ sender from Tick.
-	pl.Sys.Sim.Tie(k, pl.Regs.Sub, pl.Pcim, pl.Irq, pl.PcisMem, pl.Sys.DDRSub)
 	return k
 }
 
@@ -78,7 +74,7 @@ func (k *Kernel) TickWatch() []*sim.Channel { return nil }
 func (k *Kernel) TickStable() bool { return !k.busy }
 
 // BindTickWake implements sim.TickWakeable; start wakes the kernel. The
-// register write hook fires from the tied register subordinate's Tick, which
+// register write hook fires from the register subordinate's Tick, which
 // precedes the kernel in registration order, so the woken Tick lands in the
 // same cycle as on the legacy kernel.
 func (k *Kernel) BindTickWake(wake func()) { k.tickWake = wake }
@@ -109,8 +105,6 @@ func (k *Kernel) Idle() bool { return !k.busy && k.pl.Pcim.Idle() && k.pl.Irq.Id
 func (k *Kernel) Runs() int { return k.runs }
 
 // Tick implements sim.Module.
-//
-//lint:partwrite Stream is the app's result-stream hook; it only enqueues descriptors on the kernel pipeline's own engines, which Build ties into the kernel's partition
 func (k *Kernel) Tick() {
 	if !k.busy {
 		return

@@ -50,10 +50,6 @@ func (a *stressApp) Build(sys *shell.System) {
 	a.pl = BuildPlumbing(sys)
 	a.core = &stressCore{pl: a.pl}
 	sys.Sim.Register(a.core)
-	// The core is fed by write hooks on all three register files and flushes
-	// through card DRAM, the pcim writer and the IRQ sender.
-	sys.Sim.Tie(a.core, a.pl.Regs.Sub, a.pl.SDARegs.Sub, a.pl.BAR1Regs.Sub,
-		a.pl.Pcim, a.pl.Irq, a.pl.PcisMem, sys.DDRSub)
 	// Every MMIO write on any bus feeds the checksum, tagged by bus.
 	hook := func(tag uint32) func(uint64, uint32) {
 		return func(addr uint64, val uint32) {

@@ -51,7 +51,7 @@ func (c *ProtocolChecker) Eval() {}
 
 // Sensitivity implements sim.Sensitive: the checker only observes settled
 // signals (Check runs after settle, Tick reads latched events), so it has
-// no combinational footprint and joins no partition.
+// no combinational footprint.
 func (c *ProtocolChecker) Sensitivity() sim.Sensitivity { return sim.Sensitivity{} }
 
 // EvalStable implements sim.Stable.

@@ -47,7 +47,7 @@ type WriteManager struct {
 
 	// Telemetry, attached by the shell when a sink is configured. The
 	// counter shards and the track are written only from this manager's own
-	// partition; all fields are nil-safe and nil by default.
+	// Tick; all fields are nil-safe and nil by default.
 	Bursts *telemetry.Counter // completed write bursts (B responses)
 	Beats  *telemetry.Counter // data beats transferred (W fires)
 	Track  *telemetry.Track   // one span per burst, push to response
@@ -331,8 +331,6 @@ func (m *ReadManager) EvalStable() bool {
 func (m *ReadManager) NeedsStablePoll() bool { return m.Link != nil }
 
 // Tick implements sim.Module.
-//
-//lint:partwrite the burst-completion callback commits registered state in the issuing environment-side model; shell assemblies tie each engine with its issuer, so the callback never crosses a partition
 func (m *ReadManager) Tick() {
 	if m.arActive && m.iface.AR.Fired() {
 		m.arActive = false
@@ -403,9 +401,9 @@ func (t *TokenBucket) Name() string { return t.name }
 // Ok reports whether the link can accept more traffic this cycle.
 func (t *TokenBucket) Ok() bool { return t.balance >= 0 }
 
-// Spend debits n bytes. Call from Tick after observing a fired beat.
-// Spenders must be tied into the bucket's partition (sim.Simulator.Tie):
-// the balance is shared Go state the sensitivity graph cannot see.
+// Spend debits n bytes. Call from Tick after observing a fired beat. The
+// balance is shared Go state the sensitivity graph cannot see; spenders
+// observe each other's debits in registration order, as every Tick does.
 func (t *TokenBucket) Spend(n int) {
 	t.balance -= float64(n)
 	if t.tickWake != nil {
@@ -553,8 +551,6 @@ func (s *MemSubordinate) TickWatch() []*sim.Channel {
 func (s *MemSubordinate) TickStable() bool { return !s.busy() }
 
 // Tick implements sim.Module.
-//
-//lint:partwrite mem is a byte-addressed backing store interface (plain memory, no wires or buses); its ReadAt/WriteAt cannot drive another partition's signals
 func (s *MemSubordinate) Tick() {
 	// Conservative stability: re-evaluate whenever work was or remains in
 	// flight (covers both activations and the final active→idle edge).
@@ -702,8 +698,8 @@ func (s *RegSubordinate) Eval() {
 }
 
 // Sensitivity implements sim.Sensitive. The OnWrite/OnRead callbacks run at
-// Tick time and often mutate another module's state; wiring code must Tie
-// the register file to those modules.
+// Tick time and often mutate another module's state, which that module sees
+// in registration order, exactly as on the legacy kernel.
 func (s *RegSubordinate) Sensitivity() sim.Sensitivity {
 	return sim.Sensitivity{Drives: s.iface.SubordinateDrives()}
 }
@@ -721,8 +717,6 @@ func (s *RegSubordinate) TickWatch() []*sim.Channel {
 func (s *RegSubordinate) TickStable() bool { return !s.busy() }
 
 // Tick implements sim.Module.
-//
-//lint:partwrite OnWrite/OnRead register callbacks land in the shell control plane, which every assembly ties into the subordinate's partition
 func (s *RegSubordinate) Tick() {
 	if s.busy() {
 		s.Touch()

@@ -179,10 +179,6 @@ func (a *PingPongApp) Build(sys *shell.System) {
 		}
 	}
 	sys.Sim.Register(regs)
-	// The register hook reads card DRAM (shared with the pcis window and DDR
-	// controller) and pushes pong writes whose Done callbacks count
-	// completions.
-	sys.Sim.Tie(a.pong, regs, a.pcisIn, sys.DDRSub)
 	for i, iface := range []*axi.Interface{sys.SDA, sys.BAR1} {
 		park := axi.NewRegSubordinate([]string{"sda-park", "bar1-park"}[i], iface)
 		sys.Sim.Register(park)

@@ -129,9 +129,6 @@ func (a *EchoApp) Build(sys *shell.System) {
 	sys.Sim.Register(irq)
 	a.front = &echoFront{iface: sys.PCIS, fifo: a.fifo, card: sys.CardDRAM, regs: regs, irq: irq}
 	sys.Sim.Register(a.front)
-	// The front is controlled through the register file's hooks, pushes to
-	// the IRQ sender from Tick, and shares card DRAM with the DDR controller.
-	sys.Sim.Tie(a.front, irq, regs.sub, sys.DDRSub)
 	// Park the unused interfaces.
 	sda := axi.NewRegSubordinate("sda-park", sys.SDA)
 	bar1 := axi.NewRegSubordinate("bar1-park", sys.BAR1)

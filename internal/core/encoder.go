@@ -179,8 +179,7 @@ func (e *Encoder) wake() {
 }
 
 // enlistSpaceWaiter registers a monitor to be re-evaluated when the space
-// accounting changes. Idempotent per monitor; called from monitor Evals,
-// which run in the encoder's own partition.
+// accounting changes. Idempotent per monitor; called from monitor Evals.
 func (e *Encoder) enlistSpaceWaiter(m *Monitor) {
 	if !m.spaceWaiting {
 		m.spaceWaiting = true

@@ -116,8 +116,8 @@ func (m *Monitor) Eval() {
 
 // Sensitivity implements sim.Sensitive: the monitor is the combinational
 // bridge between the environment and application sides of its channel. The
-// recording path also consults the shared encoder from Eval, so the shim
-// ties all recording monitors and the encoder into one partition.
+// recording path also consults the shared encoder from Eval; the encoder
+// re-wakes a monitor waiting on it through the space-waiter list.
 func (m *Monitor) Sensitivity() sim.Sensitivity {
 	from, to := m.sides()
 	return sim.Sensitivity{

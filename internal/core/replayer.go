@@ -184,7 +184,7 @@ func (r *Replayer) Eval() {
 // Sensitivity implements sim.Sensitive: the replayer recreates the
 // environment side of its channel from registered state. Replayers also
 // share the coordinator's vector clock and the decoder's cursor state at
-// Tick time, so the shim ties the whole replay stack together.
+// Tick time, which the stack sees in registration order.
 func (r *Replayer) Sensitivity() sim.Sensitivity {
 	if r.bc.Info.Dir == trace.Input {
 		return sim.Sensitivity{Drives: r.bc.Env.SenderSignals()}

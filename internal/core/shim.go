@@ -230,33 +230,6 @@ func NewShim(s *sim.Simulator, b *Boundary, opts Options) (*Shim, error) {
 		// Encoder ticks after the monitors (they push events during Tick),
 		// the store after the encoder.
 		s.Register(sh.encoder, sh.recStore)
-		// The recording monitors consult the encoder's space accounting from
-		// Eval (CanAccept), and the encoder drains into the store, which may
-		// spend from the shared link bucket: all of that is Go state invisible
-		// to the signal graph, so tie the recording stack into one partition.
-		tied := []sim.Module{sh.encoder, sh.recStore}
-		for _, m := range sh.monitors {
-			if m.enc != nil {
-				tied = append(tied, m)
-			}
-		}
-		if opts.Link != nil {
-			tied = append(tied, opts.Link)
-		}
-		s.Tie(tied...)
-	}
-	if opts.Mode == ModeReplay {
-		// The replayers share the coordinator's vector clock and walk the
-		// decoder's released-packet cursor; the decoder fetches through the
-		// replay store, which may spend from the shared link.
-		tied := []sim.Module{sh.repStore, sh.decoder, sh.coord}
-		for _, r := range sh.replayers {
-			tied = append(tied, r)
-		}
-		if opts.Link != nil {
-			tied = append(tied, opts.Link)
-		}
-		s.Tie(tied...)
 	}
 	if opts.Telemetry != nil {
 		sh.bindTelemetry(s, opts.Telemetry)

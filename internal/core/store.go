@@ -156,7 +156,6 @@ func (s *Store) Accept(n int) int {
 	if n <= 0 {
 		return 0
 	}
-	//lint:partwrite FaultFn is the fault plan's pure cycle predicate; it decides whether this grant fails but touches no signals
 	if s.FaultFn != nil && !s.FaultFn(s.cycle) {
 		s.failStreak++
 		if s.failStreak > s.maxRetries() {

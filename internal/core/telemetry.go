@@ -6,9 +6,8 @@ import (
 )
 
 // This file wires the shim into a telemetry.Sink. Every component keeps its
-// counters on plain fields written only from its own Tick (the recording and
-// replay stacks are each tied into one partition, so a single goroutine owns
-// them at a time); bindTelemetry registers a fold-the-deltas callback that
+// counters on plain fields written only from its own Tick, on the
+// simulation's single goroutine; bindTelemetry registers a fold-the-deltas callback that
 // copies them into the sink at scrape time. Nothing on the hot path gains
 // synchronisation or allocation, which keeps instrumented golden runs
 // byte-identical, including under -race.

@@ -12,7 +12,7 @@ import (
 // channel's Fired() (the handshake-lint discipline). All are TickSensitive:
 // handshake-driven modules report TickStable true so the scheduler can gate
 // them; countdown state (compute latency, clock phase) reports unstable and
-// keeps its partition awake, which is exactly the legacy kernel's view.
+// keeps the module awake, which is exactly the legacy kernel's view.
 
 // tokBytes is the payload width of one token.
 const tokBytes = 4
@@ -79,8 +79,6 @@ func (f *forkMod) TickWatch() []*sim.Channel {
 func (f *forkMod) TickStable() bool { return true }
 
 // Tick implements sim.Module.
-//
-//lint:partwrite Drives ranges over the dynamic fan-out width, beyond the symbolic evaluator; the dynamic checker audits it in every scheduler-side golden/fuzz run
 func (f *forkMod) Tick() {
 	done := f.have
 	for i, out := range f.outs {
@@ -186,8 +184,6 @@ func (j *joinMod) TickWatch() []*sim.Channel {
 func (j *joinMod) TickStable() bool { return true }
 
 // Tick implements sim.Module.
-//
-//lint:partwrite Drives ranges over the dynamic fan-in width, beyond the symbolic evaluator; the dynamic checker audits it in every scheduler-side golden/fuzz run
 func (j *joinMod) Tick() {
 	if j.out.Fired() {
 		for i := range j.got {
@@ -255,8 +251,6 @@ func (d *dealMod) TickWatch() []*sim.Channel {
 func (d *dealMod) TickStable() bool { return true }
 
 // Tick implements sim.Module.
-//
-//lint:partwrite Drives ranges over the dynamic fan-out width, beyond the symbolic evaluator; the dynamic checker audits it in every scheduler-side golden/fuzz run
 func (d *dealMod) Tick() {
 	if d.outs[d.idx].Fired() {
 		d.have = false
@@ -322,8 +316,6 @@ func (m *mergeMod) TickWatch() []*sim.Channel {
 func (m *mergeMod) TickStable() bool { return true }
 
 // Tick implements sim.Module.
-//
-//lint:partwrite Drives ranges over the dynamic fan-in width, beyond the symbolic evaluator; the dynamic checker audits it in every scheduler-side golden/fuzz run
 func (m *mergeMod) Tick() {
 	if m.out.Fired() {
 		m.have = false

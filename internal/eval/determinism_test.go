@@ -19,7 +19,7 @@ const tripwireEnv = "VIDI_TRIPWIRE"
 
 // volatileFamilies are the telemetry families legitimately allowed to vary
 // between runs: sampled wall-clock settle timing. Everything else —
-// per-partition eval counts, waves, wakeups, busy cycles, application
+// scheduler eval counts, waves, wakeups, busy cycles, application
 // counters — must be byte-identical.
 var volatileFamilies = map[string]bool{
 	"vidi_sched_eval_ns_total": true,
@@ -70,8 +70,8 @@ func canonicalSnapshot(t *testing.T, snap *telemetry.Snapshot) []byte {
 	return buf.Bytes()
 }
 
-// TestDeterminismTripwire is the dynamic complement of the detaudit and
-// partwrite analyzers: every golden application is executed once as a
+// TestDeterminismTripwire is the dynamic complement of the detaudit
+// analyzer: every golden application is executed once as a
 // reference and again at GOMAXPROCS 1 and at the host's CPU count, and
 // every run must produce byte-identical traces, VCD waveforms and telemetry
 // snapshots (volatile families excluded). A hidden dependence on anything

@@ -37,8 +37,6 @@ type KernelBenchRow struct {
 	SkippedEvals  uint64 `json:"sched_skipped_evals"`
 	SkippedTicks  uint64 `json:"sched_skipped_ticks"`
 	BatchedCycles uint64 `json:"sched_batched_cycles"`
-	Partitions    int    `json:"partitions"`
-	SettleLayers  int    `json:"settle_layers"`
 }
 
 // KernelStats holds the raw scheduler counters of the two runs behind a
@@ -141,8 +139,6 @@ func KernelBench(appNames []string, scale, reps int, seed int64) ([]KernelBenchR
 			SkippedEvals:  sch.Stats.SkippedEvals,
 			SkippedTicks:  sch.Stats.SkippedTicks,
 			BatchedCycles: sch.Stats.BatchedCycles,
-			Partitions:    sch.Stats.Partitions,
-			SettleLayers:  sch.Stats.SettleLayers,
 		}
 		row.Speedup = row.SchedCPS / row.LegacyCPS
 		row.SinkDeltaPct = 100 * (row.SchedCPS - row.SinkCPS) / row.SchedCPS
@@ -159,12 +155,12 @@ func KernelBench(appNames []string, scale, reps int, seed int64) ([]KernelBenchR
 // FormatKernelBench renders the kernel throughput table.
 func FormatKernelBench(rows []KernelBenchRow) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-9s %10s %14s %14s %8s %8s %12s %10s %6s\n",
-		"App", "cycles", "legacy cyc/s", "sched cyc/s", "speedup", "sink Δ%", "legacy evals", "batched", "parts")
+	fmt.Fprintf(&b, "%-9s %10s %14s %14s %8s %8s %12s %10s\n",
+		"App", "cycles", "legacy cyc/s", "sched cyc/s", "speedup", "sink Δ%", "legacy evals", "batched")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-9s %10d %14.0f %14.0f %7.2fx %7.2f%% %12d %10d %6d\n",
+		fmt.Fprintf(&b, "%-9s %10d %14.0f %14.0f %7.2fx %7.2f%% %12d %10d\n",
 			r.App, r.Cycles, r.LegacyCPS, r.SchedCPS, r.Speedup, r.SinkDeltaPct,
-			r.LegacyEvals, r.BatchedCycles, r.Partitions)
+			r.LegacyEvals, r.BatchedCycles)
 	}
 	return b.String()
 }

@@ -49,7 +49,7 @@ func TestKernelBaselineGate(t *testing.T) {
 }
 
 // TestKernelBenchRow runs the bench machinery itself on one short app: the
-// row must carry the throughput figures and the batching/layer counters the
+// row must carry the throughput figures and the scheduler counters the
 // table prints.
 func TestKernelBenchRow(t *testing.T) {
 	rows, stats, snap, err := KernelBench([]string{"dma-irq"}, 1, 1, 7)
@@ -62,9 +62,6 @@ func TestKernelBenchRow(t *testing.T) {
 	r := rows[0]
 	if r.SchedCPS <= 0 || r.LegacyCPS <= 0 || r.Speedup <= 0 {
 		t.Fatalf("throughput figures: %+v", r)
-	}
-	if r.Partitions < 2 || r.SettleLayers < 1 {
-		t.Fatalf("shape counters: %+v", r)
 	}
 	if _, ok := stats[r.App]; !ok {
 		t.Fatalf("no raw stats for %s", r.App)

@@ -268,8 +268,7 @@ func Arm(p *Plan, sys *shell.System, sh *core.Shim) {
 	k := &clock{}
 	armed := false
 	// Injection counters by kind, keyed to the plan seed. The shell's sink
-	// may be nil, in which case every counter is a nil no-op. Each counter is
-	// incremented only from the faulted component's own partition.
+	// may be nil, in which case every counter is a nil no-op.
 	sink := sys.Cfg.Telemetry
 	injections := func(c Class) *telemetry.Counter {
 		return sink.Counter("vidi_fault_injections_total",
@@ -277,17 +276,12 @@ func Arm(p *Plan, sys *shell.System, sh *core.Shim) {
 			telemetry.L("kind", c.String()),
 			telemetry.L("seed", strconv.FormatInt(p.Seed, 10)))
 	}
-	// Injectors read the shared clock and mutate state owned by other
-	// modules' partitions; collect the tie groups and apply them once the
-	// clock is registered.
-	var ties [][]sim.Module
 	for i := range p.Specs {
 		s := &p.Specs[i]
 		switch s.Class {
 		case LinkBrownout:
 			sv := &starver{k: k, spec: s, bucket: sys.PCIe, inj: injections(s.Class)}
 			sys.Sim.Register(sv)
-			ties = append(ties, []sim.Module{k, sv, sys.PCIe})
 			armed = true
 		case LinkOutage:
 			if sh != nil && sh.Store() != nil {
@@ -315,7 +309,6 @@ func Arm(p *Plan, sys *shell.System, sh *core.Shim) {
 					wasActive = active
 					return active
 				}
-				ties = append(ties, []sim.Module{k, sys.CPU})
 				armed = true
 			}
 		case DMAHiccup:
@@ -334,15 +327,11 @@ func Arm(p *Plan, sys *shell.System, sh *core.Shim) {
 				}
 				return d
 			}
-			ties = append(ties, []sim.Module{k, sys.DDRSub})
 			armed = true
 		}
 	}
 	if armed {
 		sys.Sim.Register(k)
-		for _, t := range ties {
-			sys.Sim.Tie(t...)
-		}
 	}
 }
 

@@ -12,16 +12,13 @@ import (
 )
 
 // CoverageVector quantizes one clean run's observable behavior into a small
-// discrete feature vector: scheduler-shape gauges and activity counters from
-// the record leg's telemetry snapshot (log2- and decile-bucketed so noise
+// discrete feature vector: scheduler activity counters from the record
+// leg's telemetry snapshot (log2- and decile-bucketed so noise
 // does not manufacture novelty), the compiled graph's FIFO occupancy
 // quartiles, and the scenario's topology-class counts. Two runs with equal
 // vectors exercised the simulator the same way; the guided search keeps one
 // scenario per distinct vector as its frontier.
 type CoverageVector struct {
-	// Partitions/Layers are the sensitivity-graph shape gauges.
-	Partitions int `json:"partitions"`
-	Layers     int `json:"layers"`
 	// CycleBucket/WaveBucket/EvalBucket are log2 buckets of the record run's
 	// cycle count, settle waves and Eval invocations.
 	CycleBucket int `json:"cycle_bucket"`
@@ -94,8 +91,6 @@ func coverageOf(sc *Scenario, res *runResult, snap *telemetry.Snapshot) Coverage
 	skipped := snap.Total("vidi_sched_skipped_evals_total")
 	cycles := snap.Total("vidi_sched_cycles")
 	v := CoverageVector{
-		Partitions:  int(snap.Total("vidi_sched_partitions")),
-		Layers:      int(snap.Total("vidi_sched_layers")),
 		CycleBucket: log2Bucket(cycles),
 		WaveBucket:  log2Bucket(snap.Total("vidi_sched_waves_total")),
 		EvalBucket:  log2Bucket(evals),

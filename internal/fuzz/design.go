@@ -114,12 +114,6 @@ func newDesign(sc *Scenario, sys *shell.System) *pipeline {
 	s.Register(axi.NewRegSubordinate("fz-sda-park", sys.SDA))
 	s.Register(axi.NewRegSubordinate("fz-bar1-park", sys.BAR1))
 
-	// Shared Go state invisible to the signal graph: the FrameFIFO (front
-	// pushes, pump pops, drain reads Dropped), the started flag (register
-	// hook → pump), the sender/irq queues (pump/drain push from Tick) and
-	// the writer's op queue + Done callbacks (drain).
-	s.Tie(regs, d.front, d.pump, head, d.drain, d.writer, d.irq)
-
 	return d
 }
 

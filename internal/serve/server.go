@@ -445,6 +445,11 @@ func (s *Server) handlePutSegment(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "bad_request", "empty segment")
 		return
 	}
+	if uint64(len(frames)) > math.MaxUint32-uint64(firstSeq) {
+		writeErr(w, http.StatusBadRequest, "bad_request",
+			fmt.Sprintf("segment of %d frames at sequence %d overflows the run's 32-bit sequence space", len(frames), firstSeq))
+		return
+	}
 	hash := hashBytes(body)
 
 	// Idempotency: a retry of an accepted segment is a cheap 200; a

@@ -2,7 +2,10 @@ package serve
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
+	"math"
 	"net/http"
 	"strings"
 	"sync"
@@ -381,9 +384,9 @@ func TestServerRejectsHostileTenantApp(t *testing.T) {
 	}
 }
 
-// TestServerGapOverflowRejected: a gap declaration that would wrap the
-// session's 32-bit sequence counter is a 400; the session survives and
-// sane gaps still work.
+// TestServerGapOverflowRejected: a gap declaration or a segment upload that
+// would wrap the session's 32-bit sequence counter is a 400; the session
+// survives and sane requests still work.
 func TestServerGapOverflowRejected(t *testing.T) {
 	_, cl := newTestServer(t, Limits{})
 	ctx := context.Background()
@@ -400,6 +403,32 @@ func TestServerGapOverflowRejected(t *testing.T) {
 	}
 	if err := cl.MarkGap(ctx, sess.SessionID, 8); err != nil {
 		t.Fatalf("sane gap after rejected overflow: %v", err)
+	}
+
+	// A gap up to the last sequence number is legal; a one-frame segment
+	// there would move the counter past it. The frame itself is valid
+	// (seq | used | crc | payload, CRC over everything but its own field),
+	// so only the bound can refuse it.
+	const last = math.MaxUint32
+	if err := cl.MarkGap(ctx, sess.SessionID, last-8); err != nil {
+		t.Fatalf("gap to the last sequence number: %v", err)
+	}
+	var f [trace.StoragePacketSize]byte
+	binary.LittleEndian.PutUint32(f[0:4], last)
+	binary.LittleEndian.PutUint16(f[4:6], 1)
+	f[10] = 0x5a
+	crc := crc32.Update(crc32.ChecksumIEEE(f[0:6]), crc32.IEEETable, f[10:])
+	binary.LittleEndian.PutUint32(f[6:10], crc)
+	if seq, _, err := trace.CheckFrame("hand-built", &f); err != nil || seq != last {
+		t.Fatalf("hand-built frame: seq %d, %v", seq, err)
+	}
+	_, err = cl.PutSegment(ctx, sess.SessionID, last, f[:])
+	var ae *APIError
+	if !asAPI(err, &ae) || ae.Status != http.StatusBadRequest || ae.Code != "bad_request" {
+		t.Fatalf("segment past the sequence space: want 400 bad_request, got %v", err)
+	}
+	if _, err := cl.Commit(ctx, sess.SessionID); err != nil {
+		t.Fatalf("commit after rejected segment: %v", err)
 	}
 }
 

@@ -138,8 +138,6 @@ func (c *CPU) Name() string { return "cpu" }
 
 // Tick implements sim.Module: every idle thread issues its next operation,
 // after a seeded random delay.
-//
-//lint:partwrite program ops are closures issuing work on the environment-side engines; NewSystem ties the CPU with every engine its ops can reach, so the issue never crosses a partition
 func (c *CPU) Tick() {
 	if c.StallFn != nil && c.StallFn() {
 		return

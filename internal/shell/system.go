@@ -190,15 +190,6 @@ func (sys *System) buildEnvironment() {
 
 	sys.CPU = newCPU(sys)
 	s.Register(sys.CPU)
-
-	// The environment shares Go state invisible to the signal graph: the CPU
-	// pushes ops into its managers and their Done callbacks mutate thread
-	// state; the PCIe bucket is spent by the DMA managers, the host memory
-	// and (via the shim's own tie) the trace store; the IRQ sink increments
-	// the counter WaitIRQ polls. Tie it all into one partition.
-	c := sys.CPU
-	s.Tie(c, c.liteW[0], c.liteR[0], c.liteW[1], c.liteR[1], c.liteW[2], c.liteR[2],
-		c.dmaW, c.dmaR, sys.hostMem, irqRecv, sys.PCIe)
 }
 
 // irqSink accepts interrupt transactions on the environment side.

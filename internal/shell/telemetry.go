@@ -6,8 +6,8 @@ import (
 )
 
 // bindTelemetry attaches the sink to the shell's engines and the CPU agent.
-// Engine counters are shards owned by the engine's own partition; the IRQ
-// total is folded from the existing IRQReceived field at scrape time.
+// Engine counters are shards written only from the engine's own Tick; the
+// IRQ total is folded from the existing IRQReceived field at scrape time.
 func (sys *System) bindTelemetry(sink *telemetry.Sink) {
 	now := sys.Sim.Cycle
 

@@ -12,8 +12,9 @@ var ErrSensitivity = errors.New("sim: sensitivity violation")
 // Sensitivity and the signal accesses its Eval actually performed, caught by
 // the dynamic sensitivity checker (SetSensitivityCheck). An undeclared read
 // means the scheduler may fail to re-evaluate the module when that signal
-// changes (a missed wakeup); an undeclared drive means a change the module
-// makes may not propagate to the signal's readers (an unsettled partition).
+// changes (a missed wakeup); an undeclared drive hides a writer from the
+// declared footprint, so a module re-reading the signal under its own Drives
+// declaration may miss the hidden writer's changes (a hidden writer).
 type SensitivityViolationError struct {
 	// Module is the offending module's name.
 	Module string
@@ -29,7 +30,7 @@ type SensitivityViolationError struct {
 func (e *SensitivityViolationError) Error() string {
 	consequence := "missed wakeup"
 	if e.Kind == "drive" {
-		consequence = "unsettled partition"
+		consequence = "hidden writer"
 	}
 	return fmt.Sprintf("%v: module %q %s of undeclared signal %q at cycle %d (%s)",
 		ErrSensitivity, e.Module, e.Kind, e.Signal, e.Cycle, consequence)

@@ -18,7 +18,6 @@ func (m *probeMod) Name() string { return m.name }
 //lint:sensaudit deliberately misdeclared test module; the dynamic checker is the subject under test
 func (m *probeMod) Eval() { m.eval() }
 
-//lint:partwrite deliberately misdeclared test module; the dynamic checker is the subject under test
 func (m *probeMod) Tick()                    {}
 func (m *probeMod) Sensitivity() Sensitivity { return m.sens }
 
@@ -64,7 +63,7 @@ func TestSensitivityCheckUndeclaredDrive(t *testing.T) {
 	if sv.Kind != "drive" || sv.Signal != "out" {
 		t.Fatalf("violation = %+v, want out/drive", sv)
 	}
-	if !strings.Contains(sv.Error(), "unsettled partition") {
+	if !strings.Contains(sv.Error(), "hidden writer") {
 		t.Fatalf("error %q does not explain the drive consequence", sv.Error())
 	}
 }

@@ -18,8 +18,8 @@ type Signal interface {
 
 // Sensitivity is a module's declared combinational footprint: the signals
 // its Eval reads and the signals its Eval drives. The scheduler uses Reads
-// to decide when a module must be re-evaluated and Reads+Drives to place
-// modules into independent partitions.
+// to decide when a module must be re-evaluated; Drives licenses a module to
+// re-read its own outputs and is what the audits below check writes against.
 //
 // A module whose Eval also depends on registered state (almost all Moore
 // machines: senders, FIFOs, AXI engines) should additionally implement
@@ -28,9 +28,8 @@ type Signal interface {
 // Declaring too little is a correctness bug (stale outputs, which the golden
 // legacy-vs-scheduler tests catch as a trace diff); declaring too much only
 // costs performance. Modules that do not implement Sensitive at all get the
-// safe ReadsAll fallback: they are re-evaluated on every settle wave and
-// force the whole design into a single partition, which is exactly the
-// legacy kernel's behaviour.
+// safe ReadsAll fallback: they are re-evaluated on every settle wave in
+// which any signal changed, which is exactly the legacy kernel's behaviour.
 //
 // Audit invariant (enforced by `vidi-lint`'s sensaudit analyzer statically
 // and by SetSensitivityCheck at runtime): every Wire/Data read reachable
@@ -51,7 +50,7 @@ type Sensitivity struct {
 }
 
 // ReadsEverything is the explicit conservative sensitivity: re-evaluate the
-// module on every wave and keep the whole design in one partition.
+// module on every wave in which anything changed.
 func ReadsEverything() Sensitivity { return Sensitivity{ReadsAll: true} }
 
 // Sensitive is a Module that declares its combinational footprint. Modules
@@ -128,9 +127,7 @@ type TickSensitive interface {
 // TickWakeable is an optional extension for TickSensitive modules that are
 // mutated out-of-band (not through a watched channel): the scheduler installs
 // a wake hook at Build time, and the module (or its collaborators) calls it
-// whenever state requiring a Tick changes. The hook may only be called from
-// the module's own partition — same rule as any shared-Go-state coupling, so
-// a correct design's Tie declarations already guarantee it.
+// whenever state requiring a Tick changes.
 type TickWakeable interface {
 	BindTickWake(wake func())
 }
@@ -170,10 +167,6 @@ type TickHorizon interface {
 // Tick (or any out-of-band mutator such as a queue Push) whenever registered
 // state that feeds Eval changes. The scheduler clears the flag each time it
 // runs the module's Eval.
-//
-// Touch may only be called from the module's own partition (its own Tick, a
-// tied collaborator, or outside a Step) — the same rule as any shared-Go-state
-// coupling, so a correct design's Tie declarations already guarantee it.
 type EvalTracker struct {
 	evalDirty bool
 	// hook, installed by Build, marks the module pending in the scheduler so
@@ -202,8 +195,7 @@ type evalHooked interface{ bindEvalHook(func()) }
 
 // NullEval is embeddable by modules whose Eval is a no-op (pure sequential
 // logic): it declares an empty sensitivity and permanent stability, so the
-// scheduler never re-evaluates them. Modules embedding it still need a Tie
-// if they share Go state with other modules' Eval or Tick.
+// scheduler never re-evaluates them.
 type NullEval struct{}
 
 // Eval implements Module as a no-op.
@@ -244,7 +236,7 @@ type Stats struct {
 	// EvalCalls is the number of Module.Eval invocations.
 	EvalCalls uint64
 	// SettleWaves is the total number of settle iterations (delta cycles)
-	// across all cycles and partitions.
+	// across all cycles.
 	SettleWaves uint64
 	// SkippedEvals counts module evaluations avoided by the dirty-set
 	// relative to the legacy re-evaluate-everything fixpoint.
@@ -257,29 +249,19 @@ type Stats struct {
 	// by a TickHorizon, so the scheduler advanced time without settling,
 	// checking or ticking anything.
 	BatchedCycles uint64
-	// Partitions is the number of independent components the sensitivity
-	// graph was split into at Build time (1 on the legacy kernel).
-	Partitions int
-	// SettleLayers is the depth of the partition dependency DAG: layers
-	// settle in order so declared cross-partition reads always observe
-	// settled values (1 on the legacy kernel).
-	SettleLayers int
 	// ReadsAllModules names the modules scheduled with the conservative
 	// ReadsAll fallback, in registration order. Each one is re-evaluated on
-	// every settle wave and forces its whole component into one partition,
-	// so a non-empty list is the first place to look when the scheduler is
-	// not skipping work; vidi-lint's sensaudit cannot audit them either.
+	// every settle wave in which any signal changed, so a non-empty list is
+	// the first place to look when the scheduler is not skipping work;
+	// vidi-lint's sensaudit cannot audit them either.
 	ReadsAllModules []string
 }
 
 // String formats the counters for vidi-bench -v.
 func (st Stats) String() string {
 	s := fmt.Sprintf(
-		"cycles=%d evals=%d waves=%d skipped=%d ticks-skipped=%d partitions=%d",
-		st.Cycles, st.EvalCalls, st.SettleWaves, st.SkippedEvals, st.SkippedTicks, st.Partitions)
-	if st.SettleLayers > 1 {
-		s += fmt.Sprintf(" layers=%d", st.SettleLayers)
-	}
+		"cycles=%d evals=%d waves=%d skipped=%d ticks-skipped=%d",
+		st.Cycles, st.EvalCalls, st.SettleWaves, st.SkippedEvals, st.SkippedTicks)
 	if st.BatchedCycles > 0 {
 		s += fmt.Sprintf(" batched=%d", st.BatchedCycles)
 	}
@@ -295,29 +277,26 @@ type modState struct {
 	stable  Stable        // nil: always evaluate on wave 0
 	clear   evalSettled   // non-nil: reset the module's EvalTracker after Eval
 	ticks   TickSensitive // non-nil: Tick may be gated on quiet cycles
-	part    int32         // owning partition index
 	pending bool
 	// needsTick wakes a gated module for the next clock edge. Written by the
-	// latch phase, by wake hooks and by earlier Ticks of the same partition.
-	// Meaningful only when ticks is non-nil; paired with the partition's
-	// awake counter.
+	// latch phase, by wake hooks and by earlier Ticks of the same cycle.
+	// Meaningful only when ticks is non-nil; paired with the awake counter.
 	needsTick bool
 }
 
-// partition is one node of the partition DAG: a group of modules that owns
-// every signal its members drive. Within a partition, module order is
-// registration order, same as the legacy kernel. A declared read of another
-// partition's signal places the reader in a strictly later settle layer, so
-// a change marks the remote reader pending before its partition settles.
-type partition struct {
-	modules    []int32 // module indices, ascending (registration order)
+// scheduler is the sensitivity-graph engine built by Simulator.Build: one
+// pending set over every module, settled and ticked in registration order,
+// the same order as the legacy kernel.
+type scheduler struct {
+	sim        *Simulator
+	mods       []modState
 	allReaders []int32 // modules with the ReadsAll fallback, ascending
 	seedAlways []int32 // modules without Stable: evaluate on wave 0 every cycle
 	seedPoll   []int32 // StablePoll modules: EvalStable consulted every cycle
 
 	// ungated counts modules without tick gating; awake counts gated modules
 	// whose needsTick flag is set. When both are zero the whole tick phase is
-	// skipped for the partition.
+	// skipped.
 	ungated int
 	awake   int
 
@@ -331,30 +310,20 @@ type partition struct {
 	tickSkips uint64
 
 	// telemetry bookkeeping, folded into the sink on scrape (never read
-	// during a Step). wakes
-	// counts event-driven pending marks (signal changes and Touch hooks);
-	// busyCycles counts cycles with at least one Eval; evalNS is the sampled
-	// settle time (every timingSampleEvery-th cycle, scaled back up).
+	// during a Step). wakes counts event-driven pending marks (signal changes
+	// and Touch hooks); busyCycles counts cycles with at least one Eval;
+	// evalNS is the sampled settle time (every timingSampleEvery-th cycle,
+	// scaled back up).
 	wakes      uint64
 	busyCycles uint64
 	evalNS     uint64
 
-	// track is the partition's Perfetto lane (nil without tracing); the
-	// span fields coalesce consecutive busy cycles into one span.
+	// track is the scheduler's Perfetto lane (nil without tracing); the span
+	// fields coalesce consecutive busy cycles into one span.
 	track     *telemetry.Track
 	spanOpen  bool
 	spanStart uint64
 	spanEnd   uint64
-}
-
-// scheduler is the sensitivity-graph engine built by Simulator.Build.
-type scheduler struct {
-	sim   *Simulator
-	mods  []modState
-	parts []partition
-
-	// layers lists partition indices per settle layer of the dependency DAG.
-	layers [][]int32
 
 	// horizons caches each module's TickHorizon implementation (nil if none);
 	// batchable is the static precondition for quiescence batching: every
@@ -364,8 +333,7 @@ type scheduler struct {
 	batchable     bool
 	batchedCycles uint64
 
-	// timed arms the sampled per-partition settle timing (telemetry sink
-	// attached).
+	// timed arms the sampled settle timing (telemetry sink attached).
 	timed bool
 
 	// readsAllNames lists the modules scheduled with the ReadsAll fallback,
@@ -373,93 +341,94 @@ type scheduler struct {
 	readsAllNames []string
 }
 
-// touched marks the readers of a changed signal pending, each in its own
-// partition. Readers in other partitions always sit in a strictly later
-// settle layer than the owner, so a change made while the owner settles
-// reaches them before their own layer runs; a change made by a Tick or by
-// the caller between Steps is picked up by the next settle.
-func (sc *scheduler) touched(g *sigcore) {
-	if g.part < 0 {
-		return
+// seed marks module mi pending for the current settle.
+func (sc *scheduler) seed(mi int32) {
+	if ms := &sc.mods[mi]; !ms.pending {
+		ms.pending = true
+		sc.pendingCount++
 	}
-	sc.parts[g.part].changedInWave = true
+}
+
+// wake marks module mi pending in response to an event (a signal change or
+// a Touch) and counts the wakeup.
+func (sc *scheduler) wake(mi int32) {
+	if ms := &sc.mods[mi]; !ms.pending {
+		ms.pending = true
+		sc.pendingCount++
+		sc.wakes++
+	}
+}
+
+// touched marks the readers of a changed signal pending. A change made
+// while settling is picked up by a later module in the same wave or by the
+// next wave; a change made by a Tick or by the caller between Steps is
+// picked up by the next settle.
+func (sc *scheduler) touched(g *sigcore) {
+	sc.changedInWave = true
 	for _, mi := range g.readers {
-		ms := &sc.mods[mi]
-		if !ms.pending {
-			ms.pending = true
-			q := &sc.parts[ms.part]
-			q.pendingCount++
-			q.wakes++
-		}
+		sc.wake(mi)
 	}
 }
 
 // Settle timing is sampled, not continuous: time.Now costs enough that
-// wrapping every partition's settle every cycle would show up against the
-// ≤2% telemetry overhead budget, so one cycle in timingSampleEvery is
-// measured and scaled back up. The sample phase is cycle-aligned, hence
-// deterministic; the measured value feeds a counter only and can never
-// perturb simulation behaviour.
+// wrapping every settle would show up against the ≤2% telemetry overhead
+// budget, so one cycle in timingSampleEvery is measured and scaled back up.
+// The sample phase is cycle-aligned, hence deterministic; the measured value
+// feeds a counter only and can never perturb simulation behaviour.
 const (
 	timingSampleEvery = 16
 	timingSampleMask  = timingSampleEvery - 1
 )
 
-// settlePart runs one cycle's combinational settle for one partition,
-// measuring the sampled settle time when a telemetry sink is attached.
+// settle runs one cycle's combinational phase, measuring the sampled settle
+// time when a telemetry sink is attached.
 //
 //lint:detaudit sampled wall-clock settle timing feeds only the vidi_sched_eval_ns_total telemetry counter, which the determinism tripwire excludes from comparison; no simulation or trace state derives from it
-func (sc *scheduler) settlePart(p *partition, cycle uint64, maxIters int) error {
+func (sc *scheduler) settle(cycle uint64, maxIters int) error {
 	if !sc.timed || cycle&timingSampleMask != 0 {
-		return sc.settlePartRun(p, cycle, maxIters)
+		return sc.settleRun(cycle, maxIters)
 	}
 	t0 := time.Now()
-	err := sc.settlePartRun(p, cycle, maxIters)
-	p.evalNS += uint64(time.Since(t0)) * timingSampleEvery
+	err := sc.settleRun(cycle, maxIters)
+	sc.evalNS += uint64(time.Since(t0)) * timingSampleEvery
 	return err
 }
 
-// settlePartRun is the settle worklist: a pending-set processed in
-// ascending module (registration) order, bounded by maxIters waves so
-// combinational loops are still detected.
-func (sc *scheduler) settlePartRun(p *partition, cycle uint64, maxIters int) error {
+// settleRun is the settle worklist: a pending set processed in ascending
+// module (registration) order, bounded by maxIters waves so combinational
+// loops are still detected. The first error stops the pass.
+func (sc *scheduler) settleRun(cycle uint64, maxIters int) error {
 	// Wave 0 seeds: everything already pending (an input changed or the
 	// module was Touched last cycle), plus the modules that declare no
 	// stability at all and the few whose stability must be polled. Everything
 	// else is event-driven: Touch and signal changes mark pending directly.
-	for _, mi := range p.seedAlways {
-		ms := &sc.mods[mi]
-		if !ms.pending {
-			ms.pending = true
-			p.pendingCount++
-		}
+	for _, mi := range sc.seedAlways {
+		sc.seed(mi)
 	}
-	for _, mi := range p.seedPoll {
-		ms := &sc.mods[mi]
-		if !ms.pending && !ms.stable.EvalStable() {
-			ms.pending = true
-			p.pendingCount++
+	for _, mi := range sc.seedPoll {
+		if !sc.mods[mi].stable.EvalStable() {
+			sc.seed(mi)
 		}
 	}
 	didWork := false
-	for wave := 0; p.pendingCount > 0; wave++ {
+	for wave := 0; sc.pendingCount > 0; wave++ {
 		if wave >= maxIters {
 			return fmt.Errorf("%w at cycle %d", ErrCombLoop, cycle)
 		}
-		p.changedInWave = false
+		sc.changedInWave = false
 		evals := uint64(0)
-		for _, mi := range p.modules {
+		for mi := range sc.mods {
 			ms := &sc.mods[mi]
 			if !ms.pending {
 				continue
 			}
 			ms.pending = false
-			p.pendingCount--
+			sc.pendingCount--
 			if pr := sc.sim.probe; pr != nil {
 				pr.begin()
 				ms.m.Eval()
 				pr.end()
-				if err := pr.check(int(mi), ms.m.Name(), cycle); err != nil {
+				if err := pr.check(mi, ms.m.Name(), cycle); err != nil {
 					return err
 				}
 			} else {
@@ -470,137 +439,108 @@ func (sc *scheduler) settlePartRun(p *partition, cycle uint64, maxIters int) err
 			}
 			evals++
 		}
-		p.evals += evals
-		p.waves++
-		p.skipped += uint64(len(p.modules)) - evals
+		sc.evals += evals
+		sc.waves++
+		sc.skipped += uint64(len(sc.mods)) - evals
 		if evals > 0 {
 			didWork = true
 		}
 		// A ReadsAll module re-evaluates on every wave in which anything
-		// in its partition changed, matching the legacy fixpoint.
-		if p.changedInWave {
-			for _, mi := range p.allReaders {
-				ms := &sc.mods[mi]
-				if !ms.pending {
-					ms.pending = true
-					p.pendingCount++
-				}
+		// changed, matching the legacy fixpoint.
+		if sc.changedInWave {
+			for _, mi := range sc.allReaders {
+				sc.seed(mi)
 			}
 		}
 	}
 	// The legacy kernel always runs one extra full pass per cycle: the final
 	// no-change confirmation (a quiet cycle is exactly one such pass).
-	p.skipped += uint64(len(p.modules))
+	sc.skipped += uint64(len(sc.mods))
 	if didWork {
-		p.busyCycles++
-		if p.track != nil {
-			p.noteBusy(cycle)
+		sc.busyCycles++
+		if sc.track != nil {
+			sc.noteBusy(cycle)
 		}
 	}
 	return nil
 }
 
-// noteBusy extends (or opens) the partition's coalesced busy span; runs of
-// consecutive active cycles become a single Perfetto slice, bounding event
-// volume on long runs.
-func (p *partition) noteBusy(cycle uint64) {
-	if p.spanOpen && p.spanEnd == cycle {
-		p.spanEnd = cycle + 1
+// noteBusy extends (or opens) the coalesced busy span; runs of consecutive
+// active cycles become a single Perfetto slice, bounding event volume on
+// long runs.
+func (sc *scheduler) noteBusy(cycle uint64) {
+	if sc.spanOpen && sc.spanEnd == cycle {
+		sc.spanEnd = cycle + 1
 		return
 	}
-	if p.spanOpen {
-		p.track.Span("busy", p.spanStart, p.spanEnd)
+	if sc.spanOpen {
+		sc.track.Span("busy", sc.spanStart, sc.spanEnd)
 	}
-	p.spanOpen, p.spanStart, p.spanEnd = true, cycle, cycle+1
+	sc.spanOpen, sc.spanStart, sc.spanEnd = true, cycle, cycle+1
 }
 
-// tickPart commits sequential state for one partition at the clock edge.
+// tick commits sequential state at the clock edge, in registration order.
 // Gated modules sleep through quiet cycles; a wake flag set by an earlier
-// module's Tick in the same partition is honoured in the same cycle (the
-// flag is read at the module's own slot), while a wake from a later module
-// persists to the next cycle — in both cases exactly when the legacy
-// kernel's effect would land, because module order is registration order.
-func (sc *scheduler) tickPart(p *partition) {
-	if p.ungated == 0 && p.awake == 0 {
+// module's Tick is honoured in the same cycle (the flag is read at the
+// module's own slot), while a wake from a later module persists to the next
+// cycle — in both cases exactly when the legacy kernel's effect would land.
+func (sc *scheduler) tick() {
+	if sc.ungated == 0 && sc.awake == 0 {
 		// Every module is gated and asleep: skip the scan entirely.
-		p.tickSkips += uint64(len(p.modules))
+		sc.tickSkips += uint64(len(sc.mods))
 		return
 	}
-	for _, mi := range p.modules {
-		ms := &sc.mods[mi]
+	for i := range sc.mods {
+		ms := &sc.mods[i]
 		if ms.ticks == nil {
 			ms.m.Tick()
 			continue
 		}
 		if !ms.needsTick {
-			p.tickSkips++
+			sc.tickSkips++
 			continue
 		}
 		ms.needsTick = false
-		p.awake--
+		sc.awake--
 		ms.m.Tick()
 		// Re-arm unless the module's own Tick already did (via a self-wake
 		// hook, which keeps the awake counter consistent).
 		if !ms.needsTick && !ms.ticks.TickStable() {
 			ms.needsTick = true
-			p.awake++
+			sc.awake++
 		}
 	}
 }
 
-// settle runs the combinational phase layer by layer, partition by
-// partition, so cross-partition reads (always from an earlier layer, by
-// construction of the DAG) observe settled values. The first error stops the
-// pass.
-func (sc *scheduler) settle(cycle uint64, maxIters int) error {
-	for _, layer := range sc.layers {
-		for _, pi := range layer {
-			if err := sc.settlePart(&sc.parts[pi], cycle, maxIters); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// tick runs the clock edge across all partitions in partition-index order.
-// A module's Tick may only write signals its own partition owns
-// (cross-partition coupling in the tick phase must be declared with Tie), so
-// the order across partitions matches the legacy kernel's registration
-// order for every effect a correct design can observe.
-func (sc *scheduler) tick() {
-	for i := range sc.parts {
-		sc.tickPart(&sc.parts[i])
+// wakeTick arms gated module mi's next Tick.
+func (sc *scheduler) wakeTick(mi int32) {
+	if ms := &sc.mods[mi]; !ms.needsTick {
+		ms.needsTick = true
+		sc.awake++
 	}
 }
 
 // quiesce reports how many of the next limit cycles can be skipped outright:
 // k > 0 means cycles [now, now+k) would each be a no-op — the combinational
-// network is frozen (nothing pending anywhere, every polled module stable),
-// every channel is idle or stalled on an unready consumer so the latch phase
+// network is frozen (nothing pending, every polled module stable), every
+// channel is idle or stalled on an unready consumer so the latch phase
 // cannot produce events, and every module that would tick has promised (via
 // TickHorizon) that its next k ticks are mechanical. On success the skipped
 // time has already been committed: horizons were advanced with SkipTicks and
-// the per-partition counters account the skipped work exactly as tick/eval
-// gating would have.
+// the counters account the skipped work exactly as tick/eval gating would
+// have.
 //
 // Frozen state also pins everything downstream of a Step: checker verdicts,
 // done() predicates and watchdog progress are functions of module and
 // channel state, none of which changes during the skipped stretch — which is
 // why Run can jump the clock without running them.
 func (sc *scheduler) quiesce(now, limit uint64) uint64 {
-	if limit == 0 {
+	if limit == 0 || sc.pendingCount > 0 {
 		return 0
 	}
-	for i := range sc.parts {
-		p := &sc.parts[i]
-		if p.pendingCount > 0 {
+	for _, mi := range sc.seedPoll {
+		if !sc.mods[mi].stable.EvalStable() {
 			return 0
-		}
-		for _, mi := range p.seedPoll {
-			if !sc.mods[mi].stable.EvalStable() {
-				return 0
-			}
 		}
 	}
 	for _, ch := range sc.sim.channels {
@@ -640,82 +580,20 @@ func (sc *scheduler) quiesce(now, limit uint64) uint64 {
 		}
 		sc.horizons[i].SkipTicks(k)
 	}
-	for i := range sc.parts {
-		p := &sc.parts[i]
-		n := uint64(len(p.modules))
-		p.skipped += k * n
-		p.tickSkips += k * n
-	}
+	n := uint64(len(sc.mods))
+	sc.skipped += k * n
+	sc.tickSkips += k * n
 	sc.batchedCycles += k
 	return k
 }
 
-// counters sums the per-partition counters into st.
+// counters adds the scheduler's counters into st.
 func (sc *scheduler) counters(st *Stats) {
-	for i := range sc.parts {
-		p := &sc.parts[i]
-		st.EvalCalls += p.evals
-		st.SettleWaves += p.waves
-		st.SkippedEvals += p.skipped
-		st.SkippedTicks += p.tickSkips
-	}
+	st.EvalCalls += sc.evals
+	st.SettleWaves += sc.waves
+	st.SkippedEvals += sc.skipped
+	st.SkippedTicks += sc.tickSkips
 	st.BatchedCycles += sc.batchedCycles
-}
-
-// Tie forces the given modules into the same partition even though they
-// share no declared signals. Use it when modules communicate through shared
-// Go state the sensitivity graph cannot see — a shared memory model, a
-// token bucket spent from several Ticks, callback hooks that mutate another
-// module's registers. Tied modules settle and tick sequentially relative to
-// each other (in registration order), exactly as on the legacy kernel.
-func (s *Simulator) Tie(ms ...Module) {
-	if len(ms) < 2 {
-		return
-	}
-	s.ties = append(s.ties, ms)
-	s.invalidate()
-}
-
-// PartitionLayout returns each partition's module names (registration order
-// within a partition, partitions ordered by lowest module index), building
-// the schedule if needed. The legacy kernel reports one partition holding
-// every module. It exists for tests and diagnostics: the tie-preservation
-// property test asserts over it that partitioning never splits a Tie group.
-func (s *Simulator) PartitionLayout() ([][]string, error) {
-	if !s.built {
-		if err := s.Build(); err != nil {
-			return nil, err
-		}
-	}
-	if s.sched == nil {
-		all := make([]string, len(s.modules))
-		for i, m := range s.modules {
-			all[i] = m.Name()
-		}
-		return [][]string{all}, nil
-	}
-	out := make([][]string, len(s.sched.parts))
-	for i := range s.sched.parts {
-		p := &s.sched.parts[i]
-		out[i] = make([]string, 0, len(p.modules))
-		for _, mi := range p.modules {
-			out[i] = append(out[i], s.sched.mods[mi].m.Name())
-		}
-	}
-	return out, nil
-}
-
-// TieGroups returns the declared Tie groups as module names, in declaration
-// order. Companion accessor to PartitionLayout for property tests.
-func (s *Simulator) TieGroups() [][]string {
-	out := make([][]string, len(s.ties))
-	for i, tie := range s.ties {
-		out[i] = make([]string, 0, len(tie))
-		for _, m := range tie {
-			out[i] = append(out[i], m.Name())
-		}
-	}
-	return out
 }
 
 // SetLegacy selects the seed kernel: a global delta-cycle fixpoint that
@@ -732,7 +610,7 @@ func (s *Simulator) Legacy() bool { return s.legacy }
 
 // invalidate discards the built schedule (folding its counters into the
 // simulator's running totals) so the next Step rebuilds it. Called whenever
-// the design changes: new modules, wires, channels, ties, or kernel knobs.
+// the design changes: new modules, wires, channels, or kernel knobs.
 func (s *Simulator) invalidate() {
 	if s.sched != nil {
 		s.sched.counters(&s.stats)
@@ -800,10 +678,10 @@ func (s *Simulator) checkNames() error {
 	})
 }
 
-// Build validates the design (unique names, resolvable ties) and compiles
-// the sensitivity graph: per-signal reader lists, connected components via
-// union-find over modules and signals, and the partition schedule. Step
-// calls it lazily; call it directly to surface configuration errors early.
+// Build validates the design (unique names, signals of this simulator) and
+// compiles the sensitivity graph: per-signal reader lists, wave-0 seeding
+// classes and tick-gating hooks. Step calls it lazily; call it directly to
+// surface configuration errors early.
 func (s *Simulator) Build() error {
 	s.invalidate()
 	if err := s.checkNames(); err != nil {
@@ -825,49 +703,23 @@ func (s *Simulator) Build() error {
 		return nil
 	}
 
-	nm := len(s.modules)
-	sigs := make([]*sigcore, 0, len(s.wires)+len(s.datas))
 	for _, w := range s.wires {
-		sigs = append(sigs, &w.sigcore)
+		w.readers = w.readers[:0]
 	}
 	for _, d := range s.datas {
-		sigs = append(sigs, &d.sigcore)
+		d.readers = d.readers[:0]
 	}
-	for i, g := range sigs {
-		g.id = int32(i)
-		g.part = -1
-		g.readers = g.readers[:0]
-	}
-
-	// Union-find nodes: [0,nm) modules, [nm,nm+len(sigs)) signals, plus a
-	// virtual "everything" node that ReadsAll modules attach to.
-	all := nm + len(sigs)
-	parent := make([]int32, all+1)
-	for i := range parent {
-		parent[i] = int32(i)
-	}
-	var find func(x int32) int32
-	find = func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int32) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
-
-	// Partition granularity: only drive edges merge a module with a signal,
-	// so a signal lives with its driver(s) and a reader in another component
-	// stays there — read edges become directed dependencies between
-	// partitions instead of merging them.
+	nm := len(s.modules)
 	sens := make([]Sensitivity, nm)
-	haveAll := false
-	var readsAllNames []string
+	sc := &scheduler{
+		sim:       s,
+		mods:      make([]modState, nm),
+		horizons:  make([]TickHorizon, nm),
+		batchable: true,
+	}
+	for _, ch := range s.channels {
+		ch.watchers = ch.watchers[:0]
+	}
 	for i, m := range s.modules {
 		if sn, ok := m.(Sensitive); ok {
 			sens[i] = sn.Sensitivity()
@@ -875,206 +727,59 @@ func (s *Simulator) Build() error {
 			sens[i] = ReadsEverything()
 		}
 		if sens[i].ReadsAll {
-			readsAllNames = append(readsAllNames, m.Name())
-			haveAll = true
-			union(int32(i), int32(all))
-			continue
-		}
-		for _, sg := range sens[i].Reads {
-			g := sg.sigmeta()
-			if g.sim != s {
-				return fmt.Errorf("sim: module %s reads signal %s of a different simulator", m.Name(), sg.Name())
-			}
-			g.readers = append(g.readers, int32(i))
-		}
-		for _, sg := range sens[i].Drives {
-			g := sg.sigmeta()
-			if g.sim != s {
-				return fmt.Errorf("sim: module %s drives signal %s of a different simulator", m.Name(), sg.Name())
-			}
-			union(int32(i), int32(nm)+g.id)
-		}
-	}
-	if haveAll {
-		for _, g := range sigs {
-			union(int32(all), int32(nm)+g.id)
-		}
-		// A ReadsAll module re-evaluates whenever anything in its partition
-		// changes (changedInWave), so every module — including pure readers
-		// not merged in by their read edges — must share its partition for
-		// that trigger to see all changes.
-		for i := 0; i < nm; i++ {
-			union(int32(all), int32(i))
-		}
-	}
-	midx := make(map[Module]int32, nm)
-	for i, m := range s.modules {
-		midx[m] = int32(i)
-	}
-	for _, tie := range s.ties {
-		first, ok := midx[tie[0]]
-		if !ok {
-			return fmt.Errorf("sim: tie references unregistered module %s", tie[0].Name())
-		}
-		for _, m := range tie[1:] {
-			mi, ok := midx[m]
-			if !ok {
-				return fmt.Errorf("sim: tie references unregistered module %s", m.Name())
-			}
-			union(first, mi)
-		}
-	}
-
-	// Settle-order analysis over the preliminary components: a signal's value
-	// flows from the component that drives it to every component that reads
-	// it, so those read edges must be acyclic to settle in one ordered pass.
-	// Tie merges can induce cycles invisible at module granularity (two
-	// groups reading each other's signals); Tarjan's SCC over the component
-	// graph finds them, and each SCC collapses into a single partition. The
-	// surviving condensation is a DAG whose longest-path layering becomes the
-	// settle schedule.
-	prelimOf := make(map[int32]int32)
-	var prelimRep []int32 // one representative module per component
-	for i := range s.modules {
-		root := find(int32(i))
-		if _, ok := prelimOf[root]; !ok {
-			prelimOf[root] = int32(len(prelimRep))
-			prelimRep = append(prelimRep, int32(i))
-		}
-	}
-	np := len(prelimRep)
-	adj := make([][]int32, np)
-	seenEdge := make(map[int64]struct{})
-	for _, g := range sigs {
-		src, driven := prelimOf[find(int32(nm)+g.id)]
-		if !driven {
-			continue // no driver: imposes no settle ordering
-		}
-		for _, mi := range g.readers {
-			dst := prelimOf[find(mi)]
-			if dst == src {
-				continue
-			}
-			key := int64(src)<<32 | int64(dst)
-			if _, dup := seenEdge[key]; dup {
-				continue
-			}
-			seenEdge[key] = struct{}{}
-			adj[src] = append(adj[src], dst)
-		}
-	}
-	sccIdx := make([]int32, np)
-	sccLow := make([]int32, np)
-	onStack := make([]bool, np)
-	for i := range sccIdx {
-		sccIdx[i] = -1
-	}
-	var sccStack []int32
-	var sccCounter int32
-	var strong func(v int32)
-	strong = func(v int32) {
-		sccIdx[v], sccLow[v] = sccCounter, sccCounter
-		sccCounter++
-		sccStack = append(sccStack, v)
-		onStack[v] = true
-		for _, w := range adj[v] {
-			if sccIdx[w] < 0 {
-				strong(w)
-				if sccLow[w] < sccLow[v] {
-					sccLow[v] = sccLow[w]
+			sc.readsAllNames = append(sc.readsAllNames, m.Name())
+			sc.allReaders = append(sc.allReaders, int32(i))
+		} else {
+			for _, sg := range sens[i].Reads {
+				g := sg.sigmeta()
+				if g.sim != s {
+					return fmt.Errorf("sim: module %s reads signal %s of a different simulator", m.Name(), sg.Name())
 				}
-			} else if onStack[w] && sccIdx[w] < sccLow[v] {
-				sccLow[v] = sccIdx[w]
+				g.readers = append(g.readers, int32(i))
 			}
-		}
-		if sccLow[v] == sccIdx[v] {
-			top := len(sccStack)
-			for {
-				top--
-				w := sccStack[top]
-				onStack[w] = false
-				if w == v {
-					break
+			for _, sg := range sens[i].Drives {
+				if sg.sigmeta().sim != s {
+					return fmt.Errorf("sim: module %s drives signal %s of a different simulator", m.Name(), sg.Name())
 				}
 			}
-			for _, w := range sccStack[top+1:] {
-				union(prelimRep[v], prelimRep[w])
-			}
-			sccStack = sccStack[:top]
 		}
-	}
-	for v := int32(0); v < int32(np); v++ {
-		if sccIdx[v] < 0 {
-			strong(v)
-		}
-	}
 
-	// Partitions in order of their lowest-index module, modules ascending
-	// inside each: evaluation order within a partition is registration
-	// order, same as the legacy kernel.
-	sc := &scheduler{sim: s, mods: make([]modState, nm)}
-	for _, ch := range s.channels {
-		ch.watchers = ch.watchers[:0]
-	}
-	sc.horizons = make([]TickHorizon, nm)
-	sc.batchable = true
-	compIdx := make(map[int32]int32)
-	for i, m := range s.modules {
 		if th, ok := m.(TickHorizon); ok {
 			sc.horizons[i] = th
 		}
-		root := find(int32(i))
-		pi, ok := compIdx[root]
-		if !ok {
-			pi = int32(len(sc.parts))
-			compIdx[root] = pi
-			sc.parts = append(sc.parts, partition{})
-		}
 		ms := &sc.mods[i]
 		ms.m = m
-		ms.part = pi
 		ms.pending = true // evaluate everything on the first cycle
+		sc.pendingCount++
 		if st, ok := m.(Stable); ok {
 			ms.stable = st
 		}
 		if cl, ok := m.(evalSettled); ok {
 			ms.clear = cl
 		}
-		p := &sc.parts[pi]
-		p.modules = append(p.modules, int32(i))
-		p.pendingCount++
-		if sens[i].ReadsAll {
-			p.allReaders = append(p.allReaders, int32(i))
-		}
 		// Wave-0 seeding class: no Stable at all → seed every cycle; a
 		// StablePoll module with an active external dependency → poll every
 		// cycle; everything else is event-driven via Touch and signal changes.
 		if ms.stable == nil {
-			p.seedAlways = append(p.seedAlways, int32(i))
+			sc.seedAlways = append(sc.seedAlways, int32(i))
 		} else if sp, ok := m.(StablePoll); ok && sp.NeedsStablePoll() {
-			p.seedPoll = append(p.seedPoll, int32(i))
+			sc.seedPoll = append(sc.seedPoll, int32(i))
 		}
 		if eh, ok := m.(evalHooked); ok {
-			st, pidx := ms, pi
-			eh.bindEvalHook(func() {
-				if !st.pending {
-					st.pending = true
-					sc.parts[pidx].pendingCount++
-					sc.parts[pidx].wakes++
-				}
-			})
+			mi := int32(i)
+			eh.bindEvalHook(func() { sc.wake(mi) })
 		}
 		if ts, ok := m.(TickSensitive); ok {
 			ms.ticks = ts
 			ms.needsTick = true // tick everything on the first cycle
-			p.awake++
+			sc.awake++
 			for _, ch := range ts.TickWatch() {
 				if ch != nil {
 					ch.watchers = append(ch.watchers, int32(i))
 				}
 			}
 		} else {
-			p.ungated++
+			sc.ungated++
 			if sc.horizons[i] == nil {
 				// An ungated module ticks every cycle with no horizon to
 				// bound the skip, so this design can never batch.
@@ -1086,88 +791,15 @@ func (s *Simulator) Build() error {
 				// Ungated modules tick every cycle; a wake is meaningless.
 				w.BindTickWake(nil)
 			} else {
-				st, pidx := ms, pi
-				w.BindTickWake(func() {
-					if !st.needsTick {
-						st.needsTick = true
-						sc.parts[pidx].awake++
-					}
-				})
+				mi := int32(i)
+				w.BindTickWake(func() { sc.wakeTick(mi) })
 			}
 		}
-	}
-	// Signal ownership: a signal lives with its driver component. A signal
-	// nobody drives through a declared Eval (test stimulus written between
-	// Steps, say) is adopted by its first reader's partition so changes still
-	// wake readers; it contributes no settle-order edges.
-	driven := make([]bool, len(sigs))
-	for si, g := range sigs {
-		if pi, ok := compIdx[find(int32(nm)+g.id)]; ok {
-			g.part = pi
-			driven[si] = true
-		} else if len(g.readers) > 0 {
-			g.part = sc.mods[g.readers[0]].part
-		}
-	}
-	// Layer the partition DAG by longest path: every remaining cross-
-	// partition read edge goes from a lower layer to a strictly higher one
-	// (cycles were collapsed by the SCC pass above), so settling layers in
-	// order guarantees declared reads always observe settled values.
-	npf := len(sc.parts)
-	fadj := make([][]int32, npf)
-	indeg := make([]int, npf)
-	seenEdge = make(map[int64]struct{})
-	for si, g := range sigs {
-		if !driven[si] {
-			continue
-		}
-		for _, mi := range g.readers {
-			dst := sc.mods[mi].part
-			if dst == g.part {
-				continue
-			}
-			key := int64(g.part)<<32 | int64(dst)
-			if _, dup := seenEdge[key]; dup {
-				continue
-			}
-			seenEdge[key] = struct{}{}
-			fadj[g.part] = append(fadj[g.part], dst)
-			indeg[dst]++
-		}
-	}
-	layerOf := make([]int, npf)
-	queue := make([]int32, 0, npf)
-	for i := 0; i < npf; i++ {
-		if indeg[i] == 0 {
-			queue = append(queue, int32(i))
-		}
-	}
-	maxLayer := 0
-	for qi := 0; qi < len(queue); qi++ {
-		v := queue[qi]
-		for _, w := range fadj[v] {
-			if layerOf[v]+1 > layerOf[w] {
-				layerOf[w] = layerOf[v] + 1
-				if layerOf[w] > maxLayer {
-					maxLayer = layerOf[w]
-				}
-			}
-			indeg[w]--
-			if indeg[w] == 0 {
-				queue = append(queue, int32(w))
-			}
-		}
-	}
-	sc.layers = make([][]int32, maxLayer+1)
-	for i := 0; i < npf; i++ {
-		sc.layers[layerOf[i]] = append(sc.layers[layerOf[i]], int32(i))
 	}
 
-	// Move signal state into the per-partition struct-of-arrays slabs now
-	// that ownership is final.
-	s.buildSlabs(npf)
+	// Move signal state into the struct-of-arrays slabs.
+	s.buildSlabs()
 
-	sc.readsAllNames = readsAllNames
 	if s.tel != nil {
 		sc.bindTelemetry(s.tel)
 	}
@@ -1185,14 +817,7 @@ func (s *Simulator) Stats() Stats {
 	st.Cycles = s.cycle
 	if s.sched != nil {
 		s.sched.counters(&st)
-		st.Partitions = len(s.sched.parts)
-		st.SettleLayers = len(s.sched.layers)
 		st.ReadsAllModules = append([]string(nil), s.sched.readsAllNames...)
-	} else {
-		// Legacy kernel (or no schedule built yet): one partition — never
-		// report a stale scheduler shape.
-		st.Partitions = 1
-		st.SettleLayers = 1
 	}
 	return st
 }

@@ -119,7 +119,6 @@ func runPipelines(t *testing.T, n, payloads int, legacy bool) [][]string {
 	for i, out := range outs {
 		probes[i] = &tapProbe{name: fmt.Sprintf("p%d.tap", i), s: s, ch: out}
 		s.Register(probes[i])
-		s.Tie(probes[i], senders[i]) // keep the probe with its pipeline
 	}
 	done := func() bool {
 		for _, snd := range senders {
@@ -132,12 +131,6 @@ func runPipelines(t *testing.T, n, payloads int, legacy bool) [][]string {
 	if _, err := s.Run(100000, done); err != nil {
 		t.Fatalf("run (legacy=%v): %v", legacy, err)
 	}
-	if !legacy {
-		st := s.Stats()
-		if st.Partitions < n {
-			t.Fatalf("got %d partitions for %d independent pipelines", st.Partitions, n)
-		}
-	}
 	logs := make([][]string, n)
 	for i, p := range probes {
 		logs[i] = p.log
@@ -145,10 +138,10 @@ func runPipelines(t *testing.T, n, payloads int, legacy bool) [][]string {
 	return logs
 }
 
-// TestPartitionedMatchesLegacy is the kernel's determinism regression: N
+// TestSchedulerMatchesLegacy is the kernel's determinism regression: N
 // independent pipelines must produce cycle-identical fire sequences on the
-// legacy fixpoint kernel and the partitioned scheduler.
-func TestPartitionedMatchesLegacy(t *testing.T) {
+// legacy fixpoint kernel and the sensitivity scheduler.
+func TestSchedulerMatchesLegacy(t *testing.T) {
 	const n, payloads = 8, 50
 	ref := runPipelines(t, n, payloads, true)
 	got := runPipelines(t, n, payloads, false)
@@ -194,12 +187,6 @@ func TestStatsCountSkippedEvals(t *testing.T) {
 	}
 	if after.Cycles != s.Cycle() {
 		t.Errorf("Stats.Cycles = %d, Cycle() = %d", after.Cycles, s.Cycle())
-	}
-	// Sender, fifo and receiver share no combinational signals (each reads
-	// only its own registered state), so every pipeline splits into three
-	// partitions.
-	if after.Partitions != 6 {
-		t.Errorf("Partitions = %d, want 6", after.Partitions)
 	}
 }
 
@@ -272,7 +259,7 @@ func TestTickGatingIdleDesignStopsTicking(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Let the drained design settle into full sleep, then count skips: with
-	// senders, fifos and always-ready receivers all gated, every partition
+	// senders, fifos and always-ready receivers all gated, the scheduler
 	// should skip its whole tick scan on every idle cycle.
 	for i := 0; i < 3; i++ {
 		if err := s.Step(); err != nil {
@@ -293,35 +280,16 @@ func TestTickGatingIdleDesignStopsTicking(t *testing.T) {
 	}
 }
 
-func TestTieMergesPartitions(t *testing.T) {
-	s := New()
-	senders, _ := buildPipelines(s, 3, 1, false)
-	if err := s.Build(); err != nil {
-		t.Fatal(err)
-	}
-	// Three modules per pipeline, no shared combinational signals.
-	if got := s.Stats().Partitions; got != 9 {
-		t.Fatalf("untied design has %d partitions, want 9", got)
-	}
-	s.Tie(senders[0], senders[2])
-	if err := s.Build(); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Stats().Partitions; got != 8 {
-		t.Fatalf("tied design has %d partitions, want 8", got)
-	}
-}
-
-func TestReadsAllFallbackForcesSinglePartition(t *testing.T) {
+func TestReadsAllFallbackReported(t *testing.T) {
 	s := New()
 	buildPipelines(s, 3, 1, false)
 	// nopModule does not implement Sensitive, so it gets the ReadsAll
-	// fallback, which must pull the whole design into one partition.
+	// fallback, which Stats must surface by name.
 	s.Register(&nopModule{name: "legacy-style"})
 	if err := s.Build(); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Stats().Partitions; got != 1 {
-		t.Fatalf("design with a ReadsAll module has %d partitions, want 1", got)
+	if got := s.Stats().ReadsAllModules; len(got) != 1 || got[0] != "legacy-style" {
+		t.Fatalf("ReadsAllModules = %v, want [legacy-style]", got)
 	}
 }

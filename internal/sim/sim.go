@@ -117,11 +117,10 @@ type Simulator struct {
 	// Sensitivity-graph schedule, compiled lazily by Build.
 	built bool
 	sched *scheduler
-	ties  [][]Module
 	stats Stats
 
 	// Struct-of-arrays signal state, rebuilt by Build: wire values,
-	// generation counters, and data-bus bytes, grouped by owning partition.
+	// generation counters, and data-bus bytes, in creation order.
 	// Wires and Datas are thin handles pointing into these slabs; the fields
 	// only anchor the current slabs against the garbage collector.
 	slabBools []bool
@@ -203,11 +202,7 @@ func (s *Simulator) Step() error {
 		}
 		if (ch.fired || ch.startedNow) && s.sched != nil {
 			for _, mi := range ch.watchers {
-				ms := &s.sched.mods[mi]
-				if !ms.needsTick {
-					ms.needsTick = true
-					s.sched.parts[ms.part].awake++
-				}
+				s.sched.wakeTick(mi)
 			}
 		}
 	}

@@ -1,14 +1,9 @@
 package sim
 
-import (
-	"fmt"
-	"strconv"
-
-	"vidi/internal/telemetry"
-)
+import "vidi/internal/telemetry"
 
 // SetTelemetry attaches a metrics/tracing sink to the simulator. The
-// scheduler keeps its counters on plain per-partition fields and registers a
+// scheduler keeps its counters on plain fields and registers a
 // fold-the-deltas callback that copies them into the sink when it is scraped
 // — telemetry never adds allocation to the hot path, which is what keeps
 // instrumented golden runs byte-identical.
@@ -20,77 +15,64 @@ func (s *Simulator) SetTelemetry(sink *telemetry.Sink) {
 	s.invalidate()
 }
 
-// schedGather is the per-partition delta state one bindTelemetry call
-// tracks between scrapes, so re-gathering (vidi-top after -metrics) never
-// double-counts.
+// schedGather is the delta state one bindTelemetry call tracks between
+// scrapes, so re-gathering (vidi-top after -metrics) never double-counts.
 type schedGather struct {
 	evals, waves, skipped, tickSkips *telemetry.Counter
-	wakes, busy, evalNS              *telemetry.Counter
+	wakes, busy, evalNS, batched     *telemetry.Counter
 	lastEvals, lastWaves             uint64
 	lastSkipped, lastTickSkips       uint64
 	lastWakes, lastBusy, lastEvalNS  uint64
+	lastBatched                      uint64
 }
 
-// bindTelemetry registers the schedule's series with the sink: shape gauges
-// set once, per-partition counters folded on scrape, and (with tracing) one
-// Perfetto track per partition carrying coalesced busy spans.
+// bindTelemetry registers the schedule's series with the sink: a shape
+// gauge set once, counters folded on scrape, and (with tracing) one Perfetto
+// "scheduler" track carrying coalesced busy spans.
 func (sc *scheduler) bindTelemetry(sink *telemetry.Sink) {
 	sc.timed = true
-	sink.Gauge("vidi_sched_partitions",
-		"Independent components of the sensitivity graph.").Set(float64(len(sc.parts)))
-	sink.Gauge("vidi_sched_layers",
-		"Settle layers of the partition dependency DAG.").Set(float64(len(sc.layers)))
 	sink.Gauge("vidi_sched_modules",
 		"Registered modules in the schedule.").Set(float64(len(sc.mods)))
 	cycles := sink.Gauge("vidi_sched_cycles",
 		"Completed clock cycles at the last scrape.")
-	batched := sink.Counter("vidi_sched_batched_cycles_total",
-		"Clock cycles skipped wholesale by quiescence batching.")
-	var lastBatched uint64
-
-	gs := make([]schedGather, len(sc.parts))
-	for i := range sc.parts {
-		lbl := telemetry.L("partition", strconv.Itoa(i))
-		gs[i] = schedGather{
-			evals: sink.Counter("vidi_sched_evals_total",
-				"Module Eval invocations.", lbl),
-			waves: sink.Counter("vidi_sched_waves_total",
-				"Settle iterations (delta cycles).", lbl),
-			skipped: sink.Counter("vidi_sched_skipped_evals_total",
-				"Eval calls avoided relative to the legacy fixpoint.", lbl),
-			tickSkips: sink.Counter("vidi_sched_skipped_ticks_total",
-				"Tick calls avoided by clock-edge gating.", lbl),
-			wakes: sink.Counter("vidi_sched_wakeups_total",
-				"Event-driven pending marks (signal changes and Touch hooks).", lbl),
-			busy: sink.Counter("vidi_sched_busy_cycles_total",
-				"Cycles in which the partition ran at least one Eval; against vidi_sched_cycles this is the partition's duty cycle.", lbl),
-			evalNS: sink.Counter("vidi_sched_eval_ns_total",
-				"Wall-clock nanoseconds spent settling the partition, sampled one cycle in 16 and scaled.", lbl),
-		}
-		if sink.Tracing() {
-			sc.parts[i].track = sink.Track("scheduler", fmt.Sprintf("partition %d", i))
-		}
+	g := &schedGather{
+		evals: sink.Counter("vidi_sched_evals_total",
+			"Module Eval invocations."),
+		waves: sink.Counter("vidi_sched_waves_total",
+			"Settle iterations (delta cycles)."),
+		skipped: sink.Counter("vidi_sched_skipped_evals_total",
+			"Eval calls avoided relative to the legacy fixpoint."),
+		tickSkips: sink.Counter("vidi_sched_skipped_ticks_total",
+			"Tick calls avoided by clock-edge gating."),
+		wakes: sink.Counter("vidi_sched_wakeups_total",
+			"Event-driven pending marks (signal changes and Touch hooks)."),
+		busy: sink.Counter("vidi_sched_busy_cycles_total",
+			"Cycles with at least one Eval; against vidi_sched_cycles this is the scheduler's duty cycle."),
+		evalNS: sink.Counter("vidi_sched_eval_ns_total",
+			"Wall-clock nanoseconds spent settling, sampled one cycle in 16 and scaled."),
+		batched: sink.Counter("vidi_sched_batched_cycles_total",
+			"Clock cycles skipped wholesale by quiescence batching."),
+	}
+	if sink.Tracing() {
+		sc.track = sink.Track("scheduler", "settle")
 	}
 	sink.OnGather(func() {
 		cycles.Set(float64(sc.sim.cycle))
-		batched.Add(sc.batchedCycles - lastBatched)
-		lastBatched = sc.batchedCycles
-		for i := range sc.parts {
-			p, g := &sc.parts[i], &gs[i]
-			g.evals.Add(p.evals - g.lastEvals)
-			g.waves.Add(p.waves - g.lastWaves)
-			g.skipped.Add(p.skipped - g.lastSkipped)
-			g.tickSkips.Add(p.tickSkips - g.lastTickSkips)
-			g.wakes.Add(p.wakes - g.lastWakes)
-			g.busy.Add(p.busyCycles - g.lastBusy)
-			g.evalNS.Add(p.evalNS - g.lastEvalNS)
-			g.lastEvals, g.lastWaves = p.evals, p.waves
-			g.lastSkipped, g.lastTickSkips = p.skipped, p.tickSkips
-			g.lastWakes, g.lastBusy, g.lastEvalNS = p.wakes, p.busyCycles, p.evalNS
-			if p.spanOpen {
-				p.track.Span("busy", p.spanStart, p.spanEnd)
-				p.spanOpen = false
-			}
+		g.evals.Add(sc.evals - g.lastEvals)
+		g.waves.Add(sc.waves - g.lastWaves)
+		g.skipped.Add(sc.skipped - g.lastSkipped)
+		g.tickSkips.Add(sc.tickSkips - g.lastTickSkips)
+		g.wakes.Add(sc.wakes - g.lastWakes)
+		g.busy.Add(sc.busyCycles - g.lastBusy)
+		g.evalNS.Add(sc.evalNS - g.lastEvalNS)
+		g.batched.Add(sc.batchedCycles - g.lastBatched)
+		g.lastEvals, g.lastWaves = sc.evals, sc.waves
+		g.lastSkipped, g.lastTickSkips = sc.skipped, sc.tickSkips
+		g.lastWakes, g.lastBusy, g.lastEvalNS = sc.wakes, sc.busyCycles, sc.evalNS
+		g.lastBatched = sc.batchedCycles
+		if sc.spanOpen {
+			sc.track.Span("busy", sc.spanStart, sc.spanEnd)
+			sc.spanOpen = false
 		}
 	})
 }

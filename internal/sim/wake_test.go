@@ -7,12 +7,12 @@ import (
 	"vidi/internal/telemetry"
 )
 
-// wakePattern is the value the cross-partition signal takes in each cycle's
+// wakePattern is the value the cross-module signal takes in each cycle's
 // settle. The last two entries are equal so the tick-path writer's final
 // write (for a cycle that never settles) changes nothing.
 var wakePattern = []bool{false, true, true, false, true, false, false, false, true, true, true, false, true, true}
 
-// wakeWriter owns the cross-partition signal. In "settle" mode its Eval
+// wakeWriter owns the cross-module signal. In "settle" mode its Eval
 // drives pattern[cycle]; in "tick" mode its Tick drives the next cycle's
 // value; in "caller" mode it never writes and the test drives the signal
 // between Steps.
@@ -37,7 +37,7 @@ func (m *wakeWriter) Tick() {
 	}
 }
 
-// wakeReader sits in a later settle layer: its Eval copies the writer's
+// wakeReader is registered after the writer: its Eval copies the writer's
 // signal to its own wire and logs the cycle it ran in, and its Tick logs
 // every cycle whose clock edge saw the copy high. EvalStable keeps it
 // asleep unless the signal wakes it.
@@ -65,9 +65,9 @@ func (m *wakeReader) Tick() {
 	}
 }
 
-// runWake builds the two-layer design, runs it for len(wakePattern)-1
+// runWake builds the writer→reader design, runs it for len(wakePattern)-1
 // cycles and returns the reader plus the simulator's telemetry snapshot.
-func runWake(t *testing.T, mode string, legacy bool) (*wakeReader, *Simulator, *telemetry.Snapshot) {
+func runWake(t *testing.T, mode string, legacy bool) (*wakeReader, *telemetry.Snapshot) {
 	t.Helper()
 	s := New()
 	s.SetLegacy(legacy)
@@ -85,16 +85,15 @@ func runWake(t *testing.T, mode string, legacy bool) (*wakeReader, *Simulator, *
 			t.Fatalf("%s legacy=%v cycle %d: %v", mode, legacy, c, err)
 		}
 	}
-	return r, s, sink.Gather()
+	return r, sink.Gather()
 }
 
-// TestCrossPartitionWakePaths covers the three ways a signal read across
-// partitions can change — the owner's Eval, the owner's Tick, and the
-// caller between Steps. In each, the reader must fire exactly as on the
-// legacy kernel, re-evaluate in the first Step whose settle sees the new
-// value (and in no other Step), and count each change as one wakeup of its
-// own partition.
-func TestCrossPartitionWakePaths(t *testing.T) {
+// TestCrossModuleWakePaths covers the three ways a signal another module
+// reads can change — the owner's Eval, the owner's Tick, and the caller
+// between Steps. In each, the reader must fire exactly as on the legacy
+// kernel, re-evaluate in the first Step whose settle sees the new value (and
+// in no other Step), and count each change as one wakeup.
+func TestCrossModuleWakePaths(t *testing.T) {
 	var wantEvals, wantFires []uint64
 	wantWakes := 0
 	for c := range wakePattern[:len(wakePattern)-1] {
@@ -110,26 +109,19 @@ func TestCrossPartitionWakePaths(t *testing.T) {
 	}
 	for _, mode := range []string{"settle", "tick", "caller"} {
 		t.Run(mode, func(t *testing.T) {
-			leg, _, _ := runWake(t, mode, true)
-			got, s, snap := runWake(t, mode, false)
+			leg, _ := runWake(t, mode, true)
+			got, snap := runWake(t, mode, false)
 			if !reflect.DeepEqual(leg.fires, wantFires) {
 				t.Fatalf("legacy fires %v, want %v", leg.fires, wantFires)
 			}
 			if !reflect.DeepEqual(got.fires, leg.fires) {
 				t.Fatalf("scheduler fires %v, legacy %v", got.fires, leg.fires)
 			}
-			if st := s.Stats(); st.Partitions != 2 || st.SettleLayers != 2 {
-				t.Fatalf("want a two-partition, two-layer design: %v", st)
-			}
 			if !reflect.DeepEqual(got.evals, wantEvals) {
 				t.Fatalf("reader evaluated in cycles %v, want %v", got.evals, wantEvals)
 			}
-			wakes := map[string]float64{}
-			for _, sr := range snap.Family("vidi_sched_wakeups_total").Series {
-				wakes[sr.Labels["partition"]] = sr.Value
-			}
-			if wakes["1"] != float64(wantWakes) {
-				t.Fatalf("reader partition wakeups %v, want %d (all: %v)", wakes["1"], wantWakes, wakes)
+			if wakes := snap.Total("vidi_sched_wakeups_total"); wakes != float64(wantWakes) {
+				t.Fatalf("wakeups %v, want %d", wakes, wantWakes)
 			}
 		})
 	}

@@ -3,14 +3,12 @@ package sim
 import "bytes"
 
 // sigcore is the scheduler-facing metadata embedded in every signal (Wire
-// and Data): a dense id and partition assigned at Build time, plus the list
-// of modules whose Eval reads the signal. When a signal changes value the
-// scheduler marks those readers pending instead of re-running every module.
+// and Data): the list of modules whose Eval reads the signal, compiled at
+// Build time. When a signal changes value the scheduler marks those readers
+// pending instead of re-running every module.
 type sigcore struct {
 	sim     *Simulator
-	id      int32
-	part    int32   // owning partition (the driver's component); -1 if unobserved
-	readers []int32 // reader modules, in any partition, ascending
+	readers []int32 // reader modules, ascending
 }
 
 func (g *sigcore) sigmeta() *sigcore { return g }
@@ -30,9 +28,8 @@ func (g *sigcore) changed() {
 // wire (or, on the legacy kernel, every module) until no wire changes.
 //
 // Storage is struct-of-arrays: the value and generation counter live in
-// slabs owned by the Simulator, grouped by partition so a partition's
-// signals sit together in memory. The Wire itself is a thin handle; until
-// the first Build the pointers target the handle's own inline fields.
+// slabs owned by the Simulator. The Wire itself is a thin handle; until the
+// first Build the pointers target the handle's own inline fields.
 type Wire struct {
 	sigcore
 	name string
@@ -89,12 +86,12 @@ func (w *Wire) Set(v bool) {
 
 // Data is a multi-byte bus (the DATA payload of a channel, an address bus,
 // and so on). Width is fixed at creation. Like Wire, it is a thin handle:
-// after Build the payload bytes live in a per-partition arena slab.
+// after Build the payload bytes live in an arena slab.
 type Data struct {
 	sigcore
 	name  string
 	width int
-	val   []byte // re-sliced into the partition arena at Build
+	val   []byte // re-sliced into the arena at Build
 	genv  uint64
 	gp    *uint64
 }
@@ -197,53 +194,32 @@ func allZero(b []byte) bool {
 }
 
 // buildSlabs moves every signal's value and generation state into
-// struct-of-arrays slabs grouped by owning partition. Current values and
-// generation counters are carried over — generations are monotone across
-// rebuilds, which is what lets observers cache them.
-func (s *Simulator) buildSlabs(nparts int) {
-	// Bucket signals by partition; unobserved signals (-1) share a trailing
-	// region.
-	bucket := func(part int32) int {
-		if part < 0 {
-			return nparts
-		}
-		return int(part)
-	}
-	wiresBy := make([][]*Wire, nparts+1)
-	datasBy := make([][]*Data, nparts+1)
+// struct-of-arrays slabs, in creation order. Current values and generation
+// counters are carried over — generations are monotone across rebuilds,
+// which is what lets observers cache them.
+func (s *Simulator) buildSlabs() {
 	bytesNeeded := 0
-	for _, w := range s.wires {
-		b := bucket(w.part)
-		wiresBy[b] = append(wiresBy[b], w)
-	}
 	for _, d := range s.datas {
-		b := bucket(d.part)
-		datasBy[b] = append(datasBy[b], d)
 		bytesNeeded += d.width
 	}
-
 	bools := make([]bool, len(s.wires))
 	gens := make([]uint64, len(s.wires)+len(s.datas))
 	arena := make([]byte, bytesNeeded)
 
-	bi, gi, ai := 0, 0, 0
-	for p := 0; p <= nparts; p++ {
-		for _, w := range wiresBy[p] {
-			bools[bi] = *w.vp
-			gens[gi] = *w.gp
-			w.vp = &bools[bi]
-			w.gp = &gens[gi]
-			bi++
-			gi++
-		}
-		for _, d := range datasBy[p] {
-			gens[gi] = *d.gp
-			d.gp = &gens[gi]
-			gi++
-			copy(arena[ai:ai+d.width], d.val)
-			d.val = arena[ai : ai+d.width : ai+d.width]
-			ai += d.width
-		}
+	for i, w := range s.wires {
+		bools[i] = *w.vp
+		gens[i] = *w.gp
+		w.vp = &bools[i]
+		w.gp = &gens[i]
+	}
+	gi, ai := len(s.wires), 0
+	for _, d := range s.datas {
+		gens[gi] = *d.gp
+		d.gp = &gens[gi]
+		gi++
+		copy(arena[ai:ai+d.width], d.val)
+		d.val = arena[ai : ai+d.width : ai+d.width]
+		ai += d.width
 	}
 	s.slabBools, s.slabGens, s.slabArena = bools, gens, arena
 }

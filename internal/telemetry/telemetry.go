@@ -121,7 +121,7 @@ func (s *Sink) Tracing() bool { return s != nil && s.tracer != nil }
 
 // OnGather registers a callback run at the start of every Gather and
 // WriteTrace. Components that keep private counters on their own structs
-// (the scheduler's per-partition counters) register a fold-the-deltas
+// (the scheduler's settle and tick counters) register a fold-the-deltas
 // callback here instead of touching telemetry on the hot path at all.
 func (s *Sink) OnGather(f func()) {
 	if s == nil || f == nil {

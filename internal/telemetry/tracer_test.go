@@ -32,7 +32,7 @@ func decodeTrace(t *testing.T, s *Sink) []map[string]any {
 // tracks.
 func TestTraceEventSchema(t *testing.T) {
 	s := New(WithTracing())
-	sched := s.Track("scheduler", "partition 0")
+	sched := s.Track("scheduler", "settle")
 	axi := s.Track("axi.pcis", "pcis.W")
 	sched.Span("busy", 10, 14)
 	axi.Span("txn", 12, 12) // zero-length: must widen, not vanish
