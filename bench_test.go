@@ -17,7 +17,6 @@ package vidi
 import (
 	"encoding/binary"
 	"testing"
-	"time"
 
 	"vidi/internal/baseline"
 	"vidi/internal/eval"
@@ -167,35 +166,6 @@ func BenchmarkSection6Bandwidth(b *testing.B) {
 		lossFrac = float64(rec.LostBytes) / float64(rec.Total)
 	}
 	b.ReportMetric(lossFrac*100, "lost-pct")
-}
-
-// BenchmarkKernel measures simulation throughput (cycles/sec) of an R2
-// recording per application under both simulation kernels: the legacy
-// re-evaluate-everything fixpoint and the sensitivity-graph scheduler.
-// This is the microbenchmark behind `vidi-bench -table kernel` /
-// BENCH_kernel.json.
-func BenchmarkKernel(b *testing.B) {
-	for _, name := range append(eval.DefaultTableApps(), "dma-irq") {
-		for _, k := range []struct {
-			kernel string
-			legacy bool
-		}{{"legacy", true}, {"sched", false}} {
-			b.Run(name+"/"+k.kernel, func(b *testing.B) {
-				var cycles uint64
-				start := time.Now()
-				for i := 0; i < b.N; i++ {
-					res, err := eval.Run(eval.RunConfig{
-						App: name, Scale: 1, Seed: 7, Cfg: eval.R2, LegacyKernel: k.legacy,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					cycles += res.Cycles
-				}
-				b.ReportMetric(float64(cycles)/time.Since(start).Seconds(), "cycles/sec")
-			})
-		}
-	}
 }
 
 // BenchmarkOrderlessBaseline quantifies why order-less record/replay

@@ -2,20 +2,20 @@
 // on a seeded Poisson process and execute tenant workflows (record,
 // replay, compare, degraded upload) against a live service — or a
 // self-hosted one — while every request carries a deterministic
-// X-Vidi-Request-Id. The run emits a JSON report (BENCH_serve.json) with
+// X-Vidi-Request-Id. The run emits a JSON report (-out) with
 // per-endpoint HDR latency quantiles, throughput, an error budget,
 // divergence accounting, and the correlation between the server's
 // /v1/slow exemplars and the client's own request records.
 //
 // Usage:
 //
-//	vidi-load -sessions 1200 -min-concurrent 1000 -out BENCH_serve.json
+//	vidi-load -sessions 1200 -min-concurrent 1000 -out load.json
 //	vidi-load -url http://host:9412 -sessions 500 -rate 200
 //
 // Exit status is non-zero on session failures, silent divergences, a
 // spent error budget, or a peak concurrency under -min-peak — so CI can
 // gate on the smoke run directly. Render the report with
-// `vidi-top -load BENCH_serve.json`.
+// `vidi-top -load load.json`.
 package main
 
 import (

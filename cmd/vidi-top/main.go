@@ -11,7 +11,7 @@
 //	vidi-top -trace timeline.json     # validate + summarise a trace_event timeline
 //	vidi-top -url http://host:9412    # scrape a live vidi-serve /metrics and inspect it
 //	vidi-top -url ... -watch 2s       # re-scrape and re-render on an interval
-//	vidi-top -load BENCH_serve.json   # render a vidi-load report (add -url for live quantiles)
+//	vidi-top -load load.json          # render a vidi-load report (add -url for live quantiles)
 //
 // File snapshots must be the JSON encoding (-metrics with a .json path);
 // -url reads the Prometheus text form a live /metrics endpoint serves.
@@ -43,7 +43,7 @@ func main() {
 	app := flag.String("app", "", "run one instrumented R2 recording of this app and inspect it: "+strings.Join(apps.Names(), ", "))
 	url := flag.String("url", "", "scrape a live /metrics endpoint (Prometheus text) and inspect it")
 	watch := flag.Duration("watch", 0, "with -url: re-scrape and re-render on this interval (0 = once)")
-	loadPath := flag.String("load", "", "render a vidi-load report (BENCH_serve.json)")
+	loadPath := flag.String("load", "", "render a vidi-load report (vidi-load -out)")
 	seed := flag.Int64("seed", 1, "environment timing seed (with -app)")
 	scale := flag.Int("scale", 1, "workload scale factor (with -app)")
 	topN := flag.Int("top", 8, "rows shown per table")
@@ -248,7 +248,7 @@ func renderLatency(w io.Writer, snap *telemetry.Snapshot) {
 	fmt.Fprintln(w)
 }
 
-// renderLoad renders a vidi-load report (BENCH_serve.json): the run
+// renderLoad renders a vidi-load report (vidi-load -out): the run
 // digest, the per-endpoint latency table, and the client's slowest
 // requests with their ids for cross-referencing against /v1/slow.
 func renderLoad(w io.Writer, path string, topN int) error {

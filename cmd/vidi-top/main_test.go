@@ -89,7 +89,7 @@ func TestRenderLoadReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "BENCH_serve.json")
+	path := filepath.Join(t.TempDir(), "load.json")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -17,17 +17,9 @@ import (
 // it.
 const tripwireEnv = "VIDI_TRIPWIRE"
 
-// volatileFamilies are the telemetry families legitimately allowed to vary
-// between runs: sampled wall-clock settle timing. Everything else —
-// scheduler eval counts, waves, wakeups, busy cycles, application
-// counters — must be byte-identical.
-var volatileFamilies = map[string]bool{
-	"vidi_sched_eval_ns_total": true,
-}
-
 // tripwireRun executes one R2 recording of app under the given GOMAXPROCS
 // (0 keeps the current setting), returning the trace bytes, the VCD dump
-// and the canonicalized telemetry snapshot.
+// and the telemetry snapshot as JSON.
 func tripwireRun(t *testing.T, app string, gomax int) (traceBytes, vcdBytes, telemetryBytes []byte) {
 	t.Helper()
 	if gomax > 0 {
@@ -50,31 +42,18 @@ func tripwireRun(t *testing.T, app string, gomax int) (traceBytes, vcdBytes, tel
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Trace.Bytes(), dump, canonicalSnapshot(t, sink.Gather())
-}
-
-// canonicalSnapshot renders a snapshot with the volatile families stripped,
-// as comparable JSON.
-func canonicalSnapshot(t *testing.T, snap *telemetry.Snapshot) []byte {
-	t.Helper()
-	kept := &telemetry.Snapshot{}
-	for _, f := range snap.Families {
-		if !volatileFamilies[f.Name] {
-			kept.Families = append(kept.Families, f)
-		}
+	var snap bytes.Buffer
+	if err := sink.Gather().WriteJSON(&snap); err != nil {
+		t.Fatalf("render snapshot: %v", err)
 	}
-	var buf bytes.Buffer
-	if err := kept.WriteJSON(&buf); err != nil {
-		t.Fatalf("canonicalize snapshot: %v", err)
-	}
-	return buf.Bytes()
+	return res.Trace.Bytes(), dump, snap.Bytes()
 }
 
 // TestDeterminismTripwire is the dynamic complement of the detaudit
 // analyzer: every golden application is executed once as a
 // reference and again at GOMAXPROCS 1 and at the host's CPU count, and
 // every run must produce byte-identical traces, VCD waveforms and telemetry
-// snapshots (volatile families excluded). A hidden dependence on anything
+// snapshots, every family included. A hidden dependence on anything
 // but the seed — a map-order leak into a trace frame, completion-order
 // result merging — shows up here as a byte diff. Armed via VIDI_TRIPWIRE=1;
 // CI runs it under -race in the race-golden job.

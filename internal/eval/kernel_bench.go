@@ -3,147 +3,73 @@ package eval
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"strings"
-	"time"
 
 	"vidi/internal/sim"
 	"vidi/internal/telemetry"
 )
 
-// KernelBenchRow compares one application's R2 recording throughput under
-// the legacy re-evaluate-everything fixpoint kernel and the sensitivity-
-// graph scheduler, together with the scheduler counters explaining the
-// difference.
-type KernelBenchRow struct {
-	App       string  `json:"app"`
-	Cycles    uint64  `json:"cycles"`
-	LegacySec float64 `json:"legacy_sec"`
-	SchedSec  float64 `json:"sched_sec"`
-	LegacyCPS float64 `json:"legacy_cycles_per_sec"`
-	SchedCPS  float64 `json:"sched_cycles_per_sec"`
-	Speedup   float64 `json:"speedup"`
-
-	// The scheduler run repeated with an armed metrics sink, and the
-	// relative throughput cost of instrumentation ((sched-sink)/sched; the
-	// acceptance budget is 2%).
-	SinkSec      float64 `json:"sink_sec"`
-	SinkCPS      float64 `json:"sink_cycles_per_sec"`
-	SinkDeltaPct float64 `json:"sink_delta_pct"`
-
+// KernelCounters are one configuration's exact simulation-kernel counters:
+// the cycle count both kernels agree on, each kernel's Eval calls, and the
+// scheduler's clock-edge-gated ticks and quiescence-batched cycles. They
+// depend on the seed alone, never on the host.
+type KernelCounters struct {
+	Cycles        uint64 `json:"cycles"`
 	LegacyEvals   uint64 `json:"legacy_eval_calls"`
 	SchedEvals    uint64 `json:"sched_eval_calls"`
-	SkippedEvals  uint64 `json:"sched_skipped_evals"`
 	SkippedTicks  uint64 `json:"sched_skipped_ticks"`
 	BatchedCycles uint64 `json:"sched_batched_cycles"`
 }
 
-// KernelStats holds the raw scheduler counters of the two runs behind a
-// row, for `vidi-bench -table kernel -v`.
-type KernelStats struct {
-	Legacy sim.Stats
-	Sched  sim.Stats
+// KernelBenchRow holds one application's counters for its R2 recording and
+// for the R3 replay of that recording.
+type KernelBenchRow struct {
+	App string         `json:"app"`
+	R2  KernelCounters `json:"r2"`
+	R3  KernelCounters `json:"r3"`
 }
 
-// KernelBench measures each application's R2 recording wall-clock under
-// both kernels and reports cycles/second and the speedup, plus a third
-// scheduler run with an armed metrics sink that prices the instrumentation
-// overhead. reps repeats each timed run and keeps the fastest (classic
-// best-of-N to shed scheduler/GC noise); the kernels must agree on the
-// cycle count or the row errors out — throughput comparisons between
-// diverging executions would be meaningless.
+// KernelStats holds what stands behind a row besides its counters: the raw
+// scheduler counters of its runs (legacy, then scheduler), for `vidi-bench
+// -table kernel -v`, and the telemetry sink of the scheduler R2 run.
+type KernelStats struct {
+	R2, R3 [2]sim.Stats
+	Sink   *telemetry.Sink
+}
+
+// KernelBench runs each application's R2 recording and then the R3 replay
+// of that trace, each once under the legacy fixpoint kernel and once under
+// the sensitivity scheduler, and tabulates the kernels' exact counters. A
+// row errors out when the kernels disagree on a cycle count or the R2
+// recording fails its golden check.
 //
-// The returned snapshot merges every instrumented run's metrics, each
-// app's series carrying an app=<name> const label — the artifact vidi-top
-// and the CI bench job consume.
-//
-//lint:detaudit wall-clock measurement is the benchmark's deliverable; every timed run's cycle count and trace are separately checked for determinism
-func KernelBench(appNames []string, scale, reps int, seed int64) ([]KernelBenchRow, map[string]KernelStats, *telemetry.Snapshot, error) {
-	if reps < 1 {
-		reps = 1
-	}
-	timed := func(app string, legacy bool) (time.Duration, *RunResult, error) {
-		best := time.Duration(0)
-		var res *RunResult
-		for r := 0; r < reps; r++ {
-			start := time.Now()
-			out, err := Run(RunConfig{App: app, Scale: scale, Seed: seed, Cfg: R2, LegacyKernel: legacy})
-			el := time.Since(start)
-			if err != nil {
-				return 0, nil, err
-			}
-			if out.CheckErr != nil {
-				return 0, nil, fmt.Errorf("%s golden check: %w", app, out.CheckErr)
-			}
-			if res == nil || el < best {
-				best, res = el, out
-			}
-		}
-		return best, res, nil
-	}
+// The scheduler R2 run carries an armed metrics sink (span recording too,
+// with tracing); the returned snapshot merges those sinks, each app's series
+// carrying an app=<name> const label — the BENCH_metrics.json artifact.
+func KernelBench(appNames []string, scale int, seed int64, tracing bool) ([]KernelBenchRow, map[string]KernelStats, *telemetry.Snapshot, error) {
 	rows := make([]KernelBenchRow, 0, len(appNames))
 	stats := make(map[string]KernelStats, len(appNames))
 	var snaps []*telemetry.Snapshot
 	for _, app := range appNames {
-		legDur, leg, err := timed(app, true)
+		opts := []telemetry.Option{telemetry.WithConstLabels(telemetry.L("app", app))}
+		if tracing {
+			opts = append(opts, telemetry.WithTracing())
+		}
+		sink := telemetry.New(opts...)
+		rc := RunConfig{App: app, Scale: scale, Seed: seed, Cfg: R2}
+		r2, r2Stats, rec, err := kernelPair(rc, sink)
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("kernel bench %s legacy: %w", app, err)
+			return nil, nil, nil, fmt.Errorf("kernel bench %s R2: %w", app, err)
 		}
-		schDur, sch, err := timed(app, false)
+		rc.Cfg, rc.ReplayTrace = R3, rec.Trace
+		r3, r3Stats, _, err := kernelPair(rc, nil)
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("kernel bench %s scheduler: %w", app, err)
+			return nil, nil, nil, fmt.Errorf("kernel bench %s R3: %w", app, err)
 		}
-		if sch.Cycles != leg.Cycles {
-			return nil, nil, nil, fmt.Errorf("kernel bench %s: kernels diverge (legacy %d cycles, scheduler %d)",
-				app, leg.Cycles, sch.Cycles)
-		}
-		// The instrumented run arms a fresh metrics sink per repetition so
-		// each gathers one run's worth of counts; the last rep's snapshot is
-		// kept (the run is deterministic, so they are all identical).
-		var sink *telemetry.Sink
-		sinkDur := time.Duration(0)
-		var snk *RunResult
-		for r := 0; r < reps; r++ {
-			s := telemetry.New(telemetry.WithConstLabels(telemetry.L("app", app)))
-			start := time.Now()
-			out, err := Run(RunConfig{App: app, Scale: scale, Seed: seed, Cfg: R2, Telemetry: s})
-			el := time.Since(start)
-			if err != nil {
-				return nil, nil, nil, fmt.Errorf("kernel bench %s instrumented: %w", app, err)
-			}
-			if out.CheckErr != nil {
-				return nil, nil, nil, fmt.Errorf("kernel bench %s instrumented: golden check: %w", app, out.CheckErr)
-			}
-			if snk == nil || el < sinkDur {
-				sinkDur, snk, sink = el, out, s
-			}
-		}
-		if sch.Cycles != snk.Cycles {
-			return nil, nil, nil, fmt.Errorf("kernel bench %s: kernels diverge (scheduler %d cycles, instrumented %d)",
-				app, sch.Cycles, snk.Cycles)
-		}
+		rows = append(rows, KernelBenchRow{App: app, R2: r2, R3: r3})
+		stats[app] = KernelStats{R2: r2Stats, R3: r3Stats, Sink: sink}
 		snaps = append(snaps, sink.Gather())
-		row := KernelBenchRow{
-			App:       app,
-			Cycles:    leg.Cycles,
-			LegacySec: legDur.Seconds(),
-			SchedSec:  schDur.Seconds(),
-			SinkSec:   sinkDur.Seconds(),
-			LegacyCPS: float64(leg.Cycles) / legDur.Seconds(),
-			SchedCPS:  float64(sch.Cycles) / schDur.Seconds(),
-			SinkCPS:   float64(snk.Cycles) / sinkDur.Seconds(),
-
-			LegacyEvals:   leg.Stats.EvalCalls,
-			SchedEvals:    sch.Stats.EvalCalls,
-			SkippedEvals:  sch.Stats.SkippedEvals,
-			SkippedTicks:  sch.Stats.SkippedTicks,
-			BatchedCycles: sch.Stats.BatchedCycles,
-		}
-		row.Speedup = row.SchedCPS / row.LegacyCPS
-		row.SinkDeltaPct = 100 * (row.SchedCPS - row.SinkCPS) / row.SchedCPS
-		rows = append(rows, row)
-		stats[app] = KernelStats{Legacy: leg.Stats, Sched: sch.Stats}
 	}
 	merged, err := telemetry.MergeSnapshots(snaps...)
 	if err != nil {
@@ -152,91 +78,68 @@ func KernelBench(appNames []string, scale, reps int, seed int64) ([]KernelBenchR
 	return rows, stats, merged, nil
 }
 
-// FormatKernelBench renders the kernel throughput table.
-func FormatKernelBench(rows []KernelBenchRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-9s %10s %14s %14s %8s %8s %12s %10s\n",
-		"App", "cycles", "legacy cyc/s", "sched cyc/s", "speedup", "sink Δ%", "legacy evals", "batched")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-9s %10d %14.0f %14.0f %7.2fx %7.2f%% %12d %10d\n",
-			r.App, r.Cycles, r.LegacyCPS, r.SchedCPS, r.Speedup, r.SinkDeltaPct,
-			r.LegacyEvals, r.BatchedCycles)
+// kernelPair runs rc under the legacy kernel and then under the scheduler
+// with sink attached, and returns the counters of the two runs, their raw
+// stats and the scheduler run's result.
+func kernelPair(rc RunConfig, sink *telemetry.Sink) (KernelCounters, [2]sim.Stats, *RunResult, error) {
+	var res [2]*RunResult
+	for i, legacy := range []bool{true, false} {
+		rc.LegacyKernel = legacy
+		if !legacy {
+			rc.Telemetry = sink
+		}
+		out, err := Run(rc)
+		if err != nil {
+			return KernelCounters{}, [2]sim.Stats{}, nil, err
+		}
+		if out.CheckErr != nil {
+			return KernelCounters{}, [2]sim.Stats{}, nil, fmt.Errorf("golden check (legacy=%v): %w", legacy, out.CheckErr)
+		}
+		res[i] = out
 	}
-	return b.String()
+	leg, sch := res[0], res[1]
+	if sch.Cycles != leg.Cycles {
+		return KernelCounters{}, [2]sim.Stats{}, nil, fmt.Errorf("kernels diverge (legacy %d cycles, scheduler %d)",
+			leg.Cycles, sch.Cycles)
+	}
+	return KernelCounters{
+		Cycles:        sch.Cycles,
+		LegacyEvals:   leg.Stats.EvalCalls,
+		SchedEvals:    sch.Stats.EvalCalls,
+		SkippedTicks:  sch.Stats.SkippedTicks,
+		BatchedCycles: sch.Stats.BatchedCycles,
+	}, [2]sim.Stats{leg.Stats, sch.Stats}, sch, nil
 }
 
-// GeomeanSpeedup is the geometric-mean scheduler speedup over the rows, the
-// headline number of the kernel table.
-func GeomeanSpeedup(rows []KernelBenchRow) float64 {
-	if len(rows) == 0 {
-		return 0
-	}
-	logsum := 0.0
+// FormatKernelBench renders the kernel counter table, one line per
+// application and configuration.
+func FormatKernelBench(rows []KernelBenchRow) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-9s %-3s %10s %13s %12s %14s %10s\n",
+		"App", "cfg", "cycles", "legacy evals", "sched evals", "skipped ticks", "batched")
 	for _, r := range rows {
-		logsum += math.Log(r.Speedup)
+		for i, c := range []KernelCounters{r.R2, r.R3} {
+			fmt.Fprintf(&b, "%-9s %-3s %10d %13d %12d %14d %10d\n",
+				r.App, []string{"R2", "R3"}[i], c.Cycles, c.LegacyEvals, c.SchedEvals,
+				c.SkippedTicks, c.BatchedCycles)
+		}
 	}
-	return math.Exp(logsum / float64(len(rows)))
+	return b.String()
 }
 
 // kernelBenchFile is the BENCH_kernel.json layout.
 type kernelBenchFile struct {
 	Scale int              `json:"scale"`
-	Reps  int              `json:"reps"`
 	Seed  int64            `json:"seed"`
 	Rows  []KernelBenchRow `json:"rows"`
 }
 
-// WriteKernelBenchJSON writes the rows (with their run parameters) as the
-// BENCH_kernel.json artifact consumed by CI's bench smoke job.
-func WriteKernelBenchJSON(path string, scale, reps int, seed int64, rows []KernelBenchRow) error {
-	buf, err := json.MarshalIndent(kernelBenchFile{Scale: scale, Reps: reps, Seed: seed, Rows: rows}, "", "  ")
+// WriteKernelBenchJSON writes the rows, with their run parameters, as the
+// committed BENCH_kernel.json artifact.
+func WriteKernelBenchJSON(path string, scale int, seed int64, rows []KernelBenchRow) error {
+	buf, err := json.MarshalIndent(kernelBenchFile{Scale: scale, Seed: seed, Rows: rows}, "", "  ")
 	if err != nil {
 		return err
 	}
 	return os.WriteFile(path, append(buf, '\n'), 0o644)
-}
-
-// LoadKernelBenchJSON reads a committed BENCH_kernel.json and returns its
-// rows keyed by app name, for the bench regression gate.
-func LoadKernelBenchJSON(path string) (map[string]KernelBenchRow, error) {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var f kernelBenchFile
-	if err := json.Unmarshal(buf, &f); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	out := make(map[string]KernelBenchRow, len(f.Rows))
-	for _, r := range f.Rows {
-		out[r.App] = r
-	}
-	return out, nil
-}
-
-// CheckKernelBaseline is CI's bench regression gate: it compares fresh rows
-// against the committed baseline and errors if any app's scheduler speedup
-// dropped more than tolPct percent below its previous value. Apps absent
-// from the baseline pass (new rows are allowed in); apps absent from the
-// fresh run are ignored (the gate guards regressions, not coverage — the
-// golden tests own coverage).
-func CheckKernelBaseline(baseline map[string]KernelBenchRow, rows []KernelBenchRow, tolPct float64) error {
-	var regressions []string
-	for _, r := range rows {
-		base, ok := baseline[r.App]
-		if !ok || base.Speedup <= 0 {
-			continue
-		}
-		floor := base.Speedup * (1 - tolPct/100)
-		if r.Speedup < floor {
-			regressions = append(regressions,
-				fmt.Sprintf("%s: speedup %.2fx < %.2fx (baseline %.2fx - %.0f%%)",
-					r.App, r.Speedup, floor, base.Speedup, tolPct))
-		}
-	}
-	if len(regressions) > 0 {
-		return fmt.Errorf("kernel bench regression vs committed baseline:\n  %s",
-			strings.Join(regressions, "\n  "))
-	}
-	return nil
 }

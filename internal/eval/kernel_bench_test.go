@@ -1,69 +1,70 @@
 package eval
 
 import (
-	"path/filepath"
-	"strings"
+	"encoding/json"
+	"os"
 	"testing"
 )
 
-// TestKernelBaselineGate exercises the CI bench regression gate on synthetic
-// rows: a speedup within tolerance (or an app new to the baseline) passes, a
-// drop beyond it fails and names the app.
-func TestKernelBaselineGate(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	base := []KernelBenchRow{
-		{App: "alpha", Speedup: 10},
-		{App: "beta", Speedup: 2},
+// TestKernelBenchRow runs the bench machinery itself on one short app: the
+// row is built twice and must come out identical, the R3 half must be
+// present, and the scheduler must make fewer Eval calls than the legacy
+// fixpoint in both halves.
+func TestKernelBenchRow(t *testing.T) {
+	var rows []KernelBenchRow
+	for i := 0; i < 2; i++ {
+		got, stats, snap, err := KernelBench([]string{"dma-irq"}, 1, 7, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 1 || snap == nil || len(snap.Families) == 0 {
+			t.Fatalf("rows=%d snap=%v", len(got), snap)
+		}
+		if stats["dma-irq"].Sink == nil {
+			t.Fatal("no scheduler R2 sink for dma-irq")
+		}
+		rows = append(rows, got[0])
 	}
-	if err := WriteKernelBenchJSON(path, 1, 2, 7, base); err != nil {
-		t.Fatal(err)
+	if rows[0] != rows[1] {
+		t.Fatalf("row differs between builds:\n  %+v\n  %+v", rows[0], rows[1])
 	}
-	loaded, err := LoadKernelBenchJSON(path)
-	if err != nil {
-		t.Fatal(err)
+	r := rows[0]
+	if r.R3.Cycles == 0 {
+		t.Fatalf("no R3 half: %+v", r)
 	}
-	if len(loaded) != 2 || loaded["alpha"].Speedup != 10 {
-		t.Fatalf("round-trip: %+v", loaded)
-	}
-
-	ok := []KernelBenchRow{
-		{App: "alpha", Speedup: 9.5}, // within 10%
-		{App: "beta", Speedup: 4},    // improved
-		{App: "gamma", Speedup: 1},   // new app, no baseline
-	}
-	if err := CheckKernelBaseline(loaded, ok, 10); err != nil {
-		t.Fatalf("tolerable rows rejected: %v", err)
-	}
-
-	bad := []KernelBenchRow{
-		{App: "alpha", Speedup: 8.5}, // 15% below
-		{App: "beta", Speedup: 2},
-	}
-	err = CheckKernelBaseline(loaded, bad, 10)
-	if err == nil {
-		t.Fatal("regressed row passed the gate")
-	}
-	if !strings.Contains(err.Error(), "alpha") || strings.Contains(err.Error(), "beta") {
-		t.Fatalf("gate error should name only the regressed app: %v", err)
+	for cfg, c := range map[string]KernelCounters{"R2": r.R2, "R3": r.R3} {
+		if c.LegacyEvals <= c.SchedEvals {
+			t.Errorf("%s: legacy evals %d do not exceed scheduler evals %d", cfg, c.LegacyEvals, c.SchedEvals)
+		}
 	}
 }
 
-// TestKernelBenchRow runs the bench machinery itself on one short app: the
-// row must carry the throughput figures and the scheduler counters the
-// table prints.
-func TestKernelBenchRow(t *testing.T) {
-	rows, stats, snap, err := KernelBench([]string{"dma-irq"}, 1, 1, 7)
+// TestKernelBenchCommitted rebuilds the committed BENCH_kernel.json rows of
+// the short apps and requires exact equality, so a counter that moves
+// without the file being regenerated fails plain `go test` as well as
+// `make bench`.
+func TestKernelBenchCommitted(t *testing.T) {
+	buf, err := os.ReadFile("../../BENCH_kernel.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 1 || snap == nil {
-		t.Fatalf("rows=%d snap=%v", len(rows), snap)
+	var f kernelBenchFile
+	if err := json.Unmarshal(buf, &f); err != nil {
+		t.Fatal(err)
 	}
-	r := rows[0]
-	if r.SchedCPS <= 0 || r.LegacyCPS <= 0 || r.Speedup <= 0 {
-		t.Fatalf("throughput figures: %+v", r)
+	want := make(map[string]KernelBenchRow, len(f.Rows))
+	for _, r := range f.Rows {
+		want[r.App] = r
 	}
-	if _, ok := stats[r.App]; !ok {
-		t.Fatalf("no raw stats for %s", r.App)
+	short := []string{"dma", "dma-irq", "stress"}
+	rows, _, _, err := KernelBench(short, f.Scale, f.Seed, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		if w, ok := want[r.App]; !ok || r != w {
+			t.Errorf("%s: counters %+v, committed %+v; regenerate with `make bench` and explain the move",
+				r.App, r, w)
+		}
 	}
 }

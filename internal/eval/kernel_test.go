@@ -9,37 +9,34 @@ import (
 	"vidi/internal/apps"
 )
 
-// goldenRun executes one R2 recording of app under the chosen kernel,
-// dumping the boundary VCD, and returns the trace bytes, the VCD bytes and
+// goldenRun executes rc under the chosen kernel, dumping the boundary VCD,
+// and returns the trace bytes (R3: the validation trace), the VCD bytes and
 // the cycle count. check arms the dynamic sensitivity audit, so any Eval
 // touching a signal outside its declaration fails the test.
-func goldenRun(t *testing.T, app string, legacy, check bool) (traceBytes, vcdBytes []byte, cycles uint64) {
+func goldenRun(t *testing.T, rc RunConfig, legacy, check bool) (traceBytes, vcdBytes []byte, cycles uint64) {
 	t.Helper()
-	vcd := filepath.Join(t.TempDir(), "dump.vcd")
-	res, err := Run(RunConfig{
-		App: app, Scale: 1, Seed: 7, Cfg: R2,
-		LegacyKernel: legacy, VCDPath: vcd,
-		SensitivityCheck: check,
-	})
+	rc.VCDPath = filepath.Join(t.TempDir(), "dump.vcd")
+	rc.LegacyKernel, rc.SensitivityCheck = legacy, check
+	res, err := Run(rc)
 	if err != nil {
-		t.Fatalf("%s (legacy=%v): %v", app, legacy, err)
+		t.Fatalf("%s/%s (legacy=%v): %v", rc.App, rc.Cfg, legacy, err)
 	}
 	if res.CheckErr != nil {
-		t.Fatalf("%s (legacy=%v): golden check: %v", app, legacy, res.CheckErr)
+		t.Fatalf("%s/%s (legacy=%v): golden check: %v", rc.App, rc.Cfg, legacy, res.CheckErr)
 	}
-	dump, err := os.ReadFile(vcd)
+	dump, err := os.ReadFile(rc.VCDPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res.Trace.Bytes(), dump, res.Cycles
 }
 
-// matchLegacy runs app's R2 recording on the legacy kernel and on the
-// scheduler and fails unless trace, VCD and cycle count are identical.
-func matchLegacy(t *testing.T, app string, check bool) {
+// matchLegacy runs rc on the legacy kernel and on the scheduler and fails
+// unless trace, VCD and cycle count are identical.
+func matchLegacy(t *testing.T, rc RunConfig, check bool) {
 	t.Helper()
-	refTrace, refVCD, refCycles := goldenRun(t, app, true, false)
-	gotTrace, gotVCD, gotCycles := goldenRun(t, app, false, check)
+	refTrace, refVCD, refCycles := goldenRun(t, rc, true, false)
+	gotTrace, gotVCD, gotCycles := goldenRun(t, rc, false, check)
 	if gotCycles != refCycles {
 		t.Errorf("cycles: scheduler %d, legacy %d", gotCycles, refCycles)
 	}
@@ -53,6 +50,11 @@ func matchLegacy(t *testing.T, app string, check bool) {
 	}
 }
 
+// goldenR2 is the R2 recording every golden comparison starts from.
+func goldenR2(app string) RunConfig {
+	return RunConfig{App: app, Scale: 1, Seed: 7, Cfg: R2}
+}
+
 // TestKernelGoldenDeterminism is the scheduler's end-to-end regression: for
 // every evaluation application, an R2 recording under the sensitivity
 // scheduler, with the sensitivity audit armed, must be byte-identical —
@@ -63,7 +65,7 @@ func TestKernelGoldenDeterminism(t *testing.T) {
 		app := app
 		t.Run(app, func(t *testing.T) {
 			t.Parallel()
-			matchLegacy(t, app, true)
+			matchLegacy(t, goldenR2(app), true)
 		})
 	}
 }
@@ -77,33 +79,32 @@ func TestKernelGoldenWorkerMatrix(t *testing.T) {
 		app := app
 		t.Run(app, func(t *testing.T) {
 			t.Parallel()
-			matchLegacy(t, app, false)
+			matchLegacy(t, goldenR2(app), false)
 		})
 	}
 }
 
 // TestKernelGoldenReplay extends the golden check through a full
-// record/replay cycle: the validation trace an R3 replay records must not
-// depend on which kernel ran the replay.
+// record/replay cycle: for every evaluation application, the R3 replay of
+// an R2 recording must produce the same validation trace, VCD waveform and
+// cycle count under the scheduler, sensitivity audit armed, as under the
+// legacy fixpoint kernel.
 func TestKernelGoldenReplay(t *testing.T) {
-	rec, err := Run(RunConfig{App: "dma-irq", Scale: 1, Seed: 7, Cfg: R2, SensitivityCheck: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var val [][]byte
-	for _, legacy := range []bool{true, false} {
-		rep, err := Run(RunConfig{
-			App: "dma-irq", Scale: 1, Seed: 7, Cfg: R3,
-			ReplayTrace: rec.Trace, LegacyKernel: legacy,
-			SensitivityCheck: true,
+	for _, app := range apps.Names() {
+		app := app
+		t.Run(app, func(t *testing.T) {
+			t.Parallel()
+			rec, err := Run(goldenR2(app))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec.CheckErr != nil {
+				t.Fatalf("recording: golden check: %v", rec.CheckErr)
+			}
+			rc := goldenR2(app)
+			rc.Cfg, rc.ReplayTrace = R3, rec.Trace
+			matchLegacy(t, rc, true)
 		})
-		if err != nil {
-			t.Fatalf("replay (legacy=%v): %v", legacy, err)
-		}
-		val = append(val, rep.Trace.Bytes())
-	}
-	if !bytes.Equal(val[0], val[1]) {
-		t.Fatal("R3 validation traces differ between kernels")
 	}
 }
 

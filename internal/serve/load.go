@@ -145,7 +145,7 @@ type EndpointStats struct {
 	P999MS   float64 `json:"p999_ms"`
 }
 
-// LoadReport is the JSON artifact a load run emits (BENCH_serve.json).
+// LoadReport is the JSON report a load run emits (vidi-load -out).
 type LoadReport struct {
 	Seed           int64   `json:"seed"`
 	URL            string  `json:"url"`

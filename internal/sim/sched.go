@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"vidi/internal/telemetry"
 )
@@ -311,12 +310,9 @@ type scheduler struct {
 
 	// telemetry bookkeeping, folded into the sink on scrape (never read
 	// during a Step). wakes counts event-driven pending marks (signal changes
-	// and Touch hooks); busyCycles counts cycles with at least one Eval;
-	// evalNS is the sampled settle time (every timingSampleEvery-th cycle,
-	// scaled back up).
+	// and Touch hooks); busyCycles counts cycles with at least one Eval.
 	wakes      uint64
 	busyCycles uint64
-	evalNS     uint64
 
 	// track is the scheduler's Perfetto lane (nil without tracing); the span
 	// fields coalesce consecutive busy cycles into one span.
@@ -332,9 +328,6 @@ type scheduler struct {
 	horizons      []TickHorizon
 	batchable     bool
 	batchedCycles uint64
-
-	// timed arms the sampled settle timing (telemetry sink attached).
-	timed bool
 
 	// readsAllNames lists the modules scheduled with the ReadsAll fallback,
 	// in registration order, so Stats can surface conservative fallbacks.
@@ -370,34 +363,11 @@ func (sc *scheduler) touched(g *sigcore) {
 	}
 }
 
-// Settle timing is sampled, not continuous: time.Now costs enough that
-// wrapping every settle would show up against the ≤2% telemetry overhead
-// budget, so one cycle in timingSampleEvery is measured and scaled back up.
-// The sample phase is cycle-aligned, hence deterministic; the measured value
-// feeds a counter only and can never perturb simulation behaviour.
-const (
-	timingSampleEvery = 16
-	timingSampleMask  = timingSampleEvery - 1
-)
-
-// settle runs one cycle's combinational phase, measuring the sampled settle
-// time when a telemetry sink is attached.
-//
-//lint:detaudit sampled wall-clock settle timing feeds only the vidi_sched_eval_ns_total telemetry counter, which the determinism tripwire excludes from comparison; no simulation or trace state derives from it
+// settle runs one cycle's combinational phase as a worklist: a pending set
+// processed in ascending module (registration) order, bounded by maxIters
+// waves so combinational loops are still detected. The first error stops
+// the pass.
 func (sc *scheduler) settle(cycle uint64, maxIters int) error {
-	if !sc.timed || cycle&timingSampleMask != 0 {
-		return sc.settleRun(cycle, maxIters)
-	}
-	t0 := time.Now()
-	err := sc.settleRun(cycle, maxIters)
-	sc.evalNS += uint64(time.Since(t0)) * timingSampleEvery
-	return err
-}
-
-// settleRun is the settle worklist: a pending set processed in ascending
-// module (registration) order, bounded by maxIters waves so combinational
-// loops are still detected. The first error stops the pass.
-func (sc *scheduler) settleRun(cycle uint64, maxIters int) error {
 	// Wave 0 seeds: everything already pending (an input changed or the
 	// module was Touched last cycle), plus the modules that declare no
 	// stability at all and the few whose stability must be polled. Everything

@@ -19,18 +19,16 @@ func (s *Simulator) SetTelemetry(sink *telemetry.Sink) {
 // scrapes, so re-gathering (vidi-top after -metrics) never double-counts.
 type schedGather struct {
 	evals, waves, skipped, tickSkips *telemetry.Counter
-	wakes, busy, evalNS, batched     *telemetry.Counter
+	wakes, busy, batched             *telemetry.Counter
 	lastEvals, lastWaves             uint64
 	lastSkipped, lastTickSkips       uint64
-	lastWakes, lastBusy, lastEvalNS  uint64
-	lastBatched                      uint64
+	lastWakes, lastBusy, lastBatched uint64
 }
 
 // bindTelemetry registers the schedule's series with the sink: a shape
 // gauge set once, counters folded on scrape, and (with tracing) one Perfetto
 // "scheduler" track carrying coalesced busy spans.
 func (sc *scheduler) bindTelemetry(sink *telemetry.Sink) {
-	sc.timed = true
 	sink.Gauge("vidi_sched_modules",
 		"Registered modules in the schedule.").Set(float64(len(sc.mods)))
 	cycles := sink.Gauge("vidi_sched_cycles",
@@ -48,8 +46,6 @@ func (sc *scheduler) bindTelemetry(sink *telemetry.Sink) {
 			"Event-driven pending marks (signal changes and Touch hooks)."),
 		busy: sink.Counter("vidi_sched_busy_cycles_total",
 			"Cycles with at least one Eval; against vidi_sched_cycles this is the scheduler's duty cycle."),
-		evalNS: sink.Counter("vidi_sched_eval_ns_total",
-			"Wall-clock nanoseconds spent settling, sampled one cycle in 16 and scaled."),
 		batched: sink.Counter("vidi_sched_batched_cycles_total",
 			"Clock cycles skipped wholesale by quiescence batching."),
 	}
@@ -64,12 +60,10 @@ func (sc *scheduler) bindTelemetry(sink *telemetry.Sink) {
 		g.tickSkips.Add(sc.tickSkips - g.lastTickSkips)
 		g.wakes.Add(sc.wakes - g.lastWakes)
 		g.busy.Add(sc.busyCycles - g.lastBusy)
-		g.evalNS.Add(sc.evalNS - g.lastEvalNS)
 		g.batched.Add(sc.batchedCycles - g.lastBatched)
 		g.lastEvals, g.lastWaves = sc.evals, sc.waves
 		g.lastSkipped, g.lastTickSkips = sc.skipped, sc.tickSkips
-		g.lastWakes, g.lastBusy, g.lastEvalNS = sc.wakes, sc.busyCycles, sc.evalNS
-		g.lastBatched = sc.batchedCycles
+		g.lastWakes, g.lastBusy, g.lastBatched = sc.wakes, sc.busyCycles, sc.batchedCycles
 		if sc.spanOpen {
 			sc.track.Span("busy", sc.spanStart, sc.spanEnd)
 			sc.spanOpen = false
