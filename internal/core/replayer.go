@@ -36,6 +36,22 @@ func (c *Coordinator) Tick() {
 	}
 }
 
+// TickHorizon implements sim.TickHorizon. A processing pass stops only where
+// T_current, the decoder's released count or a handshake must move before
+// it can go on, and on a frozen network none of them does: every further
+// pass stops at the same place, having changed nothing but gate stalls.
+func (c *Coordinator) TickHorizon(now uint64) uint64 { return sim.NoHorizon }
+
+// SkipTicks implements sim.TickHorizon: each skipped pass would have parked
+// the same replayers on the happens-before gate again.
+func (c *Coordinator) SkipTicks(n uint64) {
+	for _, r := range c.replayers {
+		if r.parked {
+			r.gateStalls += n
+		}
+	}
+}
+
 // Completed broadcasts that a transaction completed on channel ci.
 func (c *Coordinator) Completed(ci int) { c.tcur.Inc(ci) }
 
@@ -92,6 +108,20 @@ func (d *Decoder) Tick() {
 
 // Done reports whether the whole trace has been released to the replayers.
 func (d *Decoder) Done() bool { return d.released >= len(d.tr.Packets) }
+
+// TickHorizon implements sim.TickHorizon: while packets remain unreleased
+// every Tick draws on the store, so the decoder declines; once the whole
+// trace is released its Tick is a no-op.
+func (d *Decoder) TickHorizon(now uint64) uint64 {
+	if d.Done() {
+		return sim.NoHorizon
+	}
+	return now
+}
+
+// SkipTicks implements sim.TickHorizon; a released decoder has no state
+// to advance.
+func (d *Decoder) SkipTicks(uint64) {}
 
 // ownPacket extracts channel ci's channel packet from a cycle packet:
 // whether it starts, its content (input channels only), and whether it ends.
@@ -153,6 +183,8 @@ type Replayer struct {
 	// precondition (T_current < T_expected) — the replay-side analogue of
 	// recording back-pressure. Folded into the telemetry sink on scrape.
 	gateStalls uint64
+	// parked marks that the last pass ended on that precondition.
+	parked bool
 }
 
 // NewReplayer creates the replayer for boundary channel index ci.
@@ -208,13 +240,24 @@ func (r *Replayer) Tick() {
 	}
 }
 
+// TickHorizon implements sim.TickHorizon: the Tick only reacts to a
+// handshake on the environment channel, and the scheduler batches only
+// cycles on which no channel can latch one.
+func (r *Replayer) TickHorizon(now uint64) uint64 { return sim.NoHorizon }
+
+// SkipTicks implements sim.TickHorizon; a Tick without a handshake changes
+// nothing.
+func (r *Replayer) SkipTicks(uint64) {}
+
 // process is phase B: recreate as many trace events as preconditions allow.
 func (r *Replayer) process() {
 	input := r.bc.Info.Dir == trace.Input
+	r.parked = false
 	for r.idx < r.dec.released {
 		item := r.dec.ownPacket(r.dec.tr.Packets[r.idx], r.ci)
 		if (item.Start || item.End) && !r.coord.Current().Geq(r.texp) {
 			r.gateStalls++
+			r.parked = true
 			return // happens-before precondition not yet satisfied
 		}
 		if item.Start && !r.startIssued {
@@ -238,8 +281,10 @@ func (r *Replayer) process() {
 				// Output channel: attempt to end the transaction by
 				// asserting READY, then wait for the handshake.
 				if r.firedPending == 0 {
-					r.ready = true
-					r.Touch()
+					if !r.ready {
+						r.ready = true
+						r.Touch()
+					}
 					return
 				}
 				r.firedPending--

@@ -4,19 +4,26 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"vidi/internal/apps"
+	"vidi/internal/telemetry"
 )
 
 // goldenRun executes rc under the chosen kernel, dumping the boundary VCD,
-// and returns the trace bytes (R3: the validation trace), the VCD bytes and
-// the cycle count. check arms the dynamic sensitivity audit, so any Eval
-// touching a signal outside its declaration fails the test.
-func goldenRun(t *testing.T, rc RunConfig, legacy, check bool) (traceBytes, vcdBytes []byte, cycles uint64) {
+// and returns the trace bytes (R3: the validation trace), the VCD bytes, the
+// cycle count and, for a replay, the snapshot of a metrics sink armed for the
+// run. check arms the dynamic sensitivity audit, so any Eval touching a
+// signal outside its declaration fails the test.
+func goldenRun(t *testing.T, rc RunConfig, legacy, check bool) (traceBytes, vcdBytes []byte, cycles uint64, snap *telemetry.Snapshot) {
 	t.Helper()
 	rc.VCDPath = filepath.Join(t.TempDir(), "dump.vcd")
 	rc.LegacyKernel, rc.SensitivityCheck = legacy, check
+	if rc.ReplayTrace != nil {
+		rc.Telemetry = telemetry.New()
+	}
 	res, err := Run(rc)
 	if err != nil {
 		t.Fatalf("%s/%s (legacy=%v): %v", rc.App, rc.Cfg, legacy, err)
@@ -28,15 +35,21 @@ func goldenRun(t *testing.T, rc RunConfig, legacy, check bool) (traceBytes, vcdB
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Trace.Bytes(), dump, res.Cycles
+	if rc.Telemetry != nil {
+		snap = rc.Telemetry.Gather()
+	}
+	return res.Trace.Bytes(), dump, res.Cycles, snap
 }
 
 // matchLegacy runs rc on the legacy kernel and on the scheduler and fails
-// unless trace, VCD and cycle count are identical.
+// unless trace, VCD and cycle count are identical. For a replay it also
+// requires identical replay telemetry: the legacy kernel never batches, so
+// its per-channel gate stalls and fetch stalls are the per-cycle reference
+// for the counts batched cycles fold in.
 func matchLegacy(t *testing.T, rc RunConfig, check bool) {
 	t.Helper()
-	refTrace, refVCD, refCycles := goldenRun(t, rc, true, false)
-	gotTrace, gotVCD, gotCycles := goldenRun(t, rc, false, check)
+	refTrace, refVCD, refCycles, refSnap := goldenRun(t, rc, true, false)
+	gotTrace, gotVCD, gotCycles, gotSnap := goldenRun(t, rc, false, check)
 	if gotCycles != refCycles {
 		t.Errorf("cycles: scheduler %d, legacy %d", gotCycles, refCycles)
 	}
@@ -47,6 +60,25 @@ func matchLegacy(t *testing.T, rc RunConfig, check bool) {
 	if !bytes.Equal(gotVCD, refVCD) {
 		t.Errorf("VCD dumps differ (scheduler %d bytes, legacy %d bytes)",
 			len(gotVCD), len(refVCD))
+	}
+	if rc.ReplayTrace == nil {
+		return
+	}
+	replayFamilies := func(snap *telemetry.Snapshot) []telemetry.FamilySnap {
+		var fs []telemetry.FamilySnap
+		for _, f := range snap.Families {
+			if strings.HasPrefix(f.Name, "vidi_replay_") {
+				fs = append(fs, f)
+			}
+		}
+		return fs
+	}
+	ref, got := replayFamilies(refSnap), replayFamilies(gotSnap)
+	if len(ref) == 0 {
+		t.Error("legacy replay reported no vidi_replay_* telemetry")
+	}
+	if !reflect.DeepEqual(got, ref) {
+		t.Errorf("replay telemetry differs:\n  scheduler %+v\n  legacy    %+v", got, ref)
 	}
 }
 
