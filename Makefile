@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint waivers vuln staticcheck fmt-check test test-short test-race race-golden fuzz-smoke fuzz-guided-smoke fuzz-native telemetry-smoke serve-chaos-smoke serve-chaos serve-load-smoke bench-test ci bench tables examples clean
+.PHONY: all build vet lint waivers vuln staticcheck fmt-check test test-short test-race race-golden fuzz-smoke fuzz-guided-smoke fuzz-native telemetry-smoke serve-chaos-smoke serve-chaos serve-load-smoke bench-smoke bench-test ci bench tables examples clean
 
 all: build vet lint test
 
@@ -125,13 +125,18 @@ SERVE_LOAD_FLAGS = -sessions 1100 -min-concurrent 1000 -min-peak 1000 \
 serve-load-smoke:
 	$(GO) run -race ./cmd/vidi-load $(SERVE_LOAD_FLAGS) -out serve-load-race.json
 
+# One iteration of every Go benchmark: catches benchmarks that no longer
+# compile or crash, without the noise of timed runs.
+bench-smoke:
+	$(GO) test -bench=. -benchtime=1x ./...
+
 # The repo benchmark's own tests (bench/ is a separate module): the
 # workload plans, the gates and the compare report.
 bench-test:
 	cd bench && $(GO) test ./...
 
 # The exact sequence CI runs (.github/workflows/ci.yml).
-ci: build vet lint staticcheck vuln fmt-check test-short test-race race-golden fuzz-smoke fuzz-guided-smoke fuzz-native telemetry-smoke serve-chaos-smoke serve-chaos serve-load-smoke bench-test
+ci: build vet lint staticcheck vuln fmt-check test-short test-race race-golden fuzz-smoke fuzz-guided-smoke fuzz-native telemetry-smoke serve-chaos-smoke serve-chaos serve-load-smoke bench-smoke bench-test bench
 
 # The kernel counter gate: regenerates BENCH_kernel.json (per app, the R2
 # and R3 cycles, each kernel's eval calls, and the scheduler's skipped ticks

@@ -46,9 +46,10 @@ func main() {
 		}
 		fmt.Printf("\ntransactions on %s (%s, width %d):\n",
 			*dump, tr.Meta.Channels[ci].Dir, tr.Meta.Channels[ci].Width)
-		for i, tx := range tr.Transactions(ci) {
+		txns := tr.Transactions(ci)
+		for i, tx := range txns {
 			if i >= *limit {
-				fmt.Printf("  ... (%d more)\n", len(tr.Transactions(ci))-i)
+				fmt.Printf("  ... (%d more)\n", len(txns)-i)
 				break
 			}
 			content := "(content not recorded)"

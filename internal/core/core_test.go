@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"reflect"
 	"testing"
 
 	"vidi/internal/sim"
@@ -484,5 +485,65 @@ func TestEncoderReservationAccounting(t *testing.T) {
 	enc.LogEnd(0, nil)
 	if enc.reserved != 0 {
 		t.Fatal("reservation not released on LogEnd")
+	}
+}
+
+// TestEncoderContentOrder checks the compaction of a cycle packet's
+// contents: the input start contents in channel order, then the output end
+// contents in channel order, whatever order the monitors logged them in. A
+// lossy packet keeps its start contents and sheds its end contents.
+func TestEncoderContentOrder(t *testing.T) {
+	meta := trace.NewMeta([]trace.ChannelInfo{
+		{Name: "a", Width: 1, Dir: trace.Input},
+		{Name: "x", Width: 1, Dir: trace.Output},
+		{Name: "b", Width: 1, Dir: trace.Input},
+		{Name: "y", Width: 1, Dir: trace.Output},
+		{Name: "c", Width: 1, Dir: trace.Input},
+	}, true)
+	enc := NewEncoder(meta, NewStore(1024, nil), 1024)
+	enc.LogEnd(3, []byte{'y'})
+	enc.LogStart(2, []byte{'b'})
+	enc.LogEnd(0, nil)
+	enc.LogEnd(1, []byte{'x'})
+	enc.LogStart(0, []byte{'a'})
+	enc.Tick()
+	enc.lossy = true
+	enc.LogStart(4, []byte{'c'})
+	enc.LogEnd(3, []byte{'Y'})
+	enc.Tick()
+
+	tr := enc.Trace()
+	want := [][][]byte{{{'a'}, {'b'}, {'x'}, {'y'}}, {{'c'}}}
+	if len(tr.Packets) != len(want) {
+		t.Fatalf("got %d packets, want %d", len(tr.Packets), len(want))
+	}
+	for pi, p := range tr.Packets {
+		if !reflect.DeepEqual(p.Contents, want[pi]) {
+			t.Fatalf("packet %d contents %q, want %q", pi, p.Contents, want[pi])
+		}
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.Transactions(3); len(got) != 2 || !bytes.Equal(got[0].Content, []byte{'y'}) || got[1].Content != nil {
+		t.Fatalf("y transactions %+v", got)
+	}
+}
+
+// TestCompareAllocsIndependentOfLength guards Compare's one-pass index: a
+// trace twice as long must not cost more allocations.
+func TestCompareAllocsIndependentOfLength(t *testing.T) {
+	_, tr, _, _ := runRecorded(t, 37, Options{Mode: ModeRecord, ValidateOutputs: true}, 20)
+	doubled := &trace.Trace{Meta: tr.Meta, Packets: append(append([]trace.CyclePacket(nil), tr.Packets...), tr.Packets...)}
+	allocs := func(tr *trace.Trace) float64 {
+		return testing.AllocsPerRun(10, func() {
+			if rep, err := Compare(tr, tr); err != nil || !rep.Clean() {
+				t.Fatalf("Compare(tr, tr) = %v, %v", rep, err)
+			}
+		})
+	}
+	base, grown := allocs(tr), allocs(doubled)
+	if grown > base+2 {
+		t.Fatalf("Compare allocates %.0f times over %d packets and %.0f over %d", base, len(tr.Packets), grown, len(doubled.Packets))
 	}
 }

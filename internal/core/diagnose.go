@@ -45,10 +45,11 @@ func Diagnose(rep *Report, ref *trace.Trace) []Finding {
 
 	var findings []Finding
 	pollingFound := false
+	txns := ref.AllTransactions()
 	for _, ci := range chans {
 		ds := byChan[ci]
 		info := ref.Meta.Channels[ci]
-		if info.Width <= 8 && info.Dir == trace.Output && looksLikePolling(ref, ci) {
+		if info.Width <= 8 && info.Dir == trace.Output && looksLikePolling(txns[ci]) {
 			pollingFound = true
 			findings = append(findings, Finding{
 				Kind:    PollingSuspect,
@@ -207,11 +208,10 @@ func FormatFindings(fs []Finding) string {
 	return b.String()
 }
 
-// looksLikePolling reports whether channel ci's recorded contents resemble
-// a polled status register: scalar values that repeat and then step at
-// least once (e.g. 0,0,0,1,0,0,1,...).
-func looksLikePolling(ref *trace.Trace, ci int) bool {
-	txns := ref.Transactions(ci)
+// looksLikePolling reports whether a channel's recorded transaction
+// contents resemble a polled status register: scalar values that repeat and
+// then step at least once (e.g. 0,0,0,1,0,0,1,...).
+func looksLikePolling(txns []trace.Txn) bool {
 	if len(txns) < 2 {
 		return false
 	}

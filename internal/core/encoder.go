@@ -11,7 +11,7 @@ const DefaultStallBudget = 64
 
 // Encoder is Vidi's trace encoder (§3.2). Each cycle it aggregates the
 // channel packets pushed by the monitors into a cycle packet — Starts and
-// Ends bit-vectors plus the tree-compacted contents — serializes it, and
+// Ends bit-vectors plus the compacted contents — serializes it, and
 // queues the bytes for the trace store.
 //
 // The encoder's buffer models the on-FPGA BRAM staging area. Space
@@ -283,16 +283,14 @@ func (e *Encoder) Tick() {
 	if anyEvent || e.EmitIdlePackets {
 		pkt := trace.NewCyclePacket(e.meta)
 		pkt.Lossy = e.lossy
-		// Input starts with content, compacted in channel order through
-		// the binary reduction tree.
-		startContents := make([][]byte, e.meta.NumChannels())
+		// Contents, compacted in order (§3.2): the start contents of the
+		// input channels, then the end contents of the output channels.
 		for ii, ci := range e.meta.InputChannels() {
 			if e.curStarts[ci] {
 				pkt.Starts.Set(ii)
-				startContents[ci] = e.curContents[ci]
+				pkt.Contents = append(pkt.Contents, e.curContents[ci])
 			}
 		}
-		endContents := make([][]byte, e.meta.NumChannels())
 		for ci := range e.curEnds {
 			if e.curEnds[ci] {
 				pkt.Ends.Set(ci)
@@ -300,12 +298,11 @@ func (e *Encoder) Tick() {
 					if e.lossy {
 						e.UnrecordedEnds++
 					} else {
-						endContents[ci] = e.curContents[ci]
+						pkt.Contents = append(pkt.Contents, e.curContents[ci])
 					}
 				}
 			}
 		}
-		pkt.Contents = append(trace.CompactTree(startContents), trace.CompactTree(endContents)...)
 		e.rec.Append(pkt)
 		e.used += pkt.Size(e.meta)
 	}

@@ -61,14 +61,20 @@ func (c *Coordinator) Current() vclock.Clock { return c.tcur }
 // Decoder is the trace decoder (§3.4): it decomposes cycle packets into
 // per-channel packets plus the Ends vector and makes them available to the
 // channel replayers, at a bounded fetch bandwidth that models reading the
-// trace back from external storage. Replayers walk the shared packet
-// sequence with private cursors, which is behaviourally the per-replayer
-// ⟨channel packet, Ends⟩ streams of the paper without duplicating the trace.
+// trace back from external storage. When built it splits the trace once into
+// one stream per channel: the cycle packets that carry an event on the
+// channel, each with the channel's own packet and its T_expected, the sum of
+// the Ends vectors of every earlier cycle packet. These are the paper's
+// per-replayer ⟨channel packet, Ends⟩ streams with the Ends already summed.
 type Decoder struct {
 	sim.NullEval
 	meta  *trace.Meta
 	tr    *trace.Trace
 	store *Store
+
+	// streams holds, per channel, the stream entries of the packets that
+	// carry an event on that channel, in trace order.
+	streams [][]streamEntry
 
 	released int // packets whose bytes have been fetched
 	fetched  int // bytes fetched so far
@@ -79,9 +85,39 @@ type Decoder struct {
 	fetchStalls uint64
 }
 
+// streamEntry is one item of a replayer's stream.
+type streamEntry struct {
+	pkt int // index of the cycle packet
+	cp  trace.ChannelPacket
+	// texp is T_expected: the per-channel end counts of every earlier cycle
+	// packet, a view into the slab all of the decoder's streams share.
+	texp vclock.Clock
+}
+
 // NewDecoder creates a decoder over tr fetching through store.
 func NewDecoder(tr *trace.Trace, store *Store) *Decoder {
-	return &Decoder{meta: tr.Meta, tr: tr, store: store}
+	m := tr.Meta
+	n := m.NumChannels()
+	prefix := endPrefix(tr)
+	d := &Decoder{meta: m, tr: tr, store: store, streams: make([][]streamEntry, n)}
+	own := make([]trace.ChannelPacket, n)
+	for pi, p := range tr.Packets {
+		k := 0 // start contents come first, in input index order (§3.2)
+		for ii, ci := range m.InputChannels() {
+			if p.Starts.Get(ii) {
+				own[ci] = trace.ChannelPacket{Start: true, Content: p.Contents[k]}
+				k++
+			}
+		}
+		for ci := range own {
+			own[ci].End = p.Ends.Get(ci)
+			if own[ci].Start || own[ci].End {
+				d.streams[ci] = append(d.streams[ci], streamEntry{pkt: pi, cp: own[ci], texp: clockAt(prefix, pi, n)})
+			}
+			own[ci] = trace.ChannelPacket{}
+		}
+	}
+	return d
 }
 
 // Name implements sim.Module.
@@ -123,27 +159,6 @@ func (d *Decoder) TickHorizon(now uint64) uint64 {
 // to advance.
 func (d *Decoder) SkipTicks(uint64) {}
 
-// ownPacket extracts channel ci's channel packet from a cycle packet:
-// whether it starts, its content (input channels only), and whether it ends.
-func (d *Decoder) ownPacket(pkt trace.CyclePacket, ci int) trace.ChannelPacket {
-	m := d.meta
-	cp := trace.ChannelPacket{End: pkt.Ends.Get(ci)}
-	ii := m.InputIndex(ci)
-	if ii >= 0 && pkt.Starts.Get(ii) {
-		cp.Start = true
-		// The content's position among the start contents is the number of
-		// started input channels with a smaller input index.
-		k := 0
-		for j := 0; j < ii; j++ {
-			if pkt.Starts.Get(j) {
-				k++
-			}
-		}
-		cp.Content = pkt.Contents[k]
-	}
-	return cp
-}
-
 // Replayer recreates the environment side of one boundary channel during
 // replay (§3.5). An input channel replayer acts as the sender: it starts
 // each recorded transaction with its recorded content once the happens-
@@ -151,8 +166,9 @@ func (d *Decoder) ownPacket(pkt trace.CyclePacket, ci int) trace.ChannelPacket {
 // replayer acts as the receiver: it completes each recorded transaction by
 // asserting READY once the precondition holds.
 //
-// T_expected advances past each processed cycle packet's Ends vector, so an
-// event is only recreated after every transaction end that preceded it in
+// The replayer walks its own stream from the decoder. Each entry's
+// T_expected counts the transaction ends of every earlier cycle packet, so
+// an event is only recreated after every transaction end that preceded it in
 // the recorded execution has completed in the replay — transaction
 // determinism.
 type Replayer struct {
@@ -162,8 +178,7 @@ type Replayer struct {
 	coord *Coordinator
 	dec   *Decoder
 
-	idx  int // cursor into the decoder's packet sequence
-	texp vclock.Clock
+	next int // cursor into the channel's stream
 
 	// Sender state (input channels).
 	active bool
@@ -189,7 +204,7 @@ type Replayer struct {
 
 // NewReplayer creates the replayer for boundary channel index ci.
 func NewReplayer(ci int, bc BoundaryChannel, coord *Coordinator, dec *Decoder) *Replayer {
-	return &Replayer{ci: ci, bc: bc, coord: coord, dec: dec, texp: vclock.New(coord.tcur.Len())}
+	return &Replayer{ci: ci, bc: bc, coord: coord, dec: dec}
 }
 
 // Name implements sim.Module.
@@ -197,7 +212,7 @@ func (r *Replayer) Name() string { return "replayer." + r.bc.Info.Name }
 
 // Done reports whether the replayer has recreated all of its events.
 func (r *Replayer) Done() bool {
-	return r.dec.Done() && r.idx >= len(r.dec.tr.Packets) && !r.active && r.firedPending == 0
+	return r.dec.Done() && r.next >= len(r.dec.streams[r.ci]) && !r.active && r.firedPending == 0
 }
 
 // Eval implements sim.Module: drive the environment-side channel from
@@ -253,23 +268,25 @@ func (r *Replayer) SkipTicks(uint64) {}
 func (r *Replayer) process() {
 	input := r.bc.Info.Dir == trace.Input
 	r.parked = false
-	for r.idx < r.dec.released {
-		item := r.dec.ownPacket(r.dec.tr.Packets[r.idx], r.ci)
-		if (item.Start || item.End) && !r.coord.Current().Geq(r.texp) {
+	stream := r.dec.streams[r.ci]
+	// An entry is visible once the decoder has released its packet.
+	for r.next < len(stream) && stream[r.next].pkt < r.dec.released {
+		e := &stream[r.next]
+		if !r.coord.Current().Geq(e.texp) {
 			r.gateStalls++
 			r.parked = true
 			return // happens-before precondition not yet satisfied
 		}
-		if item.Start && !r.startIssued {
+		if e.cp.Start && !r.startIssued {
 			if r.active {
 				return // previous transaction still being offered
 			}
-			r.cur = item.Content
+			r.cur = e.cp.Content
 			r.active = true
 			r.startIssued = true
 			r.Touch()
 		}
-		if item.End {
+		if e.cp.End {
 			if input {
 				// The application's READY decides when an input
 				// transaction ends; wait for the observed handshake.
@@ -290,14 +307,7 @@ func (r *Replayer) process() {
 				r.firedPending--
 			}
 		}
-		// Item fully processed: advance T_expected past its Ends.
-		ends := r.dec.tr.Packets[r.idx].Ends
-		for i := 0; i < ends.Len(); i++ {
-			if ends.Get(i) {
-				r.texp.Inc(i)
-			}
-		}
-		r.idx++
+		r.next++
 		r.startIssued = false
 	}
 }

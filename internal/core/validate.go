@@ -131,11 +131,12 @@ func Compare(ref, val *trace.Trace) (*Report, error) {
 	}
 	rep := &Report{RefTransactions: ref.TotalTransactions()}
 
+	refTx, valTx := ref.AllTransactions(), val.AllTransactions()
+
 	// Content and count comparison on output channels.
 	for _, ci := range ref.Meta.OutputChannels() {
 		name := ref.Meta.Channels[ci].Name
-		rt := ref.Transactions(ci)
-		vt := val.Transactions(ci)
+		rt, vt := refTx[ci], valTx[ci]
 		if len(rt) != len(vt) {
 			rep.Divergences = append(rep.Divergences, Divergence{
 				Kind: CountDivergence, Channel: ci, Name: name,
@@ -172,46 +173,51 @@ func Compare(ref, val *trace.Trace) (*Report, error) {
 	// Ordering comparison: for each end event, the vector clock of strictly
 	// earlier end events in the validation trace must dominate the
 	// reference's. Transaction determinism promises exactly this relation.
-	refVC := endClocks(ref)
-	valVC := endClocks(val)
-	for ci := range ref.Meta.Channels {
-		n := len(refVC[ci])
-		if len(valVC[ci]) < n {
-			n = len(valVC[ci])
-		}
-		for k := 0; k < n; k++ {
-			if !valVC[ci][k].Geq(refVC[ci][k]) {
+	// A channel's end events are its transactions that completed, in order.
+	n := ref.Meta.NumChannels()
+	refVC, valVC := endPrefix(ref), endPrefix(val)
+	for ci := range refTx {
+		rt, vt := refTx[ci], valTx[ci]
+		i, j := nextEnd(rt, 0), nextEnd(vt, 0)
+		for k := uint64(0); i < len(rt) && j < len(vt); k++ {
+			if !clockAt(valVC, vt[j].EndPacket, n).Geq(clockAt(refVC, rt[i].EndPacket, n)) {
 				rep.Divergences = append(rep.Divergences, Divergence{
 					Kind: OrderDivergence, Channel: ci,
-					Name: ref.Meta.Channels[ci].Name, Ordinal: uint64(k),
+					Name: ref.Meta.Channels[ci].Name, Ordinal: k,
 				})
 			}
+			i, j = nextEnd(rt, i+1), nextEnd(vt, j+1)
 		}
 	}
 	return rep, nil
 }
 
-// endClocks computes, for every end event (per channel, per ordinal), the
-// vector clock of end events in strictly earlier cycle packets.
-func endClocks(t *trace.Trace) [][]vclock.Clock {
+// nextEnd returns the index of the first transaction from i on that
+// completed, or len(txns) if none did.
+func nextEnd(txns []trace.Txn, i int) int {
+	for i < len(txns) && txns[i].EndPacket < 0 {
+		i++
+	}
+	return i
+}
+
+// endPrefix returns, for every cycle packet of t, the per-channel count of
+// end events in strictly earlier packets, as one slab: packet p's clock is
+// clockAt(slab, p, n) for t's n channels.
+func endPrefix(t *trace.Trace) []uint64 {
 	n := t.Meta.NumChannels()
-	out := make([][]vclock.Clock, n)
-	counts := vclock.New(n)
-	for _, p := range t.Packets {
-		var snapshot vclock.Clock
-		for ci := 0; ci < n; ci++ {
-			if p.Ends.Get(ci) {
-				if snapshot == nil {
-					snapshot = counts.Copy()
-				}
-				out[ci] = append(out[ci], snapshot)
-			}
-		}
-		for ci := 0; ci < n; ci++ {
-			if p.Ends.Get(ci) {
-				counts.Inc(ci)
+	slab := make([]uint64, len(t.Packets)*n)
+	for pi := 1; pi < len(t.Packets); pi++ {
+		cur := clockAt(slab, pi, n)
+		copy(cur, clockAt(slab, pi-1, n))
+		for ci := range cur {
+			if t.Packets[pi-1].Ends.Get(ci) {
+				cur.Inc(ci)
 			}
 		}
 	}
-	return out
+	return slab
 }
+
+// clockAt is packet p's clock in an endPrefix slab over n channels.
+func clockAt(slab []uint64, p, n int) vclock.Clock { return slab[p*n : (p+1)*n : (p+1)*n] }

@@ -70,11 +70,8 @@ func Analyze(t *trace.Trace) *Profile {
 	events := 0
 	pairCounts := map[[2]int]int{}
 
-	for _, ch := range m.Channels {
-		_ = ch
-	}
-	for ci := 0; ci < nCh; ci++ {
-		for _, tx := range t.Transactions(ci) {
+	for ci, txns := range t.AllTransactions() {
+		for _, tx := range txns {
 			if tx.StartPacket >= 0 && tx.EndPacket >= 0 {
 				lat[ci] = append(lat[ci], tx.EndPacket-tx.StartPacket)
 			}

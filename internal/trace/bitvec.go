@@ -1,5 +1,5 @@
 // Package trace defines Vidi's trace formats: channel packets, cycle packets
-// with Starts/Ends bit-vectors and tree-compacted contents (§3.1–§3.2 of the
+// with Starts/Ends bit-vectors and compacted contents (§3.1–§3.2 of the
 // paper), their binary serialization, 64-byte storage-interface packing
 // (§3.3), and offline helpers to reconstruct transactions from a trace.
 package trace

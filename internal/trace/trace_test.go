@@ -225,57 +225,6 @@ func TestValidateCatchesDoubleStart(t *testing.T) {
 	}
 }
 
-func TestCompactTreeMatchesNaiveConcat(t *testing.T) {
-	f := func(seed int64, n uint8) bool {
-		r := rand.New(rand.NewSource(seed))
-		cnt := int(n)%16 + 1
-		contents := make([][]byte, cnt)
-		var want [][]byte
-		for i := range contents {
-			if r.Intn(2) == 0 {
-				c := []byte{byte(i), byte(r.Intn(256))}
-				contents[i] = c
-				want = append(want, c)
-			}
-		}
-		got := CompactTree(contents)
-		return reflect.DeepEqual(got, want) || (len(got) == 0 && len(want) == 0)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestExpandTreeInvertsCompact(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := r.Intn(12) + 1
-		contents := make([][]byte, n)
-		present := make([]bool, n)
-		for i := range contents {
-			if r.Intn(2) == 0 {
-				contents[i] = []byte{byte(i)}
-				present[i] = true
-			}
-		}
-		dense := CompactTree(contents)
-		back, ok := ExpandTree(present, dense)
-		return ok && reflect.DeepEqual(back, contents)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestExpandTreeDetectsMismatch(t *testing.T) {
-	if _, ok := ExpandTree([]bool{true, true}, [][]byte{{1}}); ok {
-		t.Fatal("expected mismatch: too few contents")
-	}
-	if _, ok := ExpandTree([]bool{false}, [][]byte{{1}}); ok {
-		t.Fatal("expected mismatch: too many contents")
-	}
-}
-
 func TestEventsAndTransactions(t *testing.T) {
 	m := testMeta(true)
 	tr := NewTrace(m)

@@ -41,15 +41,25 @@ type Event struct {
 // are listed starts-first then ends, each in channel index order, which is
 // the canonical intra-cycle order used throughout the tooling.
 func (t *Trace) Events() []Event {
-	m := t.Meta
 	var out []Event
+	t.eachEvent(func(ev Event) { out = append(out, ev) })
+	return out
+}
+
+// eachEvent calls f for every transaction event of the trace, in the order
+// Events lists them.
+func (t *Trace) eachEvent(f func(Event)) {
+	m := t.Meta
 	startOrd := make([]uint64, m.NumChannels())
 	endOrd := make([]uint64, m.NumChannels())
+	// outContent is scratch indexed by channel; every entry set for a
+	// packet is consumed, and cleared, by that packet's end event.
+	outContent := make([][]byte, m.NumChannels())
 	for pi, p := range t.Packets {
 		k := 0
 		for ii, ci := range m.InputChannels() {
 			if p.Starts.Get(ii) {
-				out = append(out, Event{Packet: pi, Channel: ci, Kind: StartEvent, Content: p.Contents[k], Ordinal: startOrd[ci]})
+				f(Event{Packet: pi, Channel: ci, Kind: StartEvent, Content: p.Contents[k], Ordinal: startOrd[ci]})
 				startOrd[ci]++
 				k++
 			}
@@ -57,7 +67,6 @@ func (t *Trace) Events() []Event {
 		// Output contents, when present, follow the input-start contents.
 		// Lossy (gap-region) packets carry no output contents: their end
 		// events surface with nil Content.
-		outContent := map[int][]byte{}
 		if m.ValidateOutputs && !p.Lossy {
 			for _, ci := range m.OutputChannels() {
 				if p.Ends.Get(ci) {
@@ -66,14 +75,14 @@ func (t *Trace) Events() []Event {
 				}
 			}
 		}
-		for ci := 0; ci < m.NumChannels(); ci++ {
+		for ci := range outContent {
 			if p.Ends.Get(ci) {
-				out = append(out, Event{Packet: pi, Channel: ci, Kind: EndEvent, Content: outContent[ci], Ordinal: endOrd[ci]})
+				f(Event{Packet: pi, Channel: ci, Kind: EndEvent, Content: outContent[ci], Ordinal: endOrd[ci]})
+				outContent[ci] = nil
 				endOrd[ci]++
 			}
 		}
 	}
-	return out
 }
 
 // Txn is one reconstructed transaction.
@@ -86,27 +95,50 @@ type Txn struct {
 }
 
 // Transactions reconstructs the transactions of channel ch in order.
-func (t *Trace) Transactions(ch int) []Txn {
-	var out []Txn
-	openIdx := -1
-	for _, ev := range t.Events() {
-		if ev.Channel != ch {
-			continue
-		}
-		switch ev.Kind {
-		case StartEvent:
-			out = append(out, Txn{Channel: ch, Ordinal: uint64(len(out)), StartPacket: ev.Packet, EndPacket: -1, Content: ev.Content})
-			openIdx = len(out) - 1
-		case EndEvent:
-			if openIdx >= 0 && out[openIdx].EndPacket == -1 {
-				out[openIdx].EndPacket = ev.Packet
-				openIdx = -1
-			} else {
-				// Output channels record ends only.
-				out = append(out, Txn{Channel: ch, Ordinal: uint64(len(out)), StartPacket: -1, EndPacket: ev.Packet, Content: ev.Content})
+func (t *Trace) Transactions(ch int) []Txn { return t.AllTransactions()[ch] }
+
+// AllTransactions reconstructs every channel's transactions in one walk over
+// the trace: entry ch lists channel ch's transactions in order. A start opens
+// a transaction and the next end on the channel completes it; an end with no
+// open start (output channels record ends only) is a transaction of its own.
+func (t *Trace) AllTransactions() [][]Txn {
+	n := t.Meta.NumChannels()
+	// Every event opens at most one transaction, so a channel's event count
+	// bounds its transactions: one slab, carved per channel, holds them all.
+	events := t.EndCounts()
+	for _, p := range t.Packets {
+		for ii, ci := range t.Meta.InputChannels() {
+			if p.Starts.Get(ii) {
+				events[ci]++
 			}
 		}
 	}
+	var total uint64
+	for _, c := range events {
+		total += c
+	}
+	slab := make([]Txn, total)
+	out := make([][]Txn, n)
+	for ci, c := range events {
+		out[ci], slab = slab[:0:c], slab[c:]
+	}
+	open := make([]bool, n)
+	t.eachEvent(func(ev Event) {
+		ci := ev.Channel
+		if ev.Kind == EndEvent && open[ci] {
+			out[ci][len(out[ci])-1].EndPacket = ev.Packet
+			open[ci] = false
+			return
+		}
+		tx := Txn{Channel: ci, Ordinal: uint64(len(out[ci])), StartPacket: -1, EndPacket: -1, Content: ev.Content}
+		if ev.Kind == StartEvent {
+			tx.StartPacket = ev.Packet
+		} else {
+			tx.EndPacket = ev.Packet
+		}
+		out[ci] = append(out[ci], tx)
+		open[ci] = ev.Kind == StartEvent
+	})
 	return out
 }
 
@@ -115,20 +147,23 @@ func (t *Trace) Transactions(ch int) []Txn {
 // determinism preserves.
 func (t *Trace) EndEvents() []Event {
 	var out []Event
-	for _, ev := range t.Events() {
+	t.eachEvent(func(ev Event) {
 		if ev.Kind == EndEvent {
 			out = append(out, ev)
 		}
-	}
+	})
 	return out
 }
 
 // FindEnd locates the packet index of the n-th end event (0-based) on
 // channel ch, or -1 if the trace has fewer.
 func (t *Trace) FindEnd(ch int, n uint64) int {
-	for _, ev := range t.EndEvents() {
-		if ev.Channel == ch && ev.Ordinal == n {
-			return ev.Packet
+	for pi, p := range t.Packets {
+		if p.Ends.Get(ch) {
+			if n == 0 {
+				return pi
+			}
+			n--
 		}
 	}
 	return -1
