@@ -136,7 +136,7 @@ bench-test:
 	cd bench && $(GO) test ./...
 
 # The exact sequence CI runs (.github/workflows/ci.yml).
-ci: build vet lint staticcheck vuln fmt-check test-short test-race race-golden fuzz-smoke fuzz-guided-smoke fuzz-native telemetry-smoke serve-chaos-smoke serve-chaos serve-load-smoke bench-smoke bench-test bench
+ci: build vet lint staticcheck vuln fmt-check test-short test-race examples race-golden fuzz-smoke fuzz-guided-smoke fuzz-native telemetry-smoke serve-chaos-smoke serve-chaos serve-load-smoke bench-smoke bench-test bench
 
 # The kernel counter gate: regenerates BENCH_kernel.json (per app, the R2
 # and R3 cycles, each kernel's eval calls, and the scheduler's skipped ticks
@@ -153,6 +153,9 @@ bench:
 tables:
 	$(GO) run ./cmd/vidi-bench -all
 
+# Run every example end to end; each exits non-zero if its own check fails.
+# examples/custom-boundary builds its own DDR memory, so this is the only
+# place it runs rather than just compiles.
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/debugging

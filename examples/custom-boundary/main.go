@@ -61,7 +61,7 @@ func build(withController bool, seed int64) *world {
 	s.Register(w.wr, w.rd)
 
 	if withController {
-		mem := make(axi.SliceMem, 1<<16)
+		mem := axi.NewMemory(1 << 16)
 		sub := axi.NewMemSubordinate("ddr-ctrl", env, mem)
 		rng := vidi.NewRand(seed ^ 0xdd4)
 		sub.RespDelay = func() int { return 2 + rng.Intn(6) } // DRAM bank jitter

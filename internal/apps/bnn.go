@@ -32,10 +32,10 @@ func init() {
 		}
 		a.buildKernel = func(a *computeApp) {
 			a.kern.Compute = func() int {
-				inputs := unpackBits(a.card()[InBase:], st.nVec, st.inWords)
-				weights := unpackBits(a.card()[AuxBase:], st.nNeurons, st.inWords)
+				inputs := unpackBits(a.card().Read(InBase, st.nVec*st.inWords*8), st.nVec, st.inWords)
+				weights := unpackBits(a.card().Read(AuxBase, st.nNeurons*st.inWords*8), st.nNeurons, st.inWords)
 				out, work := bnnForward(inputs, weights, st.inWords)
-				copy(a.card()[OutBase:], out)
+				a.card().Write(OutBase, out)
 				return work*2 + 20 // 2 cycles per XNOR word (weight fetch + popcount reduce)
 			}
 		}

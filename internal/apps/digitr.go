@@ -33,11 +33,12 @@ func init() {
 		}
 		a.buildKernel = func(a *computeApp) {
 			a.kern.Compute = func() int {
-				train := unpackBits(a.card()[AuxBase:], st.nTrain, digitWords)
-				labels := append([]byte(nil), a.card()[AuxBase+uint64(st.nTrain*digitWords*8):AuxBase+uint64(st.nTrain*digitWords*8+st.nTrain)]...)
-				queries := unpackBits(a.card()[InBase:], st.nTest, digitWords)
+				trainBytes := st.nTrain * digitWords * 8
+				train := unpackBits(a.card().Read(AuxBase, trainBytes), st.nTrain, digitWords)
+				labels := a.card().Read(AuxBase+uint64(trainBytes), st.nTrain)
+				queries := unpackBits(a.card().Read(InBase, st.nTest*digitWords*8), st.nTest, digitWords)
 				out, work := knnClassify(queries, train, labels)
-				copy(a.card()[OutBase:], out)
+				a.card().Write(OutBase, out)
 				return work/4 + 30 // 4 distance words per cycle
 			}
 		}

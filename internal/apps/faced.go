@@ -35,17 +35,16 @@ func init() {
 		a.buildKernel = func(a *computeApp) {
 			frame := 0
 			a.kern.Compute = func() int {
-				img := append([]byte(nil), a.card()[InBase:InBase+uint64(st.imgW*st.imgH)]...)
+				img := a.card().Read(InBase, st.imgW*st.imgH)
 				dets, work := cascadeDetect(img, st.imgW, st.imgH)
-				binary.LittleEndian.PutUint32(a.card()[OutBase+uint64(frame*4):], uint32(len(dets)))
-				off := OutBase + 0x1000 + uint64(frame*2048)
-				for i, d := range dets {
-					if i >= 512 {
-						break
-					}
-					binary.LittleEndian.PutUint16(a.card()[off+uint64(i*4):], uint16(d%st.imgW))
-					binary.LittleEndian.PutUint16(a.card()[off+uint64(i*4)+2:], uint16(d/st.imgW))
+				a.card().Write(OutBase+uint64(frame*4), binary.LittleEndian.AppendUint32(nil, uint32(len(dets))))
+				shown := dets[:min(len(dets), 512)]
+				coords := make([]byte, 0, 4*len(shown))
+				for _, d := range shown {
+					coords = binary.LittleEndian.AppendUint16(coords, uint16(d%st.imgW))
+					coords = binary.LittleEndian.AppendUint16(coords, uint16(d/st.imgW))
 				}
+				a.card().Write(OutBase+0x1000+uint64(frame*2048), coords)
 				frame++
 				// The sketch cascade has 6 stages; a production Viola-Jones
 				// detector evaluates ~90x more rectangle features per

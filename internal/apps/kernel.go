@@ -178,4 +178,4 @@ func (a *computeApp) runOnce(cpu *shell.CPU, input []byte, outBytes int) {
 }
 
 // card returns the card DRAM.
-func (a *computeApp) card() axi.SliceMem { return a.sys.CardDRAM }
+func (a *computeApp) card() *axi.Memory { return a.sys.CardDRAM }

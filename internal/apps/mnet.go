@@ -33,10 +33,10 @@ func init() {
 		a.buildKernel = func(a *computeApp) {
 			a.kern.Compute = func() int {
 				n := st.chans * st.dim * st.dim
-				in := append([]byte(nil), a.card()[InBase:InBase+uint64(n)]...)
-				dw, pw := decodeMnetWeights(a.card()[AuxBase:], st.chans)
+				in := a.card().Read(InBase, n)
+				dw, pw := decodeMnetWeights(a.card().Read(AuxBase, st.chans*9+st.chans*st.chans), st.chans)
 				out, work := mnetForward(in, st.layers, st.chans, st.dim, dw, pw)
-				copy(a.card()[OutBase:], out)
+				a.card().Write(OutBase, out)
 				return work/2 + 100 // 2 MACs per cycle (depthwise stage is bandwidth-bound)
 			}
 		}

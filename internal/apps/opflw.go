@@ -30,10 +30,10 @@ func init() {
 			pair := 0
 			a.kern.Compute = func() int {
 				n := st.imgW * st.imgH
-				f0 := append([]byte(nil), a.card()[InBase:InBase+uint64(n)]...)
-				f1 := append([]byte(nil), a.card()[InBase+uint64(n):InBase+uint64(2*n)]...)
+				f0 := a.card().Read(InBase, n)
+				f1 := a.card().Read(InBase+uint64(n), n)
 				flow, work := lucasKanade(f0, f1, st.imgW, st.imgH)
-				copy(a.card()[OutBase+uint64(pair*len(flow)):], flow)
+				a.card().Write(OutBase+uint64(pair*len(flow)), flow)
 				pair++
 				return work/2 + 100 // 2 tensor MACs per cycle
 			}

@@ -36,9 +36,9 @@ func init() {
 		}
 		a.buildKernel = func(a *computeApp) {
 			a.kern.Compute = func() int {
-				tris := decodeTris(a.card()[InBase:], st.nTris)
+				tris := decodeTris(a.card().Read(InBase, st.nTris*18), st.nTris)
 				frame, work := rasterize(tris)
-				copy(a.card()[OutBase:], frame)
+				a.card().Write(OutBase, frame)
 				return work/2 + 50 // 2 covered pixels per cycle
 			}
 		}

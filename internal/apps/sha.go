@@ -31,9 +31,9 @@ func init() {
 		a.buildKernel = func(a *computeApp) {
 			chunk := 0
 			a.kern.Compute = func() int {
-				data := append([]byte(nil), a.card()[InBase:InBase+uint64(st.chunkSize)]...)
+				data := a.card().Read(InBase, st.chunkSize)
 				digest, rounds := shaChain(data, chain)
-				copy(a.card()[OutBase+uint64(chunk*32):], digest)
+				a.card().Write(OutBase+uint64(chunk*32), digest)
 				chunk++
 				return rounds + 50 // one compression round per cycle
 			}

@@ -36,7 +36,7 @@ func init() {
 		weights := make([]int32, st.nFeat)
 		a.buildKernel = func(a *computeApp) {
 			a.kern.Compute = func() int {
-				data, labels := decodeSamples(a.card()[InBase:], st.nSamples, st.nFeat)
+				data, labels := decodeSamples(a.card().Read(InBase, st.nSamples*st.nFeat+st.nSamples), st.nSamples, st.nFeat)
 				work := sgdEpoch(weights, data, labels)
 				// Results stay in the kernel; Stream sends them to host.
 				return work/4 + 20 // 4 MACs per cycle (SGD is dependence-bound)
@@ -83,7 +83,7 @@ func init() {
 				binary.LittleEndian.PutUint32(want[i*4:], uint32(v))
 			}
 			off := spamfHostOut + uint64((st.epochs-1)*st.nFeat*4)
-			got := []byte(a.sys.HostDRAM[off : off+uint64(st.nFeat*4)])
+			got := a.sys.HostDRAM.Read(off, st.nFeat*4)
 			if !bytes.Equal(got, want) {
 				return fmt.Errorf("spamf: final weights in host DRAM differ from golden SGD")
 			}

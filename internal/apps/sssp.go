@@ -31,21 +31,25 @@ func init() {
 		}
 		a.buildKernel = func(a *computeApp) {
 			a.kern.Compute = func() int {
-				nEdges := int(binary.LittleEndian.Uint32(a.card()[InBase:]))
-				src := binary.LittleEndian.Uint32(a.card()[InBase+4:])
+				hdr := a.card().Read(InBase, 8)
+				nEdges := int(binary.LittleEndian.Uint32(hdr))
+				src := binary.LittleEndian.Uint32(hdr[4:])
+				raw := a.card().Read(InBase+8, nEdges*12)
 				edges := make([]edge, nEdges)
 				for i := range edges {
-					off := InBase + 8 + uint64(i*12)
+					off := i * 12
 					edges[i] = edge{
-						from: binary.LittleEndian.Uint32(a.card()[off:]),
-						to:   binary.LittleEndian.Uint32(a.card()[off+4:]),
-						w:    binary.LittleEndian.Uint32(a.card()[off+8:]),
+						from: binary.LittleEndian.Uint32(raw[off:]),
+						to:   binary.LittleEndian.Uint32(raw[off+4:]),
+						w:    binary.LittleEndian.Uint32(raw[off+8:]),
 					}
 				}
 				dist, work := bellmanFord(st.nodes, edges, src)
-				for i, d := range dist {
-					binary.LittleEndian.PutUint32(a.card()[OutBase+uint64(i*4):], d)
+				out := make([]byte, 0, len(dist)*4)
+				for _, d := range dist {
+					out = binary.LittleEndian.AppendUint32(out, d)
 				}
+				a.card().Write(OutBase, out)
 				// The accelerator answers ssspQueries independent queries
 				// per invocation at one edge relaxation per cycle.
 				return work*ssspQueries + 100

@@ -93,7 +93,7 @@ func (a *stressApp) DoneFPGA() bool { return a.pl.Pcim.Idle() && a.pl.Irq.Idle()
 
 // Check implements App.
 func (a *stressApp) Check() error {
-	got := binary.LittleEndian.Uint32(a.sys.HostDRAM[stressHostDigest+uint64((a.core.flushes-1)*4):])
+	got := binary.LittleEndian.Uint32(a.sys.HostDRAM.Read(stressHostDigest+uint64((a.core.flushes-1)*4), 4))
 	if got != a.core.digest {
 		return fmt.Errorf("stress: host digest %#x, FPGA digest %#x", got, a.core.digest)
 	}

@@ -282,26 +282,83 @@ type Mem interface {
 	Size() uint64
 }
 
-// SliceMem is a trivial in-process Mem.
-type SliceMem []byte
+// memPageShift sets Memory's page size: 4 KiB.
+const (
+	memPageShift = 12
+	memPageSize  = 1 << memPageShift
+)
 
-// ReadAt implements Mem.
-func (m SliceMem) ReadAt(addr uint64, p []byte) error {
-	if addr+uint64(len(p)) > uint64(len(m)) {
-		return fmt.Errorf("axi: read [%#x,%#x) out of range (size %#x)", addr, addr+uint64(len(p)), len(m))
-	}
-	copy(p, m[addr:])
-	return nil
+// Memory is a sparse, fixed-size in-process Mem: a table of 4 KiB page
+// pointers, each page allocated by the first write that touches it. A byte
+// never written reads as zero. The simulated DRAMs are mostly untouched, so
+// a Memory costs its page table plus the pages a run actually writes.
+type Memory struct {
+	size  uint64
+	pages []*[memPageSize]byte
 }
 
-// WriteAt implements Mem.
-func (m SliceMem) WriteAt(addr uint64, p []byte) error {
-	if addr+uint64(len(p)) > uint64(len(m)) {
-		return fmt.Errorf("axi: write [%#x,%#x) out of range (size %#x)", addr, addr+uint64(len(p)), len(m))
-	}
-	copy(m[addr:], p)
-	return nil
+// NewMemory returns a zeroed Memory of size bytes.
+func NewMemory(size uint64) *Memory {
+	return &Memory{size: size, pages: make([]*[memPageSize]byte, (size+memPageSize-1)>>memPageShift)}
 }
 
 // Size implements Mem.
-func (m SliceMem) Size() uint64 { return uint64(len(m)) }
+func (m *Memory) Size() uint64 { return m.size }
+
+// inRange reports whether [addr, addr+n) lies inside the memory.
+func (m *Memory) inRange(addr uint64, n int) bool {
+	return addr <= m.size && uint64(n) <= m.size-addr
+}
+
+// ReadAt implements Mem. An out-of-range read fills nothing.
+func (m *Memory) ReadAt(addr uint64, p []byte) error {
+	if !m.inRange(addr, len(p)) {
+		return fmt.Errorf("axi: read [%#x,%#x) out of range (size %#x)", addr, addr+uint64(len(p)), m.size)
+	}
+	for len(p) > 0 {
+		off := int(addr & (memPageSize - 1))
+		n := min(len(p), memPageSize-off)
+		if pg := m.pages[addr>>memPageShift]; pg != nil {
+			copy(p[:n], pg[off:])
+		} else {
+			clear(p[:n])
+		}
+		p, addr = p[n:], addr+uint64(n)
+	}
+	return nil
+}
+
+// WriteAt implements Mem. An out-of-range write changes nothing.
+func (m *Memory) WriteAt(addr uint64, p []byte) error {
+	if !m.inRange(addr, len(p)) {
+		return fmt.Errorf("axi: write [%#x,%#x) out of range (size %#x)", addr, addr+uint64(len(p)), m.size)
+	}
+	for len(p) > 0 {
+		off := int(addr & (memPageSize - 1))
+		pg := m.pages[addr>>memPageShift]
+		if pg == nil {
+			pg = new([memPageSize]byte)
+			m.pages[addr>>memPageShift] = pg
+		}
+		n := copy(pg[off:], p)
+		p, addr = p[n:], addr+uint64(n)
+	}
+	return nil
+}
+
+// Read returns a copy of the n bytes at addr. It panics if they do not lie
+// inside the memory.
+func (m *Memory) Read(addr uint64, n int) []byte {
+	p := make([]byte, n)
+	if err := m.ReadAt(addr, p); err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// Write stores p at addr. It panics if p does not fit inside the memory.
+func (m *Memory) Write(addr uint64, p []byte) {
+	if err := m.WriteAt(addr, p); err != nil {
+		panic(err)
+	}
+}

@@ -62,33 +62,97 @@ func TestRPayloadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSliceMemBounds(t *testing.T) {
-	m := make(SliceMem, 16)
-	if err := m.WriteAt(12, []byte{1, 2, 3, 4}); err != nil {
+func TestMemoryPagesAndBounds(t *testing.T) {
+	const size = 4 * memPageSize
+	m := NewMemory(size)
+	if m.Size() != size {
+		t.Fatalf("Size()=%d want %d", m.Size(), size)
+	}
+
+	// A write straddling the first page boundary lands on both pages.
+	data := []byte{1, 2, 3, 4, 5, 6}
+	if err := m.WriteAt(memPageSize-3, data); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.WriteAt(13, []byte{1, 2, 3, 4}); err == nil {
-		t.Fatal("expected out-of-range error")
+	if got := m.Read(memPageSize-3, len(data)); !bytes.Equal(got, data) {
+		t.Fatalf("straddling read %v want %v", got, data)
 	}
-	buf := make([]byte, 4)
-	if err := m.ReadAt(12, buf); err != nil {
+	if m.pages[0] == nil || m.pages[1] == nil || m.pages[2] != nil || m.pages[3] != nil {
+		t.Fatal("pages 0 and 1 should be allocated, 2 and 3 not")
+	}
+
+	// Never-written bytes read as zero: around the written run, and across
+	// the boundary from written page 1 into unallocated page 2.
+	if got := m.Read(memPageSize-8, 5); !bytes.Equal(got, make([]byte, 5)) {
+		t.Fatalf("unwritten bytes before the run read %v", got)
+	}
+	buf := bytes.Repeat([]byte{0xff}, 16)
+	if err := m.ReadAt(2*memPageSize-8, buf); err != nil {
 		t.Fatal(err)
 	}
-	if buf[0] != 1 || buf[3] != 4 {
-		t.Fatal("read back wrong data")
+	if !bytes.Equal(buf, make([]byte, 16)) {
+		t.Fatalf("unwritten bytes next to a written page read %v", buf)
 	}
-	if err := m.ReadAt(16, buf); err == nil {
-		t.Fatal("expected out-of-range error")
+	if m.pages[2] != nil {
+		t.Fatal("a read allocated a page")
+	}
+
+	// An access ending exactly at Size succeeds.
+	if err := m.WriteAt(size-4, []byte{9, 8, 7, 6}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.ReadAt(size-4, buf[:4]); err != nil || !bytes.Equal(buf[:4], []byte{9, 8, 7, 6}) {
+		t.Fatalf("read at end: %v %v", buf[:4], err)
+	}
+	if err := m.ReadAt(size, nil); err != nil {
+		t.Fatalf("empty read at Size: %v", err)
+	}
+
+	// One byte past the end fails and changes nothing.
+	if err := m.WriteAt(size-3, []byte{1, 1, 1, 1}); err == nil {
+		t.Fatal("expected out-of-range write error")
+	}
+	if err := m.WriteAt(2*memPageSize+5, make([]byte, size)); err == nil {
+		t.Fatal("expected out-of-range write error")
+	}
+	if got := m.Read(size-4, 4); !bytes.Equal(got, []byte{9, 8, 7, 6}) {
+		t.Fatalf("failed write changed memory: %v", got)
+	}
+	if m.pages[2] != nil {
+		t.Fatal("a failed write allocated a page")
+	}
+	copy(buf, "unchanged")
+	if err := m.ReadAt(size-3, buf[:4]); err == nil {
+		t.Fatal("expected out-of-range read error")
+	}
+	if err := m.ReadAt(^uint64(0), buf[:1]); err == nil {
+		t.Fatal("expected out-of-range read error for a wrapping address")
+	}
+	if string(buf[:9]) != "unchanged" {
+		t.Fatalf("failed read filled the buffer: %q", buf[:9])
+	}
+	for _, f := range []func(){
+		func() { m.Read(size-3, 4) },
+		func() { m.Write(size, []byte{0}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("out-of-range Read/Write should panic")
+				}
+			}()
+			f()
+		}()
 	}
 }
 
 // buildWriteSystem wires a WriteManager to a MemSubordinate over a full AXI
 // interface with a protocol checker installed.
-func buildWriteSystem(t *testing.T, seed int64) (*sim.Simulator, *WriteManager, *ReadManager, SliceMem) {
+func buildWriteSystem(t *testing.T, seed int64) (*sim.Simulator, *WriteManager, *ReadManager, *Memory) {
 	t.Helper()
 	s := sim.New()
 	iface := NewFull(s, "dma")
-	mem := make(SliceMem, 4096)
+	mem := NewMemory(4096)
 	wm := NewWriteManager("wm", iface)
 	rm := NewReadManager("rm", iface)
 	sub := NewMemSubordinate("mem", iface, mem)
@@ -119,22 +183,20 @@ func TestWriteBurstReachesMemory(t *testing.T) {
 	if _, err := s.Run(1000, func() bool { return done }); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(mem[256:256+130], data) {
+	if !bytes.Equal(mem.Read(256, 130), data) {
 		t.Fatal("memory content wrong after burst write")
 	}
 	// Bytes beyond the partial beat are zero-strobed and must be untouched.
-	for i := 256 + 130; i < 256+192; i++ {
-		if mem[i] != 0 {
-			t.Fatalf("byte %d written beyond strobe", i)
+	for i, b := range mem.Read(256+130, 192-130) {
+		if b != 0 {
+			t.Fatalf("byte %d written beyond strobe", 256+130+i)
 		}
 	}
 }
 
 func TestStrobeMasksBytes(t *testing.T) {
 	s, wm, _, mem := buildWriteSystem(t, 0)
-	for i := range mem {
-		mem[i] = 0xee
-	}
+	mem.Write(0, bytes.Repeat([]byte{0xee}, int(mem.Size())))
 	data := make([]byte, 64)
 	strb := make([]byte, 64)
 	for i := range data {
@@ -148,28 +210,31 @@ func TestStrobeMasksBytes(t *testing.T) {
 	if _, err := s.Run(1000, func() bool { return done }); err != nil {
 		t.Fatal(err)
 	}
+	got := mem.Read(0, 64)
 	for i := 0; i < 64; i++ {
 		want := byte(0xee)
 		if i%2 == 0 {
 			want = byte(i + 1)
 		}
-		if mem[i] != want {
-			t.Fatalf("byte %d: got %#x want %#x", i, mem[i], want)
+		if got[i] != want {
+			t.Fatalf("byte %d: got %#x want %#x", i, got[i], want)
 		}
 	}
 }
 
 func TestReadBurstReturnsMemory(t *testing.T) {
 	s, _, rm, mem := buildWriteSystem(t, 0)
-	for i := 0; i < 256; i++ {
-		mem[512+i] = byte(i ^ 0x5a)
+	want := make([]byte, 256)
+	for i := range want {
+		want[i] = byte(i ^ 0x5a)
 	}
+	mem.Write(512, want)
 	var got []byte
 	rm.Push(ReadOp{Addr: 512, Beats: 4, Done: func(data []byte, resp uint8) { got = data }})
 	if _, err := s.Run(1000, func() bool { return got != nil }); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, []byte(mem[512:512+256])) {
+	if !bytes.Equal(got, want) {
 		t.Fatal("read data mismatch")
 	}
 }
@@ -238,7 +303,7 @@ func TestRegSubordinateDispatch(t *testing.T) {
 func TestTokenBucketThrottlesBandwidth(t *testing.T) {
 	s := sim.New()
 	iface := NewFull(s, "dma")
-	mem := make(SliceMem, 1<<16)
+	mem := NewMemory(1 << 16)
 	wm := NewWriteManager("wm", iface)
 	sub := NewMemSubordinate("mem", iface, mem)
 	// 16 bytes/cycle: a 64-byte beat every 4 cycles on average.
@@ -313,7 +378,7 @@ func TestBRespOnlyAfterAWAndW(t *testing.T) {
 	// completed — the ordering requirement of Fig 2 in the paper.
 	s := sim.New()
 	iface := NewFull(s, "dma")
-	mem := make(SliceMem, 4096)
+	mem := NewMemory(4096)
 	wm := NewWriteManager("wm", iface)
 	sub := NewMemSubordinate("mem", iface, mem)
 	rng := sim.NewRand(5)

@@ -550,6 +550,18 @@ func (s *MemSubordinate) TickWatch() []*sim.Channel {
 // TickStable implements sim.TickSensitive.
 func (s *MemSubordinate) TickStable() bool { return !s.busy() }
 
+// writeRun writes one run of strobed bytes. A run that straddles the end of
+// memory still writes its in-range prefix; the first failure lands in Err.
+func (s *MemSubordinate) writeRun(addr uint64, p []byte) {
+	if size := s.mem.Size(); addr < size && uint64(len(p)) > size-addr {
+		s.writeRun(addr, p[:size-addr])
+		addr, p = size, p[size-addr:]
+	}
+	if err := s.mem.WriteAt(addr, p); err != nil && s.Err == nil {
+		s.Err = err
+	}
+}
+
 // Tick implements sim.Module.
 func (s *MemSubordinate) Tick() {
 	// Conservative stability: re-evaluate whenever work was or remains in
@@ -581,12 +593,18 @@ func (s *MemSubordinate) Tick() {
 		bs := s.beatSize()
 		for i := 0; i < need; i++ {
 			beat := s.wBuf[i]
-			for j, en := range beat.Strb {
-				if en != 0 {
-					if err := s.mem.WriteAt(addr+uint64(i*bs+j), beat.Data[j:j+1]); err != nil && s.Err == nil {
-						s.Err = err
-					}
+			// One write per contiguous run of enabled strobe bytes.
+			for j := 0; j < len(beat.Strb); {
+				if beat.Strb[j] == 0 {
+					j++
+					continue
 				}
+				k := j + 1
+				for k < len(beat.Strb) && beat.Strb[k] != 0 {
+					k++
+				}
+				s.writeRun(addr+uint64(i*bs+j), beat.Data[j:k])
+				j = k
 			}
 		}
 		s.awBuf = s.awBuf[1:]

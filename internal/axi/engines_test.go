@@ -10,7 +10,7 @@ import (
 func TestMaxLengthBurst(t *testing.T) {
 	s := sim.New()
 	iface := NewFull(s, "dma")
-	mem := make(SliceMem, 1<<13)
+	mem := NewMemory(1 << 13)
 	wm := NewWriteManager("wm", iface)
 	rm := NewReadManager("rm", iface)
 	sub := NewMemSubordinate("mem", iface, mem)
@@ -27,7 +27,7 @@ func TestMaxLengthBurst(t *testing.T) {
 	if _, err := s.Run(5000, func() bool { return done }); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal([]byte(mem[:len(data)]), data) {
+	if !bytes.Equal(mem.Read(0, len(data)), data) {
 		t.Fatal("max burst corrupted")
 	}
 	var got []byte
@@ -43,10 +43,12 @@ func TestMaxLengthBurst(t *testing.T) {
 func TestMultipleOutstandingReads(t *testing.T) {
 	s := sim.New()
 	iface := NewFull(s, "dma")
-	mem := make(SliceMem, 1<<12)
-	for i := range mem {
-		mem[i] = byte(i ^ 0x3c)
+	mem := NewMemory(1 << 12)
+	want := make([]byte, mem.Size())
+	for i := range want {
+		want[i] = byte(i ^ 0x3c)
 	}
+	mem.Write(0, want)
 	rm := NewReadManager("rm", iface)
 	sub := NewMemSubordinate("mem", iface, mem)
 	rng := sim.NewRand(2)
@@ -68,7 +70,7 @@ func TestMultipleOutstandingReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		if !bytes.Equal(results[i], []byte(mem[i*128:i*128+128])) {
+		if !bytes.Equal(results[i], want[i*128:i*128+128]) {
 			t.Fatalf("read %d out of order or corrupted", i)
 		}
 	}
@@ -115,7 +117,7 @@ func TestRegSubordinateBackToBackOps(t *testing.T) {
 func TestWriteManagerLinkGating(t *testing.T) {
 	s := sim.New()
 	iface := NewFull(s, "dma")
-	mem := make(SliceMem, 1<<14)
+	mem := NewMemory(1 << 14)
 	wm := NewWriteManager("wm", iface)
 	link := NewTokenBucket("link", 8, 64) // 8 B/cy: one beat per 8 cycles
 	wm.Link = link
@@ -202,7 +204,7 @@ func TestLitePayloadWidthsMatchChannelWidths(t *testing.T) {
 func TestMemSubordinateOutOfRangeRecordsError(t *testing.T) {
 	s := sim.New()
 	iface := NewFull(s, "dma")
-	mem := make(SliceMem, 64)
+	mem := NewMemory(64)
 	wm := NewWriteManager("wm", iface)
 	sub := NewMemSubordinate("mem", iface, mem)
 	s.Register(wm, sub)
@@ -213,5 +215,41 @@ func TestMemSubordinateOutOfRangeRecordsError(t *testing.T) {
 	}
 	if sub.Err == nil {
 		t.Fatal("out-of-range write should record an error")
+	}
+}
+
+func TestMemSubordinateBurstStraddlingEndWritesInRangeBytes(t *testing.T) {
+	s := sim.New()
+	iface := NewFull(s, "dma")
+	const size, addr = 224, 192
+	mem := NewMemory(size)
+	wm := NewWriteManager("wm", iface)
+	sub := NewMemSubordinate("mem", iface, mem)
+	s.Register(wm, sub)
+	// One beat at 192 covers [192,256); memory ends at 224. Bytes 10 and 11
+	// are masked off, so the strobe runs are [192,202), in range, and
+	// [204,256), which straddles the end.
+	data := make([]byte, FullDataBytes)
+	strb := make([]byte, len(data))
+	for i := range data {
+		data[i] = byte(i + 1)
+		strb[i] = 1
+	}
+	strb[10], strb[11] = 0, 0
+	done := false
+	wm.Push(WriteOp{Addr: addr, Data: data, Strb: strb, Done: func(uint8) { done = true }})
+	if _, err := s.Run(1000, func() bool { return done }); err != nil {
+		t.Fatal(err)
+	}
+	if sub.Err == nil {
+		t.Fatal("straddling write should record an error")
+	}
+	want := append([]byte(nil), data[:size-addr]...)
+	want[10], want[11] = 0, 0
+	if got := mem.Read(addr, size-addr); !bytes.Equal(got, want) {
+		t.Fatalf("in-range bytes of the straddling burst:\n got %v\nwant %v", got, want)
+	}
+	if got := mem.Read(0, addr); !bytes.Equal(got, make([]byte, addr)) {
+		t.Fatal("bytes below the burst changed")
 	}
 }

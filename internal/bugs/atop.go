@@ -169,7 +169,10 @@ func (a *PingPongApp) Build(sys *shell.System) {
 		if addr == 0 {
 			idx := int(val)
 			buf := make([]byte, 256)
-			copy(buf, sys.CardDRAM[idx*256:])
+			// A buffer that runs past the end of card DRAM is copied
+			// short; the rest of the pong stays zero.
+			src := uint64(idx) * 256
+			copy(buf, sys.CardDRAM.Read(src, int(min(256, sys.CardDRAM.Size()-src))))
 			a.pong.Push(axi.WriteOp{
 				Addr: HostPongBase + uint64(idx*256),
 				Data: buf,

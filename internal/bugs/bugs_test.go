@@ -182,7 +182,7 @@ func TestPingPongRecordsAndVerifiesPongs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := []byte(sys.HostDRAM[HostPongBase : HostPongBase+uint64(len(app.Sent))])
+	got := sys.HostDRAM.Read(HostPongBase, len(app.Sent))
 	if !bytes.Equal(got, app.Sent) {
 		t.Fatal("pongs in host DRAM differ from pings")
 	}

@@ -221,7 +221,7 @@ type echoFront struct {
 	sim.EvalTracker
 	iface *axi.Interface
 	fifo  *FrameFIFO
-	card  axi.SliceMem
+	card  *axi.Memory
 	regs  *echoRegs
 
 	awBuf []axi.AWPayload
@@ -328,7 +328,9 @@ func (e *echoFront) Tick() {
 			if !ok {
 				break
 			}
-			binary.LittleEndian.PutUint32(e.card[1<<20+int(e.drained)*4:], v)
+			var frag [4]byte
+			binary.LittleEndian.PutUint32(frag[:], v)
+			e.card.Write(1<<20+uint64(e.drained)*4, frag[:])
 			e.drained++
 		}
 		// Progress counts fragments that left the ingress stage; drops are
@@ -359,8 +361,11 @@ func (e *echoFront) Tick() {
 		e.rq = e.rq[1:]
 		beats := int(ar.Len) + 1
 		for i := 0; i < beats; i++ {
+			// A beat that runs past the end of card DRAM reads short and
+			// is zero-filled.
+			addr := ar.Addr + uint64(i*64)
 			data := make([]byte, axi.FullDataBytes)
-			copy(data, e.card[int(ar.Addr)+i*64:])
+			copy(data, e.card.Read(addr, int(min(axi.FullDataBytes, e.card.Size()-addr))))
 			e.rBts = append(e.rBts, axi.RPayload{Data: data, Resp: axi.RespOKAY, Last: i == beats-1}.Encode(false))
 		}
 		e.rCur = e.rBts[0]

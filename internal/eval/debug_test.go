@@ -30,12 +30,12 @@ func TestDebugDMAReplay(t *testing.T) {
 	}
 	// Did the replayed pcis writes land in card DRAM?
 	sum := 0
-	for _, b := range rep.Sys.CardDRAM[0x10_0000 : 0x10_0000+2048] {
+	for _, b := range rep.Sys.CardDRAM.Read(0x10_0000, 2048) {
 		sum += int(b)
 	}
 	t.Logf("replay: cycles=%d InBase checksum=%d", rep.Cycles, sum)
 	sum = 0
-	for _, b := range rep.Sys.CardDRAM[0x20_0000 : 0x20_0000+2048] {
+	for _, b := range rep.Sys.CardDRAM.Read(0x20_0000, 2048) {
 		sum += int(b)
 	}
 	t.Logf("replay: OutBase checksum=%d", sum)

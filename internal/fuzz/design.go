@@ -173,7 +173,7 @@ func (d *pipeline) LossErr() error {
 // runs only). A buggy FrameFIFO that dropped fragments shifts the write-back
 // stream, so the comparison fails — the end-to-end data oracle.
 func (d *pipeline) EchoErr() error {
-	got := []byte(d.sys.HostDRAM[OutBase : OutBase+len(d.Sent)])
+	got := d.sys.HostDRAM.Read(OutBase, len(d.Sent))
 	for i := range got {
 		if got[i] != d.Sent[i] {
 			return fmt.Errorf("fuzz: echo mismatch at byte %d (dropped fragments: %d)",
@@ -200,7 +200,7 @@ func (d *pipeline) GoldenErr() error {
 	for i, v := range pred {
 		binary.LittleEndian.PutUint32(want[i*fragBytes:], v)
 	}
-	got := []byte(d.sys.HostDRAM[OutBase : OutBase+len(want)])
+	got := d.sys.HostDRAM.Read(OutBase, len(want))
 	for i := range got {
 		if got[i] != want[i] {
 			return fmt.Errorf(

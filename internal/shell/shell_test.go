@@ -2,6 +2,7 @@ package shell
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"vidi/internal/axi"
@@ -116,7 +117,7 @@ func TestCPURegisterAndDMAOps(t *testing.T) {
 	if !bytes.Equal(dmaBack, data) {
 		t.Fatal("DMA round trip corrupted data")
 	}
-	if !bytes.Equal([]byte(sys.CardDRAM[0x1000:0x1000+300]), data) {
+	if !bytes.Equal(sys.CardDRAM.Read(0x1000, 300), data) {
 		t.Fatal("DMA write did not land in card DRAM")
 	}
 }
@@ -214,7 +215,7 @@ func TestPCIMWritesReachHostDRAM(t *testing.T) {
 	if _, err := sys.Sim.Run(50000, func() bool { return done }); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal([]byte(sys.HostDRAM[0x2000:0x2000+128]), payload) {
+	if !bytes.Equal(sys.HostDRAM.Read(0x2000, 128), payload) {
 		t.Fatal("pcim write did not reach host DRAM")
 	}
 }
@@ -290,5 +291,21 @@ func TestSameSeedIdenticalWaveforms(t *testing.T) {
 	}
 	if c := run(22); bytes.Equal(a, c) {
 		t.Fatal("different seed produced identical waveforms (jitter not seeded)")
+	}
+}
+
+// TestNewSystemAllocatesLittle guards the sparse DRAM models: building a
+// system allocates the page tables, not the 8 MiB two dense 4 MiB memories
+// would zero.
+func TestNewSystemAllocatesLittle(t *testing.T) {
+	const runs = 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		NewSystem(Config{Seed: int64(i)})
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 256<<10 {
+		t.Fatalf("NewSystem allocated %d B per call, want < %d", per, 256<<10)
 	}
 }

@@ -27,15 +27,15 @@ const (
 	FullMonitoredBits = 1324
 )
 
+// dramBytes is the size of host DRAM and of card DRAM. Both are sparse: a
+// page costs memory only once something writes it.
+const dramBytes = 4 << 20
+
 // Config sizes a System.
 type Config struct {
 	// Replay builds the system without the environment side (CPU agent and
 	// host engines): the channel replayers take the environment's place.
 	Replay bool
-	// HostDRAMBytes and CardDRAMBytes size the two memories. Defaults are
-	// 4 MiB each.
-	HostDRAMBytes int
-	CardDRAMBytes int
 	// PCIeBytesPerCycle is the shared PCIe link bandwidth (default 28,
 	// ≈7 GB/s at 250 MHz, full-duplex approximated as one bucket).
 	PCIeBytesPerCycle float64
@@ -79,8 +79,8 @@ type System struct {
 	DDR    *axi.Interface
 	DDRSub *axi.MemSubordinate
 
-	HostDRAM axi.SliceMem
-	CardDRAM axi.SliceMem
+	HostDRAM *axi.Memory
+	CardDRAM *axi.Memory
 	PCIe     *axi.TokenBucket
 
 	CPU *CPU
@@ -98,12 +98,6 @@ func liteBuses() []string { return []string{"ocl", "sda", "bar1"} }
 
 // NewSystem builds a platform instance.
 func NewSystem(cfg Config) *System {
-	if cfg.HostDRAMBytes == 0 {
-		cfg.HostDRAMBytes = 4 << 20
-	}
-	if cfg.CardDRAMBytes == 0 {
-		cfg.CardDRAMBytes = 4 << 20
-	}
 	if cfg.PCIeBytesPerCycle == 0 {
 		cfg.PCIeBytesPerCycle = 28
 	}
@@ -112,8 +106,8 @@ func NewSystem(cfg Config) *System {
 		Sim:      s,
 		Boundary: core.NewBoundary(),
 		Cfg:      cfg,
-		HostDRAM: make(axi.SliceMem, cfg.HostDRAMBytes),
-		CardDRAM: make(axi.SliceMem, cfg.CardDRAMBytes),
+		HostDRAM: axi.NewMemory(dramBytes),
+		CardDRAM: axi.NewMemory(dramBytes),
 		PCIe:     axi.NewTokenBucket("pcie", cfg.PCIeBytesPerCycle, 512),
 	}
 	s.Register(sys.PCIe)
