@@ -40,6 +40,7 @@ func (s *Simulator) NewChannel(name string, width int) *Channel {
 		Ready: s.NewWire(name + ".ready"),
 		Data:  s.NewData(name+".data", width),
 	}
+	ch.Valid.validOf = int32(len(s.channels)) + 1
 	s.channels = append(s.channels, ch)
 	return ch
 }
@@ -61,9 +62,10 @@ func (ch *Channel) Signals() []Signal { return []Signal{ch.Valid, ch.Ready, ch.D
 func (ch *Channel) Width() int { return ch.width }
 
 // latch records handshake events at the clock edge. Called by the simulator
-// after the combinational fixpoint, before Tick.
+// after the combinational fixpoint, before Tick. The kernel is not a module,
+// so it reads the handshake without the sensitivity probe.
 func (ch *Channel) latch(cycle uint64) {
-	v, r := ch.Valid.Get(), ch.Ready.Get()
+	v, r := ch.Valid.peek(), ch.Ready.peek()
 	ch.startedNow = v && !ch.inFlight
 	ch.fired = v && r
 	if ch.startedNow {

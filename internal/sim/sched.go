@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"vidi/internal/telemetry"
 )
@@ -272,20 +273,64 @@ func (st Stats) String() string {
 
 // modState is the scheduler's per-module bookkeeping.
 type modState struct {
-	m       Module
-	stable  Stable        // nil: always evaluate on wave 0
-	clear   evalSettled   // non-nil: reset the module's EvalTracker after Eval
-	ticks   TickSensitive // non-nil: Tick may be gated on quiet cycles
-	pending bool
-	// needsTick wakes a gated module for the next clock edge. Written by the
-	// latch phase, by wake hooks and by earlier Ticks of the same cycle.
-	// Meaningful only when ticks is non-nil; paired with the awake counter.
-	needsTick bool
+	m      Module
+	stable Stable        // nil: always evaluate on wave 0
+	clear  evalSettled   // non-nil: reset the module's EvalTracker after Eval
+	ticks  TickSensitive // non-nil: Tick may be gated on quiet cycles
 }
 
-// scheduler is the sensitivity-graph engine built by Simulator.Build: one
-// pending set over every module, settled and ticked in registration order,
-// the same order as the legacy kernel.
+// bitset is a set of small indices (module registration or channel creation
+// order), one bit each.
+type bitset []uint64
+
+func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
+
+// add inserts i and reports whether it was absent.
+func (b bitset) add(i int32) bool {
+	w, m := &b[i>>6], uint64(1)<<(i&63)
+	if *w&m != 0 {
+		return false
+	}
+	*w |= m
+	return true
+}
+
+func (b bitset) remove(i int32) { b[i>>6] &^= 1 << (i & 63) }
+
+func (b bitset) has(i int32) bool { return b[i>>6]&(1<<(i&63)) != 0 }
+
+func (b bitset) empty() bool {
+	for _, w := range b {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// next returns the lowest member at or above i, or -1. It reads the set as
+// it is now, so a walk `for i := b.next(0); i >= 0; i = b.next(i + 1)` sees
+// members added above its position during the walk and not those added at
+// or below it: exactly the order of a scan over every index.
+func (b bitset) next(i int32) int32 {
+	wi := int(i >> 6)
+	if wi >= len(b) {
+		return -1
+	}
+	w := b[wi] & (^uint64(0) << (i & 63))
+	for w == 0 {
+		if wi++; wi == len(b) {
+			return -1
+		}
+		w = b[wi]
+	}
+	return int32(wi<<6 + bits.TrailingZeros64(w))
+}
+
+// scheduler is the sensitivity-graph engine built by Simulator.Build. Each
+// clock phase walks an activity set in registration (or creation) order,
+// the same order as the legacy kernel's full scans, so it costs what is
+// active in the phase rather than the size of the design.
 type scheduler struct {
 	sim        *Simulator
 	mods       []modState
@@ -293,13 +338,19 @@ type scheduler struct {
 	seedAlways []int32 // modules without Stable: evaluate on wave 0 every cycle
 	seedPoll   []int32 // StablePoll modules: EvalStable consulted every cycle
 
-	// ungated counts modules without tick gating; awake counts gated modules
-	// whose needsTick flag is set. When both are zero the whole tick phase is
-	// skipped.
-	ungated int
-	awake   int
+	// pending holds the modules whose Eval runs in the current settle.
+	pending bitset
+	// ticking holds the modules whose Tick runs at the next clock edge:
+	// every ungated module, plus every gated one woken by the latch phase, a
+	// wake hook, an earlier Tick of the same cycle or its own instability.
+	ticking bitset
+	// latching holds the channels that can latch an event at the next clock
+	// edge: VALID is high (Wire.Set adds the channel when it rises), or the
+	// channel latched an event last cycle and must clear it. The latch phase
+	// drops a channel once it latches with VALID low; every other channel
+	// would latch nothing.
+	latching bitset
 
-	pendingCount  int
 	changedInWave bool
 
 	// counters (read via Stats after phases complete)
@@ -335,19 +386,12 @@ type scheduler struct {
 }
 
 // seed marks module mi pending for the current settle.
-func (sc *scheduler) seed(mi int32) {
-	if ms := &sc.mods[mi]; !ms.pending {
-		ms.pending = true
-		sc.pendingCount++
-	}
-}
+func (sc *scheduler) seed(mi int32) { sc.pending.add(mi) }
 
 // wake marks module mi pending in response to an event (a signal change or
 // a Touch) and counts the wakeup.
 func (sc *scheduler) wake(mi int32) {
-	if ms := &sc.mods[mi]; !ms.pending {
-		ms.pending = true
-		sc.pendingCount++
+	if sc.pending.add(mi) {
 		sc.wakes++
 	}
 }
@@ -363,10 +407,11 @@ func (sc *scheduler) touched(g *sigcore) {
 	}
 }
 
-// settle runs one cycle's combinational phase as a worklist: a pending set
-// processed in ascending module (registration) order, bounded by maxIters
-// waves so combinational loops are still detected. The first error stops
-// the pass.
+// settle runs one cycle's combinational phase as a worklist: the pending
+// set walked in ascending module (registration) order, bounded by maxIters
+// waves so combinational loops are still detected. A module marked during a
+// wave runs later in the same wave if it sits above the walk's position and
+// in the next wave otherwise. The first error stops the pass.
 func (sc *scheduler) settle(cycle uint64, maxIters int) error {
 	// Wave 0 seeds: everything already pending (an input changed or the
 	// module was Touched last cycle), plus the modules that declare no
@@ -381,24 +426,20 @@ func (sc *scheduler) settle(cycle uint64, maxIters int) error {
 		}
 	}
 	didWork := false
-	for wave := 0; sc.pendingCount > 0; wave++ {
+	for wave := 0; !sc.pending.empty(); wave++ {
 		if wave >= maxIters {
 			return fmt.Errorf("%w at cycle %d", ErrCombLoop, cycle)
 		}
 		sc.changedInWave = false
 		evals := uint64(0)
-		for mi := range sc.mods {
+		for mi := sc.pending.next(0); mi >= 0; mi = sc.pending.next(mi + 1) {
+			sc.pending.remove(mi)
 			ms := &sc.mods[mi]
-			if !ms.pending {
-				continue
-			}
-			ms.pending = false
-			sc.pendingCount--
 			if pr := sc.sim.probe; pr != nil {
 				pr.begin()
 				ms.m.Eval()
 				pr.end()
-				if err := pr.check(mi, ms.m.Name(), cycle); err != nil {
+				if err := pr.check(int(mi), ms.m.Name(), cycle); err != nil {
 					return err
 				}
 			} else {
@@ -449,46 +490,53 @@ func (sc *scheduler) noteBusy(cycle uint64) {
 	sc.spanOpen, sc.spanStart, sc.spanEnd = true, cycle, cycle+1
 }
 
-// tick commits sequential state at the clock edge, in registration order.
-// Gated modules sleep through quiet cycles; a wake flag set by an earlier
-// module's Tick is honoured in the same cycle (the flag is read at the
-// module's own slot), while a wake from a later module persists to the next
-// cycle — in both cases exactly when the legacy kernel's effect would land.
-func (sc *scheduler) tick() {
-	if sc.ungated == 0 && sc.awake == 0 {
-		// Every module is gated and asleep: skip the scan entirely.
-		sc.tickSkips += uint64(len(sc.mods))
-		return
-	}
-	for i := range sc.mods {
-		ms := &sc.mods[i]
-		if ms.ticks == nil {
-			ms.m.Tick()
-			continue
-		}
-		if !ms.needsTick {
-			sc.tickSkips++
-			continue
-		}
-		ms.needsTick = false
-		sc.awake--
-		ms.m.Tick()
-		// Re-arm unless the module's own Tick already did (via a self-wake
-		// hook, which keeps the awake counter consistent).
-		if !ms.needsTick && !ms.ticks.TickStable() {
-			ms.needsTick = true
-			sc.awake++
+// latch runs the clock edge's handshake phase over the latching set, in
+// channel creation order. A channel outside the set has VALID low and no
+// event latched last cycle, so latching it would change nothing. Handshake
+// activity wakes the channel's gated watchers for this cycle's tick phase.
+func (sc *scheduler) latch() {
+	s := sc.sim
+	for ci := sc.latching.next(0); ci >= 0; ci = sc.latching.next(ci + 1) {
+		ch := s.channels[ci]
+		s.latch(ch)
+		if ch.fired || ch.startedNow {
+			for _, mi := range ch.watchers {
+				sc.wakeTick(mi)
+			}
+		} else if !ch.Valid.peek() {
+			sc.latching.remove(ci)
 		}
 	}
 }
 
-// wakeTick arms gated module mi's next Tick.
-func (sc *scheduler) wakeTick(mi int32) {
-	if ms := &sc.mods[mi]; !ms.needsTick {
-		ms.needsTick = true
-		sc.awake++
+// tick commits sequential state at the clock edge: the ticking set walked
+// in registration order. Gated modules sleep through quiet cycles; a wake
+// set by an earlier module's Tick is honoured in the same cycle (the walk
+// reaches the module's bit later), while a wake from a later module persists
+// to the next cycle — in both cases exactly when the legacy kernel's effect
+// would land.
+func (sc *scheduler) tick() {
+	ticks := 0
+	for mi := sc.ticking.next(0); mi >= 0; mi = sc.ticking.next(mi + 1) {
+		ticks++
+		ms := &sc.mods[mi]
+		if ms.ticks == nil {
+			ms.m.Tick()
+			continue
+		}
+		sc.ticking.remove(mi)
+		ms.m.Tick()
+		// Re-arm unless the module's own Tick already did (via a self-wake
+		// hook).
+		if !sc.ticking.has(mi) && !ms.ticks.TickStable() {
+			sc.ticking.add(mi)
+		}
 	}
+	sc.tickSkips += uint64(len(sc.mods) - ticks)
 }
+
+// wakeTick arms gated module mi's next Tick.
+func (sc *scheduler) wakeTick(mi int32) { sc.ticking.add(mi) }
 
 // quiesce reports how many of the next limit cycles can be skipped outright:
 // k > 0 means cycles [now, now+k) would each be a no-op — the combinational
@@ -505,7 +553,7 @@ func (sc *scheduler) wakeTick(mi int32) {
 // channel state, none of which changes during the skipped stretch — which is
 // why Run can jump the clock without running them.
 func (sc *scheduler) quiesce(now, limit uint64) uint64 {
-	if limit == 0 || sc.pendingCount > 0 {
+	if limit == 0 || !sc.pending.empty() {
 		return 0
 	}
 	for _, mi := range sc.seedPoll {
@@ -513,7 +561,9 @@ func (sc *scheduler) quiesce(now, limit uint64) uint64 {
 			return 0
 		}
 	}
-	for _, ch := range sc.sim.channels {
+	// Every channel with VALID high is in the latching set.
+	for ci := sc.latching.next(0); ci >= 0; ci = sc.latching.next(ci + 1) {
+		ch := sc.sim.channels[ci]
 		// Frozen channel: no offer, or an offer stalled behind a transaction
 		// already in flight with the consumer not ready. Anything else would
 		// latch a start or a fire next cycle.
@@ -521,13 +571,11 @@ func (sc *scheduler) quiesce(now, limit uint64) uint64 {
 			return 0
 		}
 	}
+	// Modules outside the ticking set are asleep under tick gating: their
+	// Tick would not run anyway.
 	k := limit
-	for i := range sc.mods {
-		ms := &sc.mods[i]
-		if ms.ticks != nil && !ms.needsTick {
-			continue // asleep under tick gating: its Tick would not run anyway
-		}
-		th := sc.horizons[i]
+	for mi := sc.ticking.next(0); mi >= 0; mi = sc.ticking.next(mi + 1) {
+		th := sc.horizons[mi]
 		if th == nil {
 			return 0 // an awake module without a horizon must tick for real
 		}
@@ -543,12 +591,8 @@ func (sc *scheduler) quiesce(now, limit uint64) uint64 {
 	// the skipped work into the counters exactly as per-cycle gating would
 	// have (one legacy confirmation pass of evals and a full tick scan per
 	// skipped cycle).
-	for i := range sc.mods {
-		ms := &sc.mods[i]
-		if ms.ticks != nil && !ms.needsTick {
-			continue
-		}
-		sc.horizons[i].SkipTicks(k)
+	for mi := sc.ticking.next(0); mi >= 0; mi = sc.ticking.next(mi + 1) {
+		sc.horizons[mi].SkipTicks(k)
 	}
 	n := uint64(len(sc.mods))
 	sc.skipped += k * n
@@ -684,11 +728,17 @@ func (s *Simulator) Build() error {
 	sc := &scheduler{
 		sim:       s,
 		mods:      make([]modState, nm),
+		pending:   newBitset(nm),
+		ticking:   newBitset(nm),
+		latching:  newBitset(len(s.channels)),
 		horizons:  make([]TickHorizon, nm),
 		batchable: true,
 	}
-	for _, ch := range s.channels {
+	for ci, ch := range s.channels {
 		ch.watchers = ch.watchers[:0]
+		if ch.Valid.peek() || ch.fired || ch.startedNow {
+			sc.latching.add(int32(ci))
+		}
 	}
 	for i, m := range s.modules {
 		if sn, ok := m.(Sensitive); ok {
@@ -719,8 +769,9 @@ func (s *Simulator) Build() error {
 		}
 		ms := &sc.mods[i]
 		ms.m = m
-		ms.pending = true // evaluate everything on the first cycle
-		sc.pendingCount++
+		// Evaluate and tick everything on the first cycle.
+		sc.pending.add(int32(i))
+		sc.ticking.add(int32(i))
 		if st, ok := m.(Stable); ok {
 			ms.stable = st
 		}
@@ -741,20 +792,15 @@ func (s *Simulator) Build() error {
 		}
 		if ts, ok := m.(TickSensitive); ok {
 			ms.ticks = ts
-			ms.needsTick = true // tick everything on the first cycle
-			sc.awake++
 			for _, ch := range ts.TickWatch() {
 				if ch != nil {
 					ch.watchers = append(ch.watchers, int32(i))
 				}
 			}
-		} else {
-			sc.ungated++
-			if sc.horizons[i] == nil {
-				// An ungated module ticks every cycle with no horizon to
-				// bound the skip, so this design can never batch.
-				sc.batchable = false
-			}
+		} else if sc.horizons[i] == nil {
+			// An ungated module ticks every cycle with no horizon to
+			// bound the skip, so this design can never batch.
+			sc.batchable = false
 		}
 		if w, ok := m.(TickWakeable); ok {
 			if ms.ticks == nil {

@@ -10,9 +10,10 @@
 //     no wire changes value (a delta-cycle fixpoint). Eval must be
 //     idempotent: it derives combinational outputs from registered state and
 //     from other wires' current values.
-//  2. Clock edge: the simulator latches handshake events on every Channel
-//     (start and end of transactions) and then calls every module's Tick
-//     method, in which modules commit sequential state. During Tick a module
+//  2. Clock edge: the simulator latches handshake events (start and end of
+//     transactions) on every Channel whose VALID is high, and on those that
+//     latched an event last cycle, then calls every module's Tick method, in
+//     which modules commit sequential state. During Tick a module
 //     may inspect Channel.Fired, Channel.StartedNow and Channel.EndedNow,
 //     which reflect the cycle that just completed.
 //
@@ -188,36 +189,33 @@ func (s *Simulator) Step() error {
 		}
 	}
 	// Phase 2: clock edge. Latch handshake events in channel creation
-	// order, then tick modules. Handshake activity wakes the channel's gated
-	// watchers for this cycle's tick phase.
-	anyFire := false
-	for _, ch := range s.channels {
-		ch.latch(s.cycle)
-		if ch.startedNow {
-			s.inFlightCnt++
-		}
-		if ch.fired {
-			anyFire = true
-			s.inFlightCnt--
-		}
-		if (ch.fired || ch.startedNow) && s.sched != nil {
-			for _, mi := range ch.watchers {
-				s.sched.wakeTick(mi)
-			}
-		}
-	}
-	if anyFire {
-		s.lastFire = s.cycle
-	}
-	if s.sched != nil {
-		s.sched.tick()
+	// order, then tick modules.
+	if sc := s.sched; sc != nil {
+		sc.latch()
+		sc.tick()
 	} else {
+		for _, ch := range s.channels {
+			s.latch(ch)
+		}
 		for _, m := range s.modules {
 			m.Tick()
 		}
 	}
 	s.cycle++
 	return nil
+}
+
+// latch latches one channel's handshake events at the clock edge and keeps
+// the watchdog's in-flight count and last-fire cycle.
+func (s *Simulator) latch(ch *Channel) {
+	ch.latch(s.cycle)
+	if ch.startedNow {
+		s.inFlightCnt++
+	}
+	if ch.fired {
+		s.inFlightCnt--
+		s.lastFire = s.cycle
+	}
 }
 
 // settleLegacy is the seed kernel's combinational phase: run every module's

@@ -37,6 +37,10 @@ type Wire struct {
 	vp   *bool   // current value location (slab after Build)
 	genv uint64  // inline generation storage
 	gp   *uint64 // generation counter location; bumped on every value change
+	// validOf is 1 + the creation index of the channel whose VALID this
+	// wire is, 0 for any other wire: a rising VALID puts its channel in the
+	// scheduler's latching set.
+	validOf int32
 }
 
 // NewWire creates a named single-bit wire.
@@ -61,8 +65,8 @@ func (w *Wire) Get() bool {
 }
 
 // peek reads the value without consulting the sensitivity probe; the
-// scheduler's quiescence scan uses it so batching can never register as a
-// module's signal access.
+// kernel's latch phase and quiescence scan use it so they can never register
+// as a module's signal access.
 func (w *Wire) peek() bool { return *w.vp }
 
 // gen returns the wire's change-generation counter. It increments on every
@@ -80,6 +84,11 @@ func (w *Wire) Set(v bool) {
 	if *w.vp != v {
 		*w.vp = v
 		*w.gp++
+		if v && w.validOf != 0 {
+			if sc := w.sim.sched; sc != nil {
+				sc.latching.add(w.validOf - 1)
+			}
+		}
 		w.sigcore.changed()
 	}
 }
