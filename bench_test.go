@@ -19,8 +19,10 @@ import (
 	"testing"
 
 	"vidi/internal/baseline"
+	"vidi/internal/core"
 	"vidi/internal/eval"
 	"vidi/internal/sim"
+	"vidi/internal/trace"
 )
 
 // BenchmarkTable1 regenerates Table 1: per application, the native cycle
@@ -330,4 +332,48 @@ func replayOrderless(b *testing.B, tr *baseline.OrderlessTrace) []uint32 {
 		b.Fatal(err)
 	}
 	return app.Outputs
+}
+
+// loopTraces records dma-irq x8 (the repo benchmark's loop-txn app) under
+// R2 and replays it under R3, returning the reference and validation traces.
+func loopTraces(b *testing.B) (ref, val *trace.Trace) {
+	b.Helper()
+	cfg := eval.RunConfig{App: "dma-irq", Scale: 8, Seed: 11, Cfg: eval.R2}
+	rec, err := eval.Run(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg.Cfg, cfg.ReplayTrace = eval.R3, rec.Trace
+	rep, err := eval.Run(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rec.Trace, rep.Trace
+}
+
+// BenchmarkTraceCodec measures the storage round trip of a recorded trace:
+// serialize and frame it, then deframe and decode it.
+func BenchmarkTraceCodec(b *testing.B) {
+	ref, _ := loopTraces(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := trace.FromFrames(ref.Frames()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(ref.Bytes())), "trace-bytes")
+}
+
+// BenchmarkCompare measures divergence detection between a recording and
+// the validation trace of its replay.
+func BenchmarkCompare(b *testing.B) {
+	ref, val := loopTraces(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rep, err := core.Compare(ref, val); err != nil || !rep.Clean() {
+			b.Fatalf("Compare = %v, %v", rep, err)
+		}
+	}
 }

@@ -3,7 +3,8 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
-	"reflect"
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"vidi/internal/sim"
@@ -261,7 +262,7 @@ func TestReplayIsDeterministic(t *testing.T) {
 			t.Fatalf("replays differ at output %d", i)
 		}
 	}
-	if len(val1.Packets) != len(val2.Packets) {
+	if val1.Len() != val2.Len() {
 		t.Fatal("validation traces have different lengths across replays")
 	}
 }
@@ -317,10 +318,9 @@ func TestCompareDetectsContentDivergence(t *testing.T) {
 	// Corrupt one replayed output content.
 	oc := val.Meta.ChannelByName("out")
 	mutated := false
-	for pi := range val.Packets {
-		p := &val.Packets[pi]
-		if p.Ends.Get(oc) && len(p.Contents) > 0 {
-			p.Contents[len(p.Contents)-1][0] ^= 0xff
+	for pi := 0; pi < val.Len(); pi++ {
+		if c := val.Packet(pi).Channel(oc).Content; c != nil {
+			c[0] ^= 0xff
 			mutated = true
 			break
 		}
@@ -348,13 +348,16 @@ func TestCompareDetectsCountDivergence(t *testing.T) {
 	_, val, _ := runReplay(t, ref, true)
 	// Drop the last output end event.
 	oc := val.Meta.ChannelByName("out")
-	for pi := len(val.Packets) - 1; pi >= 0; pi-- {
-		p := &val.Packets[pi]
-		if p.Ends.Get(oc) {
-			removeEnd(val, pi, oc)
-			break
+	last := val.FindEnd(oc, val.EndCounts()[oc]-1)
+	dropped := trace.NewTrace(val.Meta)
+	for pi := 0; pi < val.Len(); pi++ {
+		dropEnd := -1
+		if pi == last {
+			dropEnd = oc
 		}
+		copyPacket(dropped, val.Packet(pi), -1, dropEnd)
 	}
+	val = dropped
 	rep, err := Compare(ref, val)
 	if err != nil {
 		t.Fatal(err)
@@ -513,13 +516,13 @@ func TestEncoderContentOrder(t *testing.T) {
 	enc.Tick()
 
 	tr := enc.Trace()
-	want := [][][]byte{{{'a'}, {'b'}, {'x'}, {'y'}}, {{'c'}}}
-	if len(tr.Packets) != len(want) {
-		t.Fatalf("got %d packets, want %d", len(tr.Packets), len(want))
+	want := []string{"abxy", "c"}
+	if tr.Len() != len(want) {
+		t.Fatalf("got %d packets, want %d", tr.Len(), len(want))
 	}
-	for pi, p := range tr.Packets {
-		if !reflect.DeepEqual(p.Contents, want[pi]) {
-			t.Fatalf("packet %d contents %q, want %q", pi, p.Contents, want[pi])
+	for pi, w := range want {
+		if got := string(tr.Packet(pi).Body); got != w {
+			t.Fatalf("packet %d contents %q, want %q", pi, got, w)
 		}
 	}
 	if err := tr.Validate(); err != nil {
@@ -534,7 +537,7 @@ func TestEncoderContentOrder(t *testing.T) {
 // trace twice as long must not cost more allocations.
 func TestCompareAllocsIndependentOfLength(t *testing.T) {
 	_, tr, _, _ := runRecorded(t, 37, Options{Mode: ModeRecord, ValidateOutputs: true}, 20)
-	doubled := &trace.Trace{Meta: tr.Meta, Packets: append(append([]trace.CyclePacket(nil), tr.Packets...), tr.Packets...)}
+	twice := repeated(tr, 2)
 	allocs := func(tr *trace.Trace) float64 {
 		return testing.AllocsPerRun(10, func() {
 			if rep, err := Compare(tr, tr); err != nil || !rep.Clean() {
@@ -542,8 +545,135 @@ func TestCompareAllocsIndependentOfLength(t *testing.T) {
 			}
 		})
 	}
-	base, grown := allocs(tr), allocs(doubled)
+	base, grown := allocs(tr), allocs(twice)
 	if grown > base+2 {
-		t.Fatalf("Compare allocates %.0f times over %d packets and %.0f over %d", base, len(tr.Packets), grown, len(doubled.Packets))
+		t.Fatalf("Compare allocates %.0f times over %d packets and %.0f over %d", base, tr.Len(), grown, twice.Len())
+	}
+}
+
+// repeated returns a trace of tr's packets, k times over.
+func repeated(tr *trace.Trace, k int) *trace.Trace {
+	d := trace.NewTrace(tr.Meta)
+	for i := 0; i < k*tr.Len(); i++ {
+		copyPacket(d, tr.Packet(i%tr.Len()), -1, -1)
+	}
+	return d
+}
+
+// TestCodecAllocsIndependentOfLength guards the storage round trip of the
+// flat trace: framing and decoding a trace twice as long must not cost more
+// allocations, and the bytes allocated stay within a small multiple of the
+// trace's encoded size. The round trip holds the encoding, the frames and
+// the deframed stream, plus the decoded slabs: contents, and 24 bytes of
+// event bits and offsets per packet, which for this trace's 11-byte packets
+// is about twice their size.
+func TestCodecAllocsIndependentOfLength(t *testing.T) {
+	_, tr, _, _ := runRecorded(t, 37, Options{Mode: ModeRecord, ValidateOutputs: true}, 200)
+	const runs = 10
+	codec := func(tr *trace.Trace) (allocs, perByte float64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs = testing.AllocsPerRun(runs, func() {
+			if _, err := trace.FromFrames(tr.Frames()); err != nil {
+				t.Fatal(err)
+			}
+		})
+		runtime.ReadMemStats(&after)
+		// AllocsPerRun makes one warm-up run before the measured ones.
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1) / float64(len(tr.Bytes()))
+	}
+	twice := repeated(tr, 2)
+	base, basePerByte := codec(tr)
+	grown, grownPerByte := codec(twice)
+	if grown > base+2 {
+		t.Fatalf("Frames+FromFrames allocates %.0f times over %d packets and %.0f over %d", base, tr.Len(), grown, twice.Len())
+	}
+	for _, perByte := range []float64{basePerByte, grownPerByte} {
+		if perByte > 8 {
+			t.Fatalf("Frames+FromFrames allocates %.1f bytes per trace byte, want at most 8", perByte)
+		}
+	}
+}
+
+// TestCompareOrderMatchesClocks checks Compare's one-pass order check
+// against its definition: the k-th end of a channel is out of order when the
+// validation trace's end counts before its packet do not dominate the
+// reference's, as per-packet vector clocks.
+func TestCompareOrderMatchesClocks(t *testing.T) {
+	m := trace.NewMeta([]trace.ChannelInfo{
+		{Name: "a", Width: 1, Dir: trace.Output},
+		{Name: "b", Width: 1, Dir: trace.Output},
+		{Name: "c", Width: 1, Dir: trace.Output},
+		{Name: "d", Width: 1, Dir: trace.Output},
+	}, true)
+	n := m.NumChannels()
+	random := func(r *rand.Rand) *trace.Trace {
+		tr := trace.NewTrace(m)
+		for i := r.Intn(30); i > 0; i-- {
+			b := tr.Append(false)
+			for ci := 0; ci < n; ci++ {
+				if r.Intn(3) == 0 {
+					b.End(ci, []byte{0})
+				}
+			}
+		}
+		return tr
+	}
+	clockOrder := func(ref, val *trace.Trace) [][2]uint64 {
+		refVC, valVC := endPrefix(ref), endPrefix(val)
+		var out [][2]uint64
+		for ci := 0; ci < n; ci++ {
+			for k := uint64(0); ; k++ {
+				rp, vp := ref.FindEnd(ci, k), val.FindEnd(ci, k)
+				if rp < 0 || vp < 0 {
+					break
+				}
+				if !clockAt(valVC, vp, n).Geq(clockAt(refVC, rp, n)) {
+					out = append(out, [2]uint64{uint64(ci), k})
+				}
+			}
+		}
+		return out
+	}
+	clean, diverged := 0, 0
+	for seed := int64(0); seed < 300; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		ref, val := random(r), random(r)
+		if seed%2 == 0 {
+			// A near miss: the reference with two end events swapped.
+			val = repeated(ref, 1)
+			a, b := r.Intn(n), r.Intn(n)
+			ca, cb := val.EndCounts()[a], val.EndCounts()[b]
+			if ca > 0 && cb > 0 {
+				_ = SwapEnds(val, m.Channels[a].Name, uint64(r.Intn(int(ca))), m.Channels[b].Name, uint64(r.Intn(int(cb))))
+			}
+		}
+		rep, err := Compare(ref, val)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got [][2]uint64
+		for _, d := range rep.Divergences {
+			if d.Kind == OrderDivergence {
+				got = append(got, [2]uint64{uint64(d.Channel), d.Ordinal})
+			}
+		}
+		want := clockOrder(ref, val)
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: order divergences %v, clocks say %v", seed, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: order divergences %v, clocks say %v", seed, got, want)
+			}
+		}
+		if len(want) == 0 {
+			clean++
+		} else {
+			diverged++
+		}
+	}
+	if clean < 30 || diverged < 30 {
+		t.Fatalf("weak sample: %d clean and %d divergent pairs", clean, diverged)
 	}
 }

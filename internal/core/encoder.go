@@ -36,10 +36,19 @@ type Encoder struct {
 	used     int // bytes queued, waiting for the store to drain
 	reserved int // bytes reserved for outstanding end events
 
-	// Per-cycle builders, filled by monitors during Tick.
-	curStarts   []bool
-	curEnds     []bool
-	curContents [][]byte // per channel; compacted at end of cycle
+	// Per-cycle builders, filled by monitors during Tick: each channel's
+	// channel packet, and the channels touched this cycle, in log order.
+	// Only the touched channels are scanned and reset at the clock edge.
+	cur     []trace.ChannelPacket
+	touched []int
+
+	// Space needs, fixed when the encoder is built. startNeed[ci] and
+	// endNeed[l][ci] are the worst-case bytes a start and an end event on
+	// channel ci add, with l = 1 in lossy mode; margin[l] is their sum over
+	// all channels.
+	startNeed []int
+	endNeed   [2][]int
+	margin    [2]int
 
 	// Outstanding reservation sizes per channel. Held as byte amounts, not
 	// booleans, so a release returns exactly what was reserved even when a
@@ -92,58 +101,51 @@ type Encoder struct {
 // buffer of bufBytes.
 func NewEncoder(meta *trace.Meta, store *Store, bufBytes int) *Encoder {
 	n := meta.NumChannels()
-	return &Encoder{
-		meta:        meta,
-		store:       store,
-		bufBytes:    bufBytes,
-		curStarts:   make([]bool, n),
-		curEnds:     make([]bool, n),
-		curContents: make([][]byte, n),
-		endResv:     make([]int, n),
-		startResv:   make([]int, n),
-		rec:         trace.NewTrace(meta),
-		lastFree:    bufBytes,
+	e := &Encoder{
+		meta:      meta,
+		store:     store,
+		bufBytes:  bufBytes,
+		cur:       make([]trace.ChannelPacket, n),
+		touched:   make([]int, 0, n),
+		startNeed: make([]int, n),
+		endNeed:   [2][]int{make([]int, n), make([]int, n)},
+		endResv:   make([]int, n),
+		startResv: make([]int, n),
+		rec:       trace.NewTrace(meta),
+		lastFree:  bufBytes,
 	}
+	// Every event can open a cycle packet, so each need includes the
+	// packet's Starts and Ends fields. In lossy mode output contents are
+	// shed, so an output end costs only that header — this shrinking demand
+	// is what lets degraded recording relieve back-pressure instead of
+	// wedging the application. The margin is the worst-case demand of one
+	// cycle across all channels, kept free so that concurrent CanAccept
+	// answers cannot jointly oversubscribe the buffer.
+	header := trace.ByteLen(meta.NumInputs()) + trace.ByteLen(meta.NumChannels())
+	for ci, c := range meta.Channels {
+		e.startNeed[ci] = header
+		e.endNeed[0][ci], e.endNeed[1][ci] = header, header
+		if c.Dir == trace.Input {
+			e.startNeed[ci] += c.Width
+		} else if meta.ValidateOutputs {
+			e.endNeed[0][ci] += c.Width
+		}
+		for l := range e.margin {
+			e.margin[l] += e.startNeed[ci] + e.endNeed[l][ci]
+		}
+	}
+	return e
 }
 
 // Name implements sim.Module.
 func (e *Encoder) Name() string { return "trace-encoder" }
 
-// headerBytes is the fixed per-cycle-packet overhead.
-func (e *Encoder) headerBytes() int {
-	return trace.ByteLen(e.meta.NumInputs()) + trace.ByteLen(e.meta.NumChannels())
-}
-
-// startNeed is the worst-case bytes a start event on channel ci adds.
-func (e *Encoder) startNeed(ci int) int {
-	n := e.headerBytes()
-	if e.meta.Channels[ci].Dir == trace.Input {
-		n += e.meta.Channels[ci].Width
+// mode indexes the space needs: 1 in lossy mode, else 0.
+func (e *Encoder) mode() int {
+	if e.lossy {
+		return 1
 	}
-	return n
-}
-
-// endNeed is the worst-case bytes an end event on channel ci adds. In lossy
-// mode output contents are shed, so an output end costs only header space —
-// this shrinking demand is what lets degraded recording relieve
-// back-pressure instead of wedging the application.
-func (e *Encoder) endNeed(ci int) int {
-	n := e.headerBytes()
-	if e.meta.ValidateOutputs && !e.lossy && e.meta.Channels[ci].Dir == trace.Output {
-		n += e.meta.Channels[ci].Width
-	}
-	return n
-}
-
-// safetyMargin is the worst case demand of one cycle across all channels,
-// kept free so that concurrent CanAccept answers cannot jointly oversubscribe
-// the buffer.
-func (e *Encoder) safetyMargin() int {
-	n := 0
-	for ci := range e.meta.Channels {
-		n += e.startNeed(ci) + e.endNeed(ci)
-	}
-	return n
+	return 0
 }
 
 func (e *Encoder) stallBudget() int {
@@ -162,7 +164,8 @@ func (e *Encoder) Lossy() bool { return e.lossy }
 // the handshake — Vidi's back-pressure (§3.3).
 func (e *Encoder) CanAccept(ci int) bool {
 	free := e.bufBytes - e.used - e.reserved
-	ok := free >= e.startNeed(ci)+e.endNeed(ci)+e.safetyMargin()
+	l := e.mode()
+	ok := free >= e.startNeed[ci]+e.endNeed[l][ci]+e.margin[l]
 	if !ok {
 		e.Denials++
 		e.deniedThisCycle = true
@@ -225,8 +228,9 @@ func (e *Encoder) TickStable() bool {
 // cycle, consuming any start reservation. Called by monitors during Tick.
 func (e *Encoder) LogStart(ci int, content []byte) {
 	e.wake()
-	e.curStarts[ci] = true
-	e.curContents[ci] = content
+	e.touch(ci)
+	e.cur[ci].Start = true
+	e.cur[ci].Content = content
 	if e.startResv[ci] > 0 {
 		e.reserved -= e.startResv[ci]
 		e.startResv[ci] = 0
@@ -239,7 +243,7 @@ func (e *Encoder) LogStart(ci int, content []byte) {
 // this cycle.
 func (e *Encoder) ReserveStart(ci int) {
 	if e.startResv[ci] == 0 {
-		e.startResv[ci] = e.startNeed(ci)
+		e.startResv[ci] = e.startNeed[ci]
 		e.reserved += e.startResv[ci]
 		e.wake()
 	}
@@ -249,7 +253,7 @@ func (e *Encoder) ReserveStart(ci int) {
 // the transaction now starting on ci can be logged instantly later.
 func (e *Encoder) ReserveEnd(ci int) {
 	if e.endResv[ci] == 0 {
-		e.endResv[ci] = e.endNeed(ci)
+		e.endResv[ci] = e.endNeed[e.mode()][ci]
 		e.reserved += e.endResv[ci]
 		e.wake()
 	}
@@ -260,9 +264,10 @@ func (e *Encoder) ReserveEnd(ci int) {
 // validation mode.
 func (e *Encoder) LogEnd(ci int, content []byte) {
 	e.wake()
-	e.curEnds[ci] = true
+	e.touch(ci)
+	e.cur[ci].End = true
 	if content != nil {
-		e.curContents[ci] = content
+		e.cur[ci].Content = content
 	}
 	if e.endResv[ci] > 0 {
 		e.reserved -= e.endResv[ci]
@@ -270,46 +275,38 @@ func (e *Encoder) LogEnd(ci int, content []byte) {
 	}
 }
 
+// touch adds channel ci to this cycle's touched channels on its first
+// event.
+func (e *Encoder) touch(ci int) {
+	if cp := e.cur[ci]; !cp.Start && !cp.End {
+		e.touched = append(e.touched, ci)
+	}
+}
+
 // Tick implements sim.Module. Monitors tick before the encoder, so by now
 // the per-cycle builders hold all of this cycle's events.
 func (e *Encoder) Tick() {
-	anyEvent := false
-	for ci := range e.curStarts {
-		if e.curStarts[ci] || e.curEnds[ci] {
-			anyEvent = true
-			break
-		}
-	}
-	if anyEvent || e.EmitIdlePackets {
-		pkt := trace.NewCyclePacket(e.meta)
-		pkt.Lossy = e.lossy
-		// Contents, compacted in order (§3.2): the start contents of the
-		// input channels, then the end contents of the output channels.
-		for ii, ci := range e.meta.InputChannels() {
-			if e.curStarts[ci] {
-				pkt.Starts.Set(ii)
-				pkt.Contents = append(pkt.Contents, e.curContents[ci])
+	if len(e.touched) > 0 || e.EmitIdlePackets {
+		// The builder compacts the contents in order (§3.2) — the start
+		// contents of the input channels, then the end contents of the
+		// output channels, each in channel order — whatever order the
+		// monitors logged them in. In lossy mode it sheds the end contents.
+		b := e.rec.Append(e.lossy)
+		for _, ci := range e.touched {
+			cp := e.cur[ci]
+			if cp.Start {
+				b.Start(ci, cp.Content)
 			}
-		}
-		for ci := range e.curEnds {
-			if e.curEnds[ci] {
-				pkt.Ends.Set(ci)
-				if e.meta.ValidateOutputs && e.meta.Channels[ci].Dir == trace.Output {
-					if e.lossy {
-						e.UnrecordedEnds++
-					} else {
-						pkt.Contents = append(pkt.Contents, e.curContents[ci])
-					}
+			if cp.End {
+				if e.lossy && e.meta.ValidateOutputs && e.meta.Channels[ci].Dir == trace.Output {
+					e.UnrecordedEnds++
 				}
+				b.End(ci, cp.Content)
 			}
+			e.cur[ci] = trace.ChannelPacket{}
 		}
-		e.rec.Append(pkt)
-		e.used += pkt.Size(e.meta)
-	}
-	for ci := range e.curStarts {
-		e.curStarts[ci] = false
-		e.curEnds[ci] = false
-		e.curContents[ci] = nil
+		e.touched = e.touched[:0]
+		e.used += e.rec.Packet(e.rec.Len() - 1).Size()
 	}
 	// Drain into the trace store.
 	if e.store != nil && e.used > 0 {
@@ -323,7 +320,7 @@ func (e *Encoder) Tick() {
 	// denials only land on cycles where a monitor happens to ask.
 	if e.Degraded {
 		free := e.bufBytes - e.used - e.reserved
-		if e.deniedThisCycle || free < 2*e.safetyMargin() {
+		if e.deniedThisCycle || free < 2*e.margin[e.mode()] {
 			e.stallStreak++
 			if !e.lossy && e.stallStreak > e.stallBudget() {
 				e.lossy = true

@@ -42,11 +42,7 @@ func TestMoveEndBeforeMissingOrdinals(t *testing.T) {
 		{Name: "b", Width: 1, Dir: trace.Output},
 	}, false)
 	tr := trace.NewTrace(m)
-	p := trace.NewCyclePacket(m)
-	p.Starts.Set(0)
-	p.Ends.Set(0)
-	p.Contents = [][]byte{{1}}
-	tr.Append(p)
+	tr.Append(false).Start(0, []byte{1}).End(0, nil)
 	if err := MoveEndBefore(tr, "a", 5, "a", 0); err == nil {
 		t.Fatal("expected missing-end error for ordinal 5")
 	}
@@ -54,9 +50,7 @@ func TestMoveEndBeforeMissingOrdinals(t *testing.T) {
 		t.Fatal("expected missing-end error on target channel")
 	}
 	// Already-before is a no-op, not an error.
-	p2 := trace.NewCyclePacket(m)
-	p2.Ends.Set(1)
-	tr.Append(p2)
+	tr.Append(false).End(1, nil)
 	if err := MoveEndBefore(tr, "a", 0, "b", 0); err != nil {
 		t.Fatalf("already-before should be a no-op: %v", err)
 	}

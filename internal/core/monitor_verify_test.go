@@ -140,7 +140,7 @@ func runMonitorSchedule(payloads [][]byte, mask uint32, bits int, drain int, gap
 // enc0Margin computes the encoder's conservative per-cycle margin for meta.
 func enc0Margin(meta *trace.Meta) int {
 	e := NewEncoder(meta, nil, 1<<20)
-	return e.safetyMargin() + e.startNeed(0) + e.endNeed(0)
+	return e.margin[0] + e.startNeed[0] + e.endNeed[0][0]
 }
 
 // TestMonitorWithoutReservationWouldViolate demonstrates the failure the

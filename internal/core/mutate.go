@@ -42,117 +42,69 @@ func MoveEndBefore(t *trace.Trace, ch string, n uint64, before string, m uint64)
 		return nil // already strictly before
 	}
 
-	// For an input channel, find the matching start; it must stay strictly
-	// before (or move together with) its end.
-	moveStart := false
-	var startContent []byte
+	// The moved end's content, and for an input channel the matching start,
+	// which must stay strictly before (or move together with) its end.
+	txns := t.Transactions(ci)
+	if n >= uint64(len(txns)) {
+		return fmt.Errorf("core: channel %s has %d transactions, wanted #%d", ch, len(txns), n)
+	}
+	moved := trace.ChannelPacket{End: true}
 	startPkt := -1
 	if t.Meta.Channels[ci].Dir == trace.Input {
-		txns := t.Transactions(ci)
-		if n >= uint64(len(txns)) {
-			return fmt.Errorf("core: channel %s has %d transactions, wanted #%d", ch, len(txns), n)
-		}
 		startPkt = txns[n].StartPacket
 		if startPkt >= dst {
-			moveStart = true
-			startContent = txns[n].Content
+			moved.Start, moved.Content = true, txns[n].Content
 		}
+	} else {
+		moved.Content = txns[n].Content
 	}
 
-	// Detach the events from their packets (content extraction included).
-	endContent := removeEnd(t, src, ci)
-	if moveStart {
-		removeStart(t, startPkt, ci)
-	}
-
-	// Build the single-transaction packet.
-	np := trace.NewCyclePacket(t.Meta)
-	np.Ends.Set(ci)
-	if moveStart {
-		np.Starts.Set(t.Meta.InputIndex(ci))
-		np.Contents = append(np.Contents, startContent)
-	}
-	if endContent != nil {
-		np.Contents = append(np.Contents, endContent)
-	}
-
-	// Drop any packets the removals emptied, in descending order, keeping
-	// the insertion index in step.
-	drop := []int{}
-	if t.Packets[src].Empty() {
-		drop = append(drop, src)
-	}
-	if moveStart && startPkt != src && t.Packets[startPkt].Empty() {
-		drop = append(drop, startPkt)
-	}
-	for i := 0; i < len(drop); i++ {
-		for j := i + 1; j < len(drop); j++ {
-			if drop[j] > drop[i] {
-				drop[i], drop[j] = drop[j], drop[i]
-			}
+	// Rebuild the trace: the moved events leave their packets, a packet
+	// they leave without events is dropped, and a fresh packet carrying them
+	// goes in immediately before the packet holding the target event. The
+	// fresh packet is lossy if the moved end's was: its content was shed.
+	out := trace.NewTrace(t.Meta)
+	for pi := 0; pi < t.Len(); pi++ {
+		if pi == dst {
+			addChannel(out.Append(t.Packet(src).Lossy), ci, moved)
 		}
-	}
-	for _, pi := range drop {
-		t.Packets = append(t.Packets[:pi], t.Packets[pi+1:]...)
-		if pi < dst {
-			dst--
+		dropStart, dropEnd := -1, -1
+		if moved.Start && pi == startPkt {
+			dropStart = ci
 		}
+		if pi == src {
+			dropEnd = ci
+		}
+		copyPacket(out, t.Packet(pi), dropStart, dropEnd)
 	}
-
-	// Insert the new packet strictly before the target event.
-	t.Packets = append(t.Packets, trace.CyclePacket{})
-	copy(t.Packets[dst+1:], t.Packets[dst:])
-	t.Packets[dst] = np
+	*t = *out
 	return t.Validate()
 }
 
-// removeEnd clears channel ci's end bit in packet pi and extracts its output
-// content if the trace carries one. It returns the extracted content (nil if
-// none).
-func removeEnd(t *trace.Trace, pi, ci int) []byte {
-	m := t.Meta
-	p := &t.Packets[pi]
-	var content []byte
-	if m.ValidateOutputs && m.Channels[ci].Dir == trace.Output {
-		// Locate the content position: input start contents first, then
-		// output end contents in output channel order.
-		k := 0
-		for ii := range m.InputChannels() {
-			if p.Starts.Get(ii) {
-				k++
-			}
-		}
-		for _, oc := range m.OutputChannels() {
-			if oc == ci {
-				break
-			}
-			if p.Ends.Get(oc) {
-				k++
-			}
-		}
-		content = p.Contents[k]
-		p.Contents = append(p.Contents[:k], p.Contents[k+1:]...)
+// copyPacket appends p to out without channel dropStart's start event and
+// channel dropEnd's end event (-1 drops neither), unless dropping them
+// leaves the packet without events.
+func copyPacket(out *trace.Trace, p trace.CyclePacket, dropStart, dropEnd int) {
+	b := out.Append(p.Lossy)
+	for ci := range out.Meta.Channels {
+		cp := p.Channel(ci)
+		cp.Start = cp.Start && ci != dropStart
+		cp.End = cp.End && ci != dropEnd
+		addChannel(b, ci, cp)
 	}
-	p.Ends.Clear(ci)
-	return content
+	if (dropStart >= 0 || dropEnd >= 0) && out.Packet(out.Len()-1).Empty() {
+		out.Truncate(out.Len() - 1)
+	}
 }
 
-// removeStart clears input channel ci's start bit in packet pi and removes
-// its content.
-func removeStart(t *trace.Trace, pi, ci int) []byte {
-	m := t.Meta
-	p := &t.Packets[pi]
-	ii := m.InputIndex(ci)
-	k := 0
-	for j := 0; j < ii; j++ {
-		if p.Starts.Get(j) {
-			k++
-		}
+// addChannel adds channel ci's events in cp to the packet b builds.
+func addChannel(b trace.PacketBuilder, ci int, cp trace.ChannelPacket) {
+	if cp.Start {
+		b.Start(ci, cp.Content)
 	}
-	content := p.Contents[k]
-	p.Contents = append(p.Contents[:k], p.Contents[k+1:]...)
-	p.Starts.Clear(ii)
-	return content
+	if cp.End {
+		b.End(ci, cp.Content)
+	}
 }
 
 // SwapEnds exchanges the order of two end events by moving the later one
@@ -175,8 +127,4 @@ func SwapEnds(t *trace.Trace, chA string, nA uint64, chB string, nB uint64) erro
 
 // DropTail truncates the trace after the first n cycle packets; useful for
 // replaying a prefix of an execution.
-func DropTail(t *trace.Trace, n int) {
-	if n < len(t.Packets) {
-		t.Packets = t.Packets[:n]
-	}
-}
+func DropTail(t *trace.Trace, n int) { t.Truncate(n) }

@@ -94,14 +94,14 @@ func TestSwapEndsIsOrderInsensitive(t *testing.T) {
 
 func TestDropTail(t *testing.T) {
 	_, ref, _, _ := runRecorded(t, 3, Options{Mode: ModeRecord, ValidateOutputs: true}, 8)
-	n := len(ref.Packets)
+	n := ref.Len()
 	DropTail(ref, n+10) // no-op beyond length
-	if len(ref.Packets) != n {
+	if ref.Len() != n {
 		t.Fatal("overlong DropTail truncated")
 	}
 	DropTail(ref, 3)
-	if len(ref.Packets) != 3 {
-		t.Fatalf("DropTail left %d packets", len(ref.Packets))
+	if ref.Len() != 3 {
+		t.Fatalf("DropTail left %d packets", ref.Len())
 	}
 }
 

@@ -68,7 +68,6 @@ func (c *Coordinator) Current() vclock.Clock { return c.tcur }
 // per-replayer ⟨channel packet, Ends⟩ streams with the Ends already summed.
 type Decoder struct {
 	sim.NullEval
-	meta  *trace.Meta
 	tr    *trace.Trace
 	store *Store
 
@@ -98,27 +97,62 @@ type streamEntry struct {
 func NewDecoder(tr *trace.Trace, store *Store) *Decoder {
 	m := tr.Meta
 	n := m.NumChannels()
-	prefix := endPrefix(tr)
-	d := &Decoder{meta: m, tr: tr, store: store, streams: make([][]streamEntry, n)}
-	own := make([]trace.ChannelPacket, n)
-	for pi, p := range tr.Packets {
-		k := 0 // start contents come first, in input index order (§3.2)
-		for ii, ci := range m.InputChannels() {
-			if p.Starts.Get(ii) {
-				own[ci] = trace.ChannelPacket{Start: true, Content: p.Contents[k]}
-				k++
-			}
+	inputs := m.InputChannels()
+	// A channel's stream has at most one entry per start and end event on
+	// it, so one slab, carved per channel, holds every stream.
+	size := tr.EndCounts()
+	for pi := 0; pi < tr.Len(); pi++ {
+		starts := tr.Packet(pi).Starts
+		for ii := starts.Next(0); ii >= 0; ii = starts.Next(ii + 1) {
+			size[inputs[ii]]++
 		}
-		for ci := range own {
-			own[ci].End = p.Ends.Get(ci)
-			if own[ci].Start || own[ci].End {
-				d.streams[ci] = append(d.streams[ci], streamEntry{pkt: pi, cp: own[ci], texp: clockAt(prefix, pi, n)})
+	}
+	var total uint64
+	for _, c := range size {
+		total += c
+	}
+	slab := make([]streamEntry, total)
+	d := &Decoder{tr: tr, store: store, streams: make([][]streamEntry, n)}
+	for ci, c := range size {
+		d.streams[ci], slab = slab[:0:c], slab[c:]
+	}
+	prefix := endPrefix(tr)
+	for pi := 0; pi < tr.Len(); pi++ {
+		p := tr.Packet(pi)
+		texp := clockAt(prefix, pi, n)
+		for ii := p.Starts.Next(0); ii >= 0; ii = p.Starts.Next(ii + 1) {
+			ci := inputs[ii]
+			d.streams[ci] = append(d.streams[ci], streamEntry{pkt: pi, cp: p.Channel(ci), texp: texp})
+		}
+		for ci := p.Ends.Next(0); ci >= 0; ci = p.Ends.Next(ci + 1) {
+			if s := d.streams[ci]; len(s) > 0 && s[len(s)-1].pkt == pi {
+				continue // the start's entry already carries the end
 			}
-			own[ci] = trace.ChannelPacket{}
+			d.streams[ci] = append(d.streams[ci], streamEntry{pkt: pi, cp: trace.ChannelPacket{End: true}, texp: texp})
 		}
 	}
 	return d
 }
+
+// endPrefix returns, for every cycle packet of t, the per-channel count of
+// end events in strictly earlier packets, as one slab: packet p's clock is
+// clockAt(slab, p, n) for t's n channels.
+func endPrefix(t *trace.Trace) []uint64 {
+	n := t.Meta.NumChannels()
+	slab := make([]uint64, t.Len()*n)
+	for pi := 1; pi < t.Len(); pi++ {
+		cur := clockAt(slab, pi, n)
+		copy(cur, clockAt(slab, pi-1, n))
+		ends := t.Packet(pi - 1).Ends
+		for ci := ends.Next(0); ci >= 0; ci = ends.Next(ci + 1) {
+			cur.Inc(ci)
+		}
+	}
+	return slab
+}
+
+// clockAt is packet p's clock in an endPrefix slab over n channels.
+func clockAt(slab []uint64, p, n int) vclock.Clock { return slab[p*n : (p+1)*n : (p+1)*n] }
 
 // Name implements sim.Module.
 func (d *Decoder) Name() string { return "trace-decoder" }
@@ -126,9 +160,9 @@ func (d *Decoder) Name() string { return "trace-decoder" }
 // Tick implements sim.Module: it releases every packet whose bytes have been
 // fetched from storage this cycle.
 func (d *Decoder) Tick() {
-	for d.released < len(d.tr.Packets) {
-		pkt := d.tr.Packets[d.released]
-		need := d.offset + pkt.Size(d.meta) - d.fetched
+	for d.released < d.tr.Len() {
+		size := d.tr.Packet(d.released).Size()
+		need := d.offset + size - d.fetched
 		if need > 0 {
 			got := d.store.Accept(need)
 			d.fetched += got
@@ -137,13 +171,13 @@ func (d *Decoder) Tick() {
 				return // fetch bandwidth exhausted this cycle
 			}
 		}
-		d.offset += pkt.Size(d.meta)
+		d.offset += size
 		d.released++
 	}
 }
 
 // Done reports whether the whole trace has been released to the replayers.
-func (d *Decoder) Done() bool { return d.released >= len(d.tr.Packets) }
+func (d *Decoder) Done() bool { return d.released >= d.tr.Len() }
 
 // TickHorizon implements sim.TickHorizon: while packets remain unreleased
 // every Tick draws on the store, so the decoder declines; once the whole

@@ -82,7 +82,8 @@ func handTrace(t *testing.T, m *trace.Meta, script [][]string) *trace.Trace {
 	t.Helper()
 	tr := trace.NewTrace(m)
 	for _, evs := range script {
-		p := trace.NewCyclePacket(m)
+		pi := tr.Len()
+		p := tr.Append(false)
 		for _, ev := range evs {
 			ci := m.ChannelByName(ev[:1])
 			if ci < 0 {
@@ -90,13 +91,11 @@ func handTrace(t *testing.T, m *trace.Meta, script [][]string) *trace.Trace {
 			}
 			switch ev[1] {
 			case '+':
-				p.Starts.Set(m.InputIndex(ci))
-				p.Contents = append(p.Contents, []byte{byte(len(tr.Packets))})
+				p.Start(ci, []byte{byte(pi)})
 			case '-':
-				p.Ends.Set(ci)
+				p.End(ci, nil)
 			}
 		}
-		tr.Append(p)
 	}
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)

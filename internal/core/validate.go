@@ -3,10 +3,10 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strings"
 
 	"vidi/internal/trace"
-	"vidi/internal/vclock"
 )
 
 // Divergence describes one difference between a reference trace and a
@@ -131,26 +131,24 @@ func Compare(ref, val *trace.Trace) (*Report, error) {
 	}
 	rep := &Report{RefTransactions: ref.TotalTransactions()}
 
-	refTx, valTx := ref.AllTransactions(), val.AllTransactions()
+	refEnds, valEnds := ref.ChannelEnds(), val.ChannelEnds()
 
-	// Content and count comparison on output channels.
+	// Content and count comparison on output channels, whose transactions
+	// are their end events.
 	for _, ci := range ref.Meta.OutputChannels() {
 		name := ref.Meta.Channels[ci].Name
-		rt, vt := refTx[ci], valTx[ci]
+		rt, vt := refEnds[ci], valEnds[ci]
 		if len(rt) != len(vt) {
 			rep.Divergences = append(rep.Divergences, Divergence{
 				Kind: CountDivergence, Channel: ci, Name: name,
 				RefCount: uint64(len(rt)), ValCount: uint64(len(vt)),
 			})
 		}
-		n := len(rt)
-		if len(vt) < n {
-			n = len(vt)
-		}
+		n := min(len(rt), len(vt))
 		for k := 0; k < n; k++ {
 			// A nil content marks a transaction recorded inside a degraded
 			// (lossy) gap: its end event is present — count and order checks
-			// above still cover it — but there is nothing to compare.
+			// still cover it — but there is nothing to compare.
 			if rt[k].Content == nil || vt[k].Content == nil {
 				rep.Unrecorded++
 				continue
@@ -160,10 +158,8 @@ func Compare(ref, val *trace.Trace) (*Report, error) {
 					Kind: ContentDivergence, Channel: ci, Name: name, Ordinal: uint64(k),
 					Reference: rt[k].Content, Validation: vt[k].Content,
 				}
-				for j := k - maxContext; j < k; j++ {
-					if j >= 0 {
-						d.Context = append(d.Context, rt[j].Content)
-					}
+				for j := max(k-maxContext, 0); j < k; j++ {
+					d.Context = append(d.Context, rt[j].Content)
 				}
 				rep.Divergences = append(rep.Divergences, d)
 			}
@@ -173,51 +169,52 @@ func Compare(ref, val *trace.Trace) (*Report, error) {
 	// Ordering comparison: for each end event, the vector clock of strictly
 	// earlier end events in the validation trace must dominate the
 	// reference's. Transaction determinism promises exactly this relation.
-	// A channel's end events are its transactions that completed, in order.
-	n := ref.Meta.NumChannels()
-	refVC, valVC := endPrefix(ref), endPrefix(val)
-	for ci := range refTx {
-		rt, vt := refTx[ci], valTx[ci]
-		i, j := nextEnd(rt, 0), nextEnd(vt, 0)
-		for k := uint64(0); i < len(rt) && j < len(vt); k++ {
-			if !clockAt(valVC, vt[j].EndPacket, n).Geq(clockAt(refVC, rt[i].EndPacket, n)) {
+	// The k-th end on channel ci, in reference packet p and validation packet
+	// q, passes if every end recorded before packet p precedes packet q in
+	// the validation trace too. A channel's ends are ordered in both traces,
+	// so it is enough that the latest validation packet of those ends,
+	// bound[p], is before q: one pass over the ends, not a clock per packet.
+	bound := precededBy(ref.Len(), refEnds, valEnds)
+	for ci, rt := range refEnds {
+		vt := valEnds[ci]
+		for k := 0; k < min(len(rt), len(vt)); k++ {
+			if bound[rt[k].Packet] >= vt[k].Packet {
 				rep.Divergences = append(rep.Divergences, Divergence{
 					Kind: OrderDivergence, Channel: ci,
-					Name: ref.Meta.Channels[ci].Name, Ordinal: k,
+					Name: ref.Meta.Channels[ci].Name, Ordinal: uint64(k),
 				})
 			}
-			i, j = nextEnd(rt, i+1), nextEnd(vt, j+1)
 		}
 	}
 	return rep, nil
 }
 
-// nextEnd returns the index of the first transaction from i on that
-// completed, or len(txns) if none did.
-func nextEnd(txns []trace.Txn, i int) int {
-	for i < len(txns) && txns[i].EndPacket < 0 {
-		i++
+// precededBy returns, for each of a reference trace's n packets, the latest
+// validation-trace packet holding an end event that the reference records in
+// an earlier packet: -1 when there is none, and math.MaxInt when such an end
+// is missing from the validation trace. The k-th end of a channel in one
+// trace is matched with the k-th end of that channel in the other.
+func precededBy(n int, refEnds, valEnds [][]trace.End) []int {
+	bound := make([]int, n)
+	for p := range bound {
+		bound[p] = -1
 	}
-	return i
-}
-
-// endPrefix returns, for every cycle packet of t, the per-channel count of
-// end events in strictly earlier packets, as one slab: packet p's clock is
-// clockAt(slab, p, n) for t's n channels.
-func endPrefix(t *trace.Trace) []uint64 {
-	n := t.Meta.NumChannels()
-	slab := make([]uint64, len(t.Packets)*n)
-	for pi := 1; pi < len(t.Packets); pi++ {
-		cur := clockAt(slab, pi, n)
-		copy(cur, clockAt(slab, pi-1, n))
-		for ci := range cur {
-			if t.Packets[pi-1].Ends.Get(ci) {
-				cur.Inc(ci)
+	// First, bound[p+1] holds the latest validation packet among the ends
+	// in reference packet p; a running maximum then covers all earlier ones.
+	for ci, rt := range refEnds {
+		for k, e := range rt {
+			if e.Packet+1 >= n {
+				continue
 			}
+			q := math.MaxInt
+			if k < len(valEnds[ci]) {
+				q = valEnds[ci][k].Packet
+			}
+			bound[e.Packet+1] = max(bound[e.Packet+1], q)
 		}
 	}
-	return slab
+	for p := 1; p < n; p++ {
+		bound[p] = max(bound[p], bound[p-1])
+	}
+	return bound
 }
-
-// clockAt is packet p's clock in an endPrefix slab over n channels.
-func clockAt(slab []uint64, p, n int) vclock.Clock { return slab[p*n : (p+1)*n : (p+1)*n] }

@@ -73,8 +73,8 @@ func TestPrefixReplay(t *testing.T) {
 	}
 	// Keep roughly the first half of the event-cycles, truncated to a
 	// transaction-consistent point (no input left in flight).
-	cut := len(prefix.Packets) / 2
-	for cut < len(prefix.Packets) {
+	cut := prefix.Len() / 2
+	for cut < prefix.Len() {
 		core.DropTail(prefix, cut)
 		if prefix.Validate() == nil {
 			break
@@ -82,7 +82,7 @@ func TestPrefixReplay(t *testing.T) {
 		prefix, _ = trace.FromBytes(rec.Trace.Bytes())
 		cut++
 	}
-	if cut >= len(rec.Trace.Packets) {
+	if cut >= rec.Trace.Len() {
 		t.Fatal("no consistent prefix found")
 	}
 

@@ -58,7 +58,7 @@ type Profile struct {
 // Analyze computes a profile from a trace.
 func Analyze(t *trace.Trace) *Profile {
 	m := t.Meta
-	p := &Profile{Packets: len(t.Packets)}
+	p := &Profile{Packets: t.Len()}
 	nCh := m.NumChannels()
 
 	lat := make([][]int, nCh)
@@ -77,23 +77,17 @@ func Analyze(t *trace.Trace) *Profile {
 			}
 		}
 	}
-	for pi, pkt := range t.Packets {
+	for pi := 0; pi < t.Len(); pi++ {
+		pkt := t.Packet(pi)
 		var endsHere []int
-		for ci := 0; ci < nCh; ci++ {
-			if pkt.Ends.Get(ci) {
-				endsHere = append(endsHere, ci)
-				events++
-				if lastEnd[ci] >= 0 {
-					gaps[ci] = append(gaps[ci], pi-lastEnd[ci])
-				}
-				lastEnd[ci] = pi
+		for ci := pkt.Ends.Next(0); ci >= 0; ci = pkt.Ends.Next(ci + 1) {
+			endsHere = append(endsHere, ci)
+			if lastEnd[ci] >= 0 {
+				gaps[ci] = append(gaps[ci], pi-lastEnd[ci])
 			}
+			lastEnd[ci] = pi
 		}
-		for ii := 0; ii < pkt.Starts.Len(); ii++ {
-			if pkt.Starts.Get(ii) {
-				events++
-			}
-		}
+		events += len(endsHere) + pkt.Starts.Count()
 		for i := 0; i < len(endsHere); i++ {
 			for j := i + 1; j < len(endsHere); j++ {
 				pairCounts[[2]int{endsHere[i], endsHere[j]}]++

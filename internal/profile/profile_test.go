@@ -17,24 +17,12 @@ func syntheticTrace(t *testing.T) *trace.Trace {
 	tr := trace.NewTrace(m)
 	// a starts at pkt0, a ends + b ends at pkt2; a starts/ends at pkt3;
 	// b ends at pkt5.
-	p0 := trace.NewCyclePacket(m)
-	p0.Starts.Set(0)
-	p0.Contents = [][]byte{{1, 0, 0, 0}}
-	tr.Append(p0)
-	tr.Append(trace.NewCyclePacket(m)) // would be empty; keep structure realistic
-	p2 := trace.NewCyclePacket(m)
-	p2.Ends.Set(0)
-	p2.Ends.Set(1)
-	tr.Append(p2)
-	p3 := trace.NewCyclePacket(m)
-	p3.Starts.Set(0)
-	p3.Ends.Set(0)
-	p3.Contents = [][]byte{{2, 0, 0, 0}}
-	tr.Append(p3)
-	tr.Append(trace.NewCyclePacket(m))
-	p5 := trace.NewCyclePacket(m)
-	p5.Ends.Set(1)
-	tr.Append(p5)
+	tr.Append(false).Start(0, []byte{1, 0, 0, 0})
+	tr.Append(false) // would be empty; keep structure realistic
+	tr.Append(false).End(0, nil).End(1, nil)
+	tr.Append(false).Start(0, []byte{2, 0, 0, 0}).End(0, nil)
+	tr.Append(false)
+	tr.Append(false).End(1, nil)
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -4,10 +4,14 @@
 // (§3.3), and offline helpers to reconstruct transactions from a trace.
 package trace
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // BitVec is a fixed-width bit vector backed by 64-bit words. The Starts and
-// Ends fields of a cycle packet are bit vectors with one bit per channel.
+// Ends fields of a cycle packet are bit vectors with one bit per channel,
+// views into the trace's bit slab. Bits past the length are always zero.
 type BitVec struct {
 	n     int
 	words []uint64
@@ -52,19 +56,27 @@ func (b BitVec) Any() bool {
 // Count returns the number of set bits.
 func (b BitVec) Count() int {
 	n := 0
-	for i := 0; i < b.n; i++ {
-		if b.Get(i) {
-			n++
-		}
+	for _, w := range b.words {
+		n += bits.OnesCount64(w)
 	}
 	return n
 }
 
-// Copy returns an independent copy.
-func (b BitVec) Copy() BitVec {
-	c := NewBitVec(b.n)
-	copy(c.words, b.words)
-	return c
+// Next returns the lowest set bit at or after i, or -1 if there is none.
+func (b BitVec) Next(i int) int {
+	if i >= b.n {
+		return -1
+	}
+	wi := i / 64
+	if w := b.words[wi] >> (uint(i) % 64); w != 0 {
+		return i + bits.TrailingZeros64(w)
+	}
+	for wi++; wi < len(b.words); wi++ {
+		if w := b.words[wi]; w != 0 {
+			return wi*64 + bits.TrailingZeros64(w)
+		}
+	}
+	return -1
 }
 
 // Equal reports whether b and o have the same length and bits.
@@ -78,32 +90,6 @@ func (b BitVec) Equal(o BitVec) bool {
 		}
 	}
 	return true
-}
-
-// Bytes serializes the vector to ceil(n/8) bytes, little-endian bit order.
-func (b BitVec) Bytes() []byte {
-	out := make([]byte, (b.n+7)/8)
-	for i := 0; i < b.n; i++ {
-		if b.Get(i) {
-			out[i/8] |= 1 << (uint(i) % 8)
-		}
-	}
-	return out
-}
-
-// BitVecFromBytes reconstructs an n-bit vector from its Bytes form.
-func BitVecFromBytes(n int, data []byte) (BitVec, error) {
-	want := (n + 7) / 8
-	if len(data) < want {
-		return BitVec{}, fmt.Errorf("trace: bitvec needs %d bytes, have %d", want, len(data))
-	}
-	b := NewBitVec(n)
-	for i := 0; i < n; i++ {
-		if data[i/8]&(1<<(uint(i)%8)) != 0 {
-			b.Set(i)
-		}
-	}
-	return b, nil
 }
 
 // ByteLen returns the serialized size of an n-bit vector.

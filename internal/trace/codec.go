@@ -1,12 +1,11 @@
 package trace
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 )
 
@@ -38,91 +37,199 @@ const pktFlagLossy = 1 << 0
 
 // WriteTo serializes the trace.
 func (t *Trace) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	n := &countingWriter{w: bw}
-	if _, err := n.Write([]byte(magic)); err != nil {
-		return n.n, err
+	b, err := t.encode()
+	if err != nil {
+		return 0, err
 	}
-	cw := &crcWriter{w: n}
-	if err := writeHeader(cw, t.Meta); err != nil {
-		return n.n, err
-	}
-	if err := cw.emitCRC(); err != nil {
-		return n.n, err
-	}
-	cw.reset()
-	if err := binary.Write(cw, binary.LittleEndian, uint64(len(t.Packets))); err != nil {
-		return n.n, err
-	}
-	if err := cw.emitCRC(); err != nil {
-		return n.n, err
-	}
-	for _, p := range t.Packets {
-		cw.reset()
-		if err := writePacket(cw, t.Meta, p); err != nil {
-			return n.n, err
-		}
-		if err := cw.emitCRC(); err != nil {
-			return n.n, err
-		}
-	}
-	return n.n, bw.Flush()
+	n, err := w.Write(b)
+	return int64(n), err
 }
 
-// ReadFrom deserializes a trace. Any damage — bad magic, CRC mismatch,
-// truncation — yields an error wrapping ErrCorrupt.
+// ReadFrom reads a serialized trace from r to its end and decodes it. Any
+// damage — bad magic, CRC mismatch, truncation, trailing bytes — yields an
+// error wrapping ErrCorrupt.
 func ReadFrom(r io.Reader) (*Trace, error) {
-	br := bufio.NewReader(r)
-	var mg [4]byte
-	if _, err := io.ReadFull(br, mg[:]); err != nil {
-		return nil, corruptf("magic", "reading: %v", err)
-	}
-	if string(mg[:]) != magic {
-		return nil, corruptf("magic", "bad magic %q", mg)
-	}
-	cr := &crcReader{r: br}
-	m, err := readHeader(cr)
+	b, err := io.ReadAll(r)
 	if err != nil {
-		return nil, err
+		return nil, corruptf("stream", "reading: %v", err)
 	}
-	if err := cr.checkCRC("header"); err != nil {
-		return nil, err
-	}
-	cr.reset()
-	var count uint64
-	if err := binary.Read(cr, binary.LittleEndian, &count); err != nil {
-		return nil, corruptf("packet count", "reading: %v", err)
-	}
-	if err := cr.checkCRC("packet count"); err != nil {
-		return nil, err
-	}
-	t := NewTrace(m)
-	for i := uint64(0); i < count; i++ {
-		site := fmt.Sprintf("packet %d", i)
-		cr.reset()
-		p, err := readPacket(cr, m)
-		if err != nil {
-			return nil, corruptf(site, "%v", err)
-		}
-		if err := cr.checkCRC(site); err != nil {
-			return nil, err
-		}
-		t.Append(p)
-	}
-	return t, nil
+	return FromBytes(b)
 }
 
 // Bytes serializes the trace to a byte slice.
 func (t *Trace) Bytes() []byte {
-	var buf bytes.Buffer
-	if _, err := t.WriteTo(&buf); err != nil {
-		panic(err) // bytes.Buffer writes cannot fail
+	b, err := t.encode()
+	if err != nil {
+		panic(err)
 	}
-	return buf.Bytes()
+	return b
 }
 
-// FromBytes deserializes a trace from a byte slice.
-func FromBytes(b []byte) (*Trace, error) { return ReadFrom(bytes.NewReader(b)) }
+// encode serializes the trace into one buffer of exactly its encoded size.
+func (t *Trace) encode() ([]byte, error) {
+	m := t.Meta
+	size := len(magic) + 2 + 2 + 4 + 4 + 8 + 4 + t.Len()*(1+m.headerBytes()+4) + len(t.body)
+	for _, c := range m.Channels {
+		if len(c.Name) > math.MaxUint16 || len(c.Interface) > math.MaxUint16 {
+			return nil, fmt.Errorf("trace: channel %q: string too long", c.Name)
+		}
+		size += 2 + len(c.Name) + 2 + len(c.Interface) + 4 + 1
+	}
+	b := make([]byte, 0, size)
+	b = append(b, magic...)
+	flags := uint16(0)
+	if m.ValidateOutputs {
+		flags |= 1
+	}
+	b = binary.LittleEndian.AppendUint16(b, version)
+	b = binary.LittleEndian.AppendUint16(b, flags)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(m.Channels)))
+	for _, c := range m.Channels {
+		b = binary.LittleEndian.AppendUint16(b, uint16(len(c.Name)))
+		b = append(b, c.Name...)
+		b = binary.LittleEndian.AppendUint16(b, uint16(len(c.Interface)))
+		b = append(b, c.Interface...)
+		b = binary.LittleEndian.AppendUint32(b, uint32(c.Width))
+		b = append(b, uint8(c.Dir))
+	}
+	b = appendCRC(b, len(magic))
+	mark := len(b)
+	b = binary.LittleEndian.AppendUint64(b, uint64(t.Len()))
+	b = appendCRC(b, mark)
+	sb, eb := ByteLen(m.NumInputs()), ByteLen(m.NumChannels())
+	for i := 0; i < t.Len(); i++ {
+		mark = len(b)
+		flags := uint8(0)
+		if t.isLossy(i) {
+			flags |= pktFlagLossy
+		}
+		w := t.words(i)
+		b = append(b, flags)
+		b = appendBits(b, w[:m.startWords], sb)
+		b = appendBits(b, w[m.startWords:], eb)
+		b = append(b, t.body[t.bodyStart(i):t.ends[i]]...)
+		b = appendCRC(b, mark)
+	}
+	return b, nil
+}
+
+// appendCRC appends the CRC-32 of b[from:].
+func appendCRC(b []byte, from int) []byte {
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b[from:]))
+}
+
+// appendBits appends the first n bytes of words, least significant first:
+// bit i of the vector is bit i%8 of byte i/8.
+func appendBits(b []byte, words []uint64, n int) []byte {
+	for j := 0; j < n; j++ {
+		b = append(b, byte(words[j/8]>>(8*(j%8))))
+	}
+	return b
+}
+
+// loadBits is appendBits' inverse: it ORs the bytes of src into words.
+func loadBits(words []uint64, src []byte) {
+	for j, c := range src {
+		words[j/8] |= uint64(c) << (8 * (j % 8))
+	}
+}
+
+// padded reports whether the last byte of an n-bit vector's serialized form
+// sets a bit past n.
+func padded(field []byte, n int) bool {
+	return n%8 != 0 && field[len(field)-1]>>(n%8) != 0
+}
+
+// FromBytes deserializes a trace from a byte slice: it checks every CRC and
+// parses the packets straight into the trace's slabs.
+func FromBytes(b []byte) (*Trace, error) {
+	if len(b) < len(magic) {
+		return nil, corruptf("magic", "reading: %v", io.ErrUnexpectedEOF)
+	}
+	if string(b[:len(magic)]) != magic {
+		return nil, corruptf("magic", "bad magic %q", b[:len(magic)])
+	}
+	r := &byteReader{b: b, off: len(magic)}
+	m, err := readHeader(r)
+	if err != nil {
+		return nil, err
+	}
+	if err := r.checkCRC("header", len(magic)); err != nil {
+		return nil, err
+	}
+	mark := r.off
+	count, ok := r.u64()
+	if !ok {
+		return nil, corruptf("packet count", "reading: %v", io.ErrUnexpectedEOF)
+	}
+	if err := r.checkCRC("packet count", mark); err != nil {
+		return nil, err
+	}
+
+	nin, nch := m.NumInputs(), m.NumChannels()
+	sb, eb := ByteLen(nin), ByteLen(nch)
+	fixed := 1 + sb + eb
+	// Presize the slabs for the packets the remaining bytes can hold, so a
+	// damaged count cannot make the decoder allocate more than the input.
+	rest := len(b) - r.off
+	n := rest / (fixed + 4)
+	if count < uint64(n) {
+		n = int(count)
+	}
+	stride := m.stride()
+	t := &Trace{
+		Meta:  m,
+		bits:  make([]uint64, 0, n*stride),
+		body:  make([]byte, 0, max(rest-n*(fixed+4), 0)),
+		ends:  make([]int, 0, n),
+		lossy: make([]uint64, 0, (n+63)/64),
+	}
+	off := r.off
+	for i := 0; uint64(i) < count; i++ {
+		if len(b)-off < fixed {
+			return nil, packetErr(i, "%v", io.ErrUnexpectedEOF)
+		}
+		flags := b[off]
+		if flags&^uint8(pktFlagLossy) != 0 {
+			return nil, packetErr(i, "unknown packet flags %#x", flags)
+		}
+		starts, ends := b[off+1:off+1+sb], b[off+1+sb:off+fixed]
+		if padded(starts, nin) || padded(ends, nch) {
+			return nil, packetErr(i, "bits set past %d inputs or %d channels", nin, nch)
+		}
+		lossy := flags&pktFlagLossy != 0
+		t.bits = grow(t.bits, stride)
+		w := t.bits[i*stride:]
+		loadBits(w[:m.startWords], starts)
+		loadBits(w[m.startWords:], ends)
+		end := off + fixed + m.bodyLen(w, lossy)
+		if len(b)-end < 4 {
+			return nil, packetErr(i, "%v", io.ErrUnexpectedEOF)
+		}
+		if stored, computed := getU32(b[end:]), crc32.ChecksumIEEE(b[off:end]); stored != computed {
+			return nil, packetErr(i, "CRC mismatch (stored %08x, computed %08x)", stored, computed)
+		}
+		t.body = append(t.body, b[off+fixed:end]...)
+		t.ends = append(t.ends, len(t.body))
+		if i%64 == 0 {
+			t.lossy = append(t.lossy, 0)
+		}
+		if lossy {
+			t.lossy[i/64] |= 1 << (uint(i) % 64)
+		}
+		off = end + 4
+	}
+	if off != len(b) {
+		return nil, corruptf("trailer", "%d bytes after the last packet", len(b)-off)
+	}
+	return t, nil
+}
+
+// packetErr reports damage to packet i; the site string is built only here,
+// on the error path.
+func packetErr(i int, format string, args ...any) error {
+	return corruptf(fmt.Sprintf("packet %d", i), format, args...)
+}
 
 // Save writes the trace to a file.
 func (t *Trace) Save(path string) error {
@@ -139,243 +246,123 @@ func (t *Trace) Save(path string) error {
 
 // Load reads a trace from a file.
 func Load(path string) (*Trace, error) {
-	f, err := os.Open(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return ReadFrom(f)
-}
-
-// writeHeader writes everything after the magic up to the header CRC.
-func writeHeader(w io.Writer, m *Meta) error {
-	flags := uint16(0)
-	if m.ValidateOutputs {
-		flags |= 1
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint16(version)); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, flags); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(m.Channels))); err != nil {
-		return err
-	}
-	for _, c := range m.Channels {
-		if err := writeString(w, c.Name); err != nil {
-			return err
-		}
-		if err := writeString(w, c.Interface); err != nil {
-			return err
-		}
-		if err := binary.Write(w, binary.LittleEndian, uint32(c.Width)); err != nil {
-			return err
-		}
-		if err := binary.Write(w, binary.LittleEndian, uint8(c.Dir)); err != nil {
-			return err
-		}
-	}
-	return nil
+	return FromBytes(b)
 }
 
 // readHeader reads the post-magic header and returns the metadata.
-func readHeader(r io.Reader) (*Meta, error) {
-	var ver, flags uint16
-	if err := binary.Read(r, binary.LittleEndian, &ver); err != nil {
-		return nil, corruptf("header", "reading version: %v", err)
+func readHeader(r *byteReader) (*Meta, error) {
+	ver, ok := r.u16()
+	if !ok {
+		return nil, corruptf("header", "reading version: %v", io.ErrUnexpectedEOF)
 	}
 	if ver != version {
 		return nil, corruptf("header", "unsupported version %d", ver)
 	}
-	if err := binary.Read(r, binary.LittleEndian, &flags); err != nil {
-		return nil, corruptf("header", "reading flags: %v", err)
+	flags, ok := r.u16()
+	if !ok {
+		return nil, corruptf("header", "reading flags: %v", io.ErrUnexpectedEOF)
 	}
-	var nch uint32
-	if err := binary.Read(r, binary.LittleEndian, &nch); err != nil {
-		return nil, corruptf("header", "reading channel count: %v", err)
+	if flags&^1 != 0 {
+		return nil, corruptf("header", "unknown flags %#x", flags)
+	}
+	nch, ok := r.u32()
+	if !ok {
+		return nil, corruptf("header", "reading channel count: %v", io.ErrUnexpectedEOF)
 	}
 	if nch > 1<<16 {
 		return nil, corruptf("header", "implausible channel count %d", nch)
 	}
 	chans := make([]ChannelInfo, nch)
 	for i := range chans {
-		name, err := readString(r)
-		if err != nil {
-			return nil, corruptf("header", "channel %d name: %v", i, err)
+		name, ok := r.str()
+		if !ok {
+			return nil, corruptf("header", "channel %d name: %v", i, io.ErrUnexpectedEOF)
 		}
-		iface, err := readString(r)
-		if err != nil {
-			return nil, corruptf("header", "channel %q interface: %v", name, err)
+		iface, ok := r.str()
+		if !ok {
+			return nil, corruptf("header", "channel %q interface: %v", name, io.ErrUnexpectedEOF)
 		}
-		var width uint32
-		if err := binary.Read(r, binary.LittleEndian, &width); err != nil {
-			return nil, corruptf("header", "channel %q width: %v", name, err)
+		width, ok := r.u32()
+		if !ok {
+			return nil, corruptf("header", "channel %q width: %v", name, io.ErrUnexpectedEOF)
 		}
 		if width > 1<<20 {
 			return nil, corruptf("header", "channel %q: implausible width %d", name, width)
 		}
-		var dir uint8
-		if err := binary.Read(r, binary.LittleEndian, &dir); err != nil {
-			return nil, corruptf("header", "channel %q direction: %v", name, err)
+		dir, ok := r.bytes(1)
+		if !ok {
+			return nil, corruptf("header", "channel %q direction: %v", name, io.ErrUnexpectedEOF)
 		}
-		if dir > 1 {
-			return nil, corruptf("header", "channel %q: bad direction %d", name, dir)
+		if dir[0] > 1 {
+			return nil, corruptf("header", "channel %q: bad direction %d", name, dir[0])
 		}
-		chans[i] = ChannelInfo{Name: name, Interface: iface, Width: int(width), Dir: Direction(dir)}
+		chans[i] = ChannelInfo{Name: name, Interface: iface, Width: int(width), Dir: Direction(dir[0])}
 	}
 	return NewMeta(chans, flags&1 != 0), nil
 }
 
-func writePacket(w io.Writer, m *Meta, p CyclePacket) error {
-	flags := uint8(0)
-	if p.Lossy {
-		flags |= pktFlagLossy
-	}
-	if _, err := w.Write([]byte{flags}); err != nil {
-		return err
-	}
-	if _, err := w.Write(p.Starts.Bytes()); err != nil {
-		return err
-	}
-	if _, err := w.Write(p.Ends.Bytes()); err != nil {
-		return err
-	}
-	for _, c := range p.Contents {
-		if _, err := w.Write(c); err != nil {
-			return err
-		}
-	}
-	return nil
+// byteReader reads little-endian fields from a byte slice; each read
+// reports false, consuming nothing, when too few bytes remain.
+type byteReader struct {
+	b   []byte
+	off int
 }
 
-func readPacket(r io.Reader, m *Meta) (CyclePacket, error) {
-	var fb [1]byte
-	if _, err := io.ReadFull(r, fb[:]); err != nil {
-		return CyclePacket{}, err
+func (r *byteReader) bytes(n int) ([]byte, bool) {
+	if len(r.b)-r.off < n {
+		return nil, false
 	}
-	flags := fb[0]
-	if flags&^uint8(pktFlagLossy) != 0 {
-		return CyclePacket{}, fmt.Errorf("unknown packet flags %#x", flags)
-	}
-	sb := make([]byte, ByteLen(m.NumInputs()))
-	if _, err := io.ReadFull(r, sb); err != nil {
-		return CyclePacket{}, err
-	}
-	eb := make([]byte, ByteLen(m.NumChannels()))
-	if _, err := io.ReadFull(r, eb); err != nil {
-		return CyclePacket{}, err
-	}
-	starts, err := BitVecFromBytes(m.NumInputs(), sb)
-	if err != nil {
-		return CyclePacket{}, err
-	}
-	ends, err := BitVecFromBytes(m.NumChannels(), eb)
-	if err != nil {
-		return CyclePacket{}, err
-	}
-	p := CyclePacket{Starts: starts, Ends: ends, Lossy: flags&pktFlagLossy != 0}
-	for ii, ci := range m.InputChannels() {
-		if starts.Get(ii) {
-			c := make([]byte, m.Channels[ci].Width)
-			if _, err := io.ReadFull(r, c); err != nil {
-				return CyclePacket{}, err
-			}
-			p.Contents = append(p.Contents, c)
-		}
-	}
-	if m.ValidateOutputs && !p.Lossy {
-		for _, ci := range m.OutputChannels() {
-			if ends.Get(ci) {
-				c := make([]byte, m.Channels[ci].Width)
-				if _, err := io.ReadFull(r, c); err != nil {
-					return CyclePacket{}, err
-				}
-				p.Contents = append(p.Contents, c)
-			}
-		}
-	}
-	return p, nil
+	r.off += n
+	return r.b[r.off-n : r.off], true
 }
 
-func writeString(w io.Writer, s string) error {
-	if len(s) > 1<<15 {
-		return fmt.Errorf("trace: string too long (%d bytes)", len(s))
+func (r *byteReader) u16() (uint16, bool) {
+	b, ok := r.bytes(2)
+	if !ok {
+		return 0, false
 	}
-	if err := binary.Write(w, binary.LittleEndian, uint16(len(s))); err != nil {
-		return err
+	return getU16(b), true
+}
+
+func (r *byteReader) u32() (uint32, bool) {
+	b, ok := r.bytes(4)
+	if !ok {
+		return 0, false
 	}
-	_, err := io.WriteString(w, s)
-	return err
+	return getU32(b), true
 }
 
-func readString(r io.Reader) (string, error) {
-	var n uint16
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return "", err
+func (r *byteReader) u64() (uint64, bool) {
+	b, ok := r.bytes(8)
+	if !ok {
+		return 0, false
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return "", err
+	return binary.LittleEndian.Uint64(b), true
+}
+
+func (r *byteReader) str() (string, bool) {
+	n, ok := r.u16()
+	if !ok {
+		return "", false
 	}
-	return string(b), nil
+	b, ok := r.bytes(int(n))
+	return string(b), ok
 }
 
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// crcWriter hashes every byte written through it; emitCRC appends the
-// running CRC-32 to the underlying stream (outside the hash).
-type crcWriter struct {
-	w   io.Writer
-	crc uint32
-}
-
-func (c *crcWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.crc = crc32.Update(c.crc, crc32.IEEETable, p[:n])
-	return n, err
-}
-
-func (c *crcWriter) reset() { c.crc = 0 }
-
-func (c *crcWriter) emitCRC() error {
-	var b [4]byte
-	putU32(b[:], c.crc)
-	_, err := c.w.Write(b[:])
-	return err
-}
-
-// crcReader hashes every byte read through it; checkCRC reads the stored
-// CRC-32 from the underlying stream (outside the hash) and compares.
-type crcReader struct {
-	r   io.Reader
-	crc uint32
-}
-
-func (c *crcReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.crc = crc32.Update(c.crc, crc32.IEEETable, p[:n])
-	return n, err
-}
-
-func (c *crcReader) reset() { c.crc = 0 }
-
-func (c *crcReader) checkCRC(site string) error {
-	var b [4]byte
-	if _, err := io.ReadFull(c.r, b[:]); err != nil {
-		return corruptf(site, "reading CRC: %v", err)
+// checkCRC reads a stored CRC-32 and compares it with the CRC of the bytes
+// from offset from up to it.
+func (r *byteReader) checkCRC(site string, from int) error {
+	computed := crc32.ChecksumIEEE(r.b[from:r.off])
+	stored, ok := r.u32()
+	if !ok {
+		return corruptf(site, "reading CRC: %v", io.ErrUnexpectedEOF)
 	}
-	if stored := getU32(b[:]); stored != c.crc {
-		return corruptf(site, "CRC mismatch (stored %08x, computed %08x)", stored, c.crc)
+	if stored != computed {
+		return corruptf(site, "CRC mismatch (stored %08x, computed %08x)", stored, computed)
 	}
 	return nil
 }

@@ -77,3 +77,14 @@ func (t *Trace) CompressedSize() (int64, error) {
 	}
 	return cw.n, nil
 }
+
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
+}

@@ -22,7 +22,7 @@ func TestCompressedRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
-		if got.TotalTransactions() != tr.TotalTransactions() || len(got.Packets) != len(tr.Packets) {
+		if got.TotalTransactions() != tr.TotalTransactions() || got.Len() != tr.Len() {
 			t.Fatalf("%s: round trip lost data", path)
 		}
 		if !reflect.DeepEqual(got.Meta.Channels, tr.Meta.Channels) {
@@ -36,11 +36,7 @@ func TestCompressedIsSmallerOnStructuredTraces(t *testing.T) {
 	m := testMeta(false)
 	tr := NewTrace(m)
 	for i := 0; i < 500; i++ {
-		p := NewCyclePacket(m)
-		p.Starts.Set(0)
-		p.Ends.Set(0)
-		p.Contents = [][]byte{{0xAA, 0xBB, 0xCC, 0xDD}}
-		tr.Append(p)
+		tr.Append(false).Start(0, []byte{0xAA, 0xBB, 0xCC, 0xDD}).End(0, nil)
 	}
 	plain := int64(len(tr.Bytes()))
 	comp, err := tr.CompressedSize()

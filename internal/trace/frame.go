@@ -82,12 +82,21 @@ func FrameStream(body []byte) [][StoragePacketSize]byte {
 // receiver (vidi-serve ingest) checks each arriving frame against its own
 // expected sequence, while DeframeStream checks a complete stream.
 func CheckFrame(site string, f *[StoragePacketSize]byte) (seq uint32, used int, err error) {
+	seq, used, err = checkFrame(f)
+	if err != nil {
+		return 0, 0, &CorruptError{Site: site, Detail: err.Error()}
+	}
+	return seq, used, nil
+}
+
+// checkFrame is CheckFrame without a site: its error is the bare detail.
+func checkFrame(f *[StoragePacketSize]byte) (seq uint32, used int, err error) {
 	if got, want := frameCRC(f), getU32(f[6:10]); got != want {
-		return 0, 0, corruptf(site, "CRC mismatch (stored %08x, computed %08x)", want, got)
+		return 0, 0, fmt.Errorf("CRC mismatch (stored %08x, computed %08x)", want, got)
 	}
 	used = int(getU16(f[4:6]))
 	if used > FramePayloadSize {
-		return 0, 0, corruptf(site, "implausible payload length %d", used)
+		return 0, 0, fmt.Errorf("implausible payload length %d", used)
 	}
 	return getU32(f[0:4]), used, nil
 }
@@ -102,23 +111,27 @@ func FramePayload(f *[StoragePacketSize]byte, used int) []byte {
 // verifying per-frame CRCs and sequence continuity. Corruption, reordering
 // and mid-stream loss all yield a typed *CorruptError.
 func DeframeStream(frames [][StoragePacketSize]byte) ([]byte, error) {
-	var out []byte
+	out := make([]byte, 0, len(frames)*FramePayloadSize)
 	for i := range frames {
 		f := &frames[i]
-		site := fmt.Sprintf("frame %d", i)
-		seq, used, err := CheckFrame(site, f)
-		if err != nil {
-			return nil, err
-		}
-		if seq != uint32(i) {
-			return nil, corruptf(site, "sequence %d (frame lost or reordered)", seq)
-		}
-		if i < len(frames)-1 && used != FramePayloadSize {
-			return nil, corruptf(site, "short frame mid-stream (%d bytes)", used)
+		seq, used, err := checkFrame(f)
+		switch {
+		case err != nil:
+			return nil, frameErr(i, "%v", err)
+		case seq != uint32(i):
+			return nil, frameErr(i, "sequence %d (frame lost or reordered)", seq)
+		case i < len(frames)-1 && used != FramePayloadSize:
+			return nil, frameErr(i, "short frame mid-stream (%d bytes)", used)
 		}
 		out = append(out, FramePayload(f, used)...)
 	}
 	return out, nil
+}
+
+// frameErr reports damage to frame i; the site string is built only here,
+// on the error path.
+func frameErr(i int, format string, args ...any) error {
+	return corruptf(fmt.Sprintf("frame %d", i), format, args...)
 }
 
 // Frames serializes the trace and wraps it in storage frames — the

@@ -17,16 +17,13 @@ func fuzzSeedTrace() *Trace {
 	}, true)
 	tr := NewTrace(m)
 	for i := 0; i < 20; i++ {
-		p := NewCyclePacket(m)
+		b := tr.Append(false)
 		if i%2 == 0 {
-			p.Starts.Set(0)
-			p.Contents = append(p.Contents, []byte{byte(i), 2, 3, 4})
+			b.Start(0, []byte{byte(i), 2, 3, 4})
 		}
 		if i%3 == 0 {
-			p.Ends.Set(1)
-			p.Contents = append(p.Contents, []byte{5, byte(i)})
+			b.End(1, []byte{5, byte(i)})
 		}
-		tr.Append(p)
 	}
 	return tr
 }
@@ -83,10 +80,9 @@ func FuzzFrameDecode(f *testing.F) {
 }
 
 // FuzzTraceRoundTrip checks encode/decode stability: any byte stream the
-// decoder accepts must re-encode to a stream that decodes to the same bytes
-// again, through both the plain codec and the storage framing. Without this
-// property a recorded trace could silently change meaning across one
-// store/load hop.
+// decoder accepts must re-encode to exactly that stream, through both the
+// plain codec and the storage framing. Without this property a recorded
+// trace could silently change meaning across one store/load hop.
 func FuzzTraceRoundTrip(f *testing.F) {
 	valid := fuzzSeedTrace().Bytes()
 	f.Add(valid)
@@ -106,12 +102,8 @@ func FuzzTraceRoundTrip(f *testing.F) {
 			return
 		}
 		enc := tr.Bytes()
-		tr2, err := FromBytes(enc)
-		if err != nil {
-			t.Fatalf("re-decode of own encoding failed: %v", err)
-		}
-		if !bytes.Equal(tr2.Bytes(), enc) {
-			t.Fatal("encode→decode→encode is not a fixpoint")
+		if !bytes.Equal(enc, data) {
+			t.Fatal("a successful decode does not re-encode to its input")
 		}
 		// Storage-frame transport must be lossless for accepted traces.
 		rt, err := FromFrames(tr.Frames())

@@ -8,8 +8,8 @@ import (
 )
 
 // FuzzDecode feeds arbitrary bytes to the trace decoder; it must never
-// panic — every malformed input yields an error (or, for valid inputs, a
-// structurally consistent trace).
+// panic — every malformed input yields an error, and every input it accepts
+// decodes to a navigable trace that re-encodes to exactly that input.
 func FuzzDecode(f *testing.F) {
 	// Seed with valid traces and near-valid corruptions.
 	m := NewMeta([]ChannelInfo{
@@ -17,12 +17,7 @@ func FuzzDecode(f *testing.F) {
 		{Name: "b", Width: 2, Dir: Output},
 	}, true)
 	tr := NewTrace(m)
-	p := NewCyclePacket(m)
-	p.Starts.Set(0)
-	p.Ends.Set(0)
-	p.Ends.Set(1)
-	p.Contents = [][]byte{{1, 2, 3, 4}, {5, 6}}
-	tr.Append(p)
+	tr.Append(false).Start(0, []byte{1, 2, 3, 4}).End(0, nil).End(1, []byte{5, 6})
 	valid := tr.Bytes()
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
@@ -40,6 +35,9 @@ func FuzzDecode(f *testing.F) {
 		got, err := FromBytes(data)
 		if err != nil {
 			return
+		}
+		if !bytes.Equal(got.Bytes(), data) {
+			t.Fatal("a successful decode does not re-encode to its input")
 		}
 		// A successfully decoded trace must be internally navigable
 		// without panicking.

@@ -12,25 +12,18 @@ func lossyTrace(t *testing.T) *Trace {
 	m := testMeta(true)
 	tr := NewTrace(m)
 
-	p0 := NewCyclePacket(m)
-	p0.Starts.Set(0) // ocl.AW start
-	p0.Ends.Set(3)   // pcim.AW end (output, recorded)
-	p0.Contents = [][]byte{{1, 2, 3, 4}, {9, 9, 9, 9, 9, 9, 9, 9}}
-	tr.Append(p0)
+	tr.Append(false).
+		Start(0, []byte{1, 2, 3, 4}).          // ocl.AW start
+		End(3, []byte{9, 9, 9, 9, 9, 9, 9, 9}) // pcim.AW end (output, recorded)
 
-	p1 := NewCyclePacket(m)
-	p1.Lossy = true
-	p1.Starts.Set(1) // ocl.W start: input content kept even in a gap
-	p1.Ends.Set(0)   // ocl.AW end
-	p1.Ends.Set(3)   // pcim.AW end (output, content shed)
-	p1.Contents = [][]byte{{5, 6, 7, 8}}
-	tr.Append(p1)
+	tr.Append(true).
+		Start(1, []byte{5, 6, 7, 8}).          // ocl.W start: input content kept even in a gap
+		End(0, nil).                           // ocl.AW end
+		End(3, []byte{9, 9, 9, 9, 9, 9, 9, 9}) // pcim.AW end (output, content shed)
 
-	p2 := NewCyclePacket(m)
-	p2.Ends.Set(1) // ocl.W end
-	p2.Ends.Set(2) // ocl.B end (output, recorded again)
-	p2.Contents = [][]byte{{7}}
-	tr.Append(p2)
+	tr.Append(false).
+		End(1, nil).      // ocl.W end
+		End(2, []byte{7}) // ocl.B end (output, recorded again)
 
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("lossy trace invalid: %v", err)
@@ -49,9 +42,9 @@ func TestLossyRoundTrip(t *testing.T) {
 	if got := rt.LossyPackets(); got != 1 {
 		t.Fatalf("LossyPackets = %d, want 1", got)
 	}
-	if !rt.Packets[1].Lossy || rt.Packets[0].Lossy || rt.Packets[2].Lossy {
+	if !rt.Packet(1).Lossy || rt.Packet(0).Lossy || rt.Packet(2).Lossy {
 		t.Fatalf("lossy flags misplaced after round trip: %v %v %v",
-			rt.Packets[0].Lossy, rt.Packets[1].Lossy, rt.Packets[2].Lossy)
+			rt.Packet(0).Lossy, rt.Packet(1).Lossy, rt.Packet(2).Lossy)
 	}
 	if !bytes.Equal(rt.Bytes(), tr.Bytes()) {
 		t.Fatalf("round trip not byte-identical")
@@ -84,11 +77,29 @@ func TestLossyAccounting(t *testing.T) {
 	}
 }
 
-// TestLossyCopy checks the gap marker survives packet deep-copies.
+// TestLossyCopy checks the gap marker survives copying a trace packet by
+// packet through the view and the builder, and that the builder sheds the
+// output content of a lossy packet just as the encoder does.
 func TestLossyCopy(t *testing.T) {
 	tr := lossyTrace(t)
-	c := tr.Packets[1].Copy()
-	if !c.Lossy {
-		t.Fatalf("Copy dropped the Lossy flag")
+	c := NewTrace(tr.Meta)
+	for i := 0; i < tr.Len(); i++ {
+		p := tr.Packet(i)
+		b := c.Append(p.Lossy)
+		for ci := range tr.Meta.Channels {
+			cp := p.Channel(ci)
+			if cp.Start {
+				b.Start(ci, cp.Content)
+			}
+			if cp.End {
+				b.End(ci, cp.Content)
+			}
+		}
+	}
+	if !c.Packet(1).Lossy || c.LossyPackets() != 1 {
+		t.Fatalf("copy dropped the Lossy flag")
+	}
+	if !bytes.Equal(c.Bytes(), tr.Bytes()) {
+		t.Fatalf("copy differs from the original")
 	}
 }

@@ -67,8 +67,10 @@ func TestBitVecBytesRoundTrip(t *testing.T) {
 				b.Set(i)
 			}
 		}
-		got, err := BitVecFromBytes(n, b.Bytes())
-		return err == nil && got.Equal(b)
+		enc := appendBits(nil, b.words, ByteLen(n))
+		got := NewBitVec(n)
+		loadBits(got.words, enc)
+		return len(enc) == ByteLen(n) && !padded(enc, n) && got.Equal(b)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -91,39 +93,41 @@ func randTrace(t *testing.T, seed int64, validate bool, nPackets int) *Trace {
 	tr := NewTrace(m)
 	inFlight := make([]bool, m.NumChannels())
 	for p := 0; p < nPackets; p++ {
-		pkt := NewCyclePacket(m)
+		var starts, ends []int
 		// Input starts.
-		for ii, ci := range m.InputChannels() {
+		for _, ci := range m.InputChannels() {
 			if !inFlight[ci] && r.Intn(3) == 0 {
-				pkt.Starts.Set(ii)
+				starts = append(starts, ci)
 				inFlight[ci] = true
-				c := make([]byte, m.Channels[ci].Width)
-				r.Read(c)
-				pkt.Contents = append(pkt.Contents, c)
 			}
 		}
 		// Ends on in-flight inputs and randomly on outputs.
 		for ci := 0; ci < m.NumChannels(); ci++ {
 			if m.Channels[ci].Dir == Input {
 				if inFlight[ci] && r.Intn(2) == 0 {
-					pkt.Ends.Set(ci)
+					ends = append(ends, ci)
 					inFlight[ci] = false
 				}
 			} else if r.Intn(4) == 0 {
-				pkt.Ends.Set(ci)
+				ends = append(ends, ci)
 			}
 		}
-		if validate {
-			for _, ci := range m.OutputChannels() {
-				if pkt.Ends.Get(ci) {
-					c := make([]byte, m.Channels[ci].Width)
-					r.Read(c)
-					pkt.Contents = append(pkt.Contents, c)
-				}
-			}
+		if len(starts)+len(ends) == 0 {
+			continue
 		}
-		if !pkt.Empty() {
-			tr.Append(pkt)
+		b := tr.Append(false)
+		for _, ci := range starts {
+			c := make([]byte, m.Channels[ci].Width)
+			r.Read(c)
+			b.Start(ci, c)
+		}
+		for _, ci := range ends {
+			var c []byte
+			if validate && m.Channels[ci].Dir == Output {
+				c = make([]byte, m.Channels[ci].Width)
+				r.Read(c)
+			}
+			b.End(ci, c)
 		}
 	}
 	if err := tr.Validate(); err != nil {
@@ -145,13 +149,12 @@ func TestCodecRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got.Meta.Channels, tr.Meta.Channels) {
 			t.Fatal("channel meta lost")
 		}
-		if len(got.Packets) != len(tr.Packets) {
-			t.Fatalf("packet count %d vs %d", len(got.Packets), len(tr.Packets))
+		if got.Len() != tr.Len() {
+			t.Fatalf("packet count %d vs %d", got.Len(), tr.Len())
 		}
-		for i := range got.Packets {
-			if !got.Packets[i].Starts.Equal(tr.Packets[i].Starts) ||
-				!got.Packets[i].Ends.Equal(tr.Packets[i].Ends) ||
-				!reflect.DeepEqual(got.Packets[i].Contents, tr.Packets[i].Contents) {
+		for i := 0; i < got.Len(); i++ {
+			gp, tp := got.Packet(i), tr.Packet(i)
+			if !gp.Starts.Equal(tp.Starts) || !gp.Ends.Equal(tp.Ends) || !bytes.Equal(gp.Body, tp.Body) || gp.Lossy != tp.Lossy {
 				t.Fatalf("packet %d differs", i)
 			}
 		}
@@ -203,9 +206,7 @@ func TestCodecRejectsTruncated(t *testing.T) {
 func TestValidateCatchesContentCountMismatch(t *testing.T) {
 	m := testMeta(false)
 	tr := NewTrace(m)
-	pkt := NewCyclePacket(m)
-	pkt.Starts.Set(0) // start without content
-	tr.Append(pkt)
+	tr.Append(false).Start(0, nil) // start without content
 	if err := tr.Validate(); err == nil {
 		t.Fatal("expected validation error")
 	}
@@ -215,10 +216,7 @@ func TestValidateCatchesDoubleStart(t *testing.T) {
 	m := testMeta(false)
 	tr := NewTrace(m)
 	for i := 0; i < 2; i++ {
-		pkt := NewCyclePacket(m)
-		pkt.Starts.Set(0)
-		pkt.Contents = append(pkt.Contents, make([]byte, 4))
-		tr.Append(pkt)
+		tr.Append(false).Start(0, make([]byte, 4))
 	}
 	if err := tr.Validate(); err == nil {
 		t.Fatal("expected error: channel starts twice without ending")
@@ -230,16 +228,9 @@ func TestEventsAndTransactions(t *testing.T) {
 	tr := NewTrace(m)
 
 	// Packet 0: input ch0 starts with content A.
-	p0 := NewCyclePacket(m)
-	p0.Starts.Set(0)
-	p0.Contents = [][]byte{{0xA, 0, 0, 0}}
-	tr.Append(p0)
+	tr.Append(false).Start(0, []byte{0xA, 0, 0, 0})
 	// Packet 1: ch0 ends; output ch2 ends with content B.
-	p1 := NewCyclePacket(m)
-	p1.Ends.Set(0)
-	p1.Ends.Set(2)
-	p1.Contents = [][]byte{{0xB}}
-	tr.Append(p1)
+	tr.Append(false).End(0, nil).End(2, []byte{0xB})
 
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
@@ -295,10 +286,7 @@ func TestStoragePacketCount(t *testing.T) {
 func TestTraceSizeAccounting(t *testing.T) {
 	m := testMeta(false)
 	tr := NewTrace(m)
-	p := NewCyclePacket(m)
-	p.Starts.Set(1)
-	p.Contents = [][]byte{make([]byte, 4)}
-	tr.Append(p)
+	tr.Append(false).Start(1, make([]byte, 4))
 	// Starts: ceil(2/8)=1 byte; Ends: ceil(5/8)=1 byte; content 4 bytes.
 	if got := tr.SizeBytes(); got != 6 {
 		t.Fatalf("size=%d want 6", got)

@@ -41,48 +41,33 @@ type Event struct {
 // are listed starts-first then ends, each in channel index order, which is
 // the canonical intra-cycle order used throughout the tooling.
 func (t *Trace) Events() []Event {
-	var out []Event
-	t.eachEvent(func(ev Event) { out = append(out, ev) })
-	return out
-}
-
-// eachEvent calls f for every transaction event of the trace, in the order
-// Events lists them.
-func (t *Trace) eachEvent(f func(Event)) {
 	m := t.Meta
+	var out []Event
 	startOrd := make([]uint64, m.NumChannels())
 	endOrd := make([]uint64, m.NumChannels())
-	// outContent is scratch indexed by channel; every entry set for a
-	// packet is consumed, and cleared, by that packet's end event.
-	outContent := make([][]byte, m.NumChannels())
-	for pi, p := range t.Packets {
-		k := 0
-		for ii, ci := range m.InputChannels() {
-			if p.Starts.Get(ii) {
-				f(Event{Packet: pi, Channel: ci, Kind: StartEvent, Content: p.Contents[k], Ordinal: startOrd[ci]})
-				startOrd[ci]++
-				k++
-			}
+	for pi := 0; pi < t.Len(); pi++ {
+		p := t.Packet(pi)
+		at := 0
+		for ii := p.Starts.Next(0); ii >= 0; ii = p.Starts.Next(ii + 1) {
+			ci, w := m.inputIdx[ii], m.startWidth[ii]
+			out = append(out, Event{Packet: pi, Channel: ci, Kind: StartEvent, Content: p.Body[at : at+w : at+w], Ordinal: startOrd[ci]})
+			startOrd[ci]++
+			at += w
 		}
 		// Output contents, when present, follow the input-start contents.
 		// Lossy (gap-region) packets carry no output contents: their end
 		// events surface with nil Content.
-		if m.ValidateOutputs && !p.Lossy {
-			for _, ci := range m.OutputChannels() {
-				if p.Ends.Get(ci) {
-					outContent[ci] = p.Contents[k]
-					k++
-				}
+		for ci := p.Ends.Next(0); ci >= 0; ci = p.Ends.Next(ci + 1) {
+			var c []byte
+			if w := m.endWidth[ci]; w > 0 && !p.Lossy {
+				c = p.Body[at : at+w : at+w]
+				at += w
 			}
-		}
-		for ci := range outContent {
-			if p.Ends.Get(ci) {
-				f(Event{Packet: pi, Channel: ci, Kind: EndEvent, Content: outContent[ci], Ordinal: endOrd[ci]})
-				outContent[ci] = nil
-				endOrd[ci]++
-			}
+			out = append(out, Event{Packet: pi, Channel: ci, Kind: EndEvent, Content: c, Ordinal: endOrd[ci]})
+			endOrd[ci]++
 		}
 	}
+	return out
 }
 
 // Txn is one reconstructed transaction.
@@ -98,37 +83,31 @@ type Txn struct {
 func (t *Trace) Transactions(ch int) []Txn { return t.AllTransactions()[ch] }
 
 // AllTransactions reconstructs every channel's transactions in one walk over
-// the trace: entry ch lists channel ch's transactions in order. A start opens
-// a transaction and the next end on the channel completes it; an end with no
-// open start (output channels record ends only) is a transaction of its own.
+// the trace's events: entry ch lists channel ch's transactions in order. A
+// start opens a transaction and the next end on the channel completes it; an
+// end with no open start (output channels record ends only) is a
+// transaction of its own.
 func (t *Trace) AllTransactions() [][]Txn {
 	n := t.Meta.NumChannels()
+	evs := t.Events()
 	// Every event opens at most one transaction, so a channel's event count
 	// bounds its transactions: one slab, carved per channel, holds them all.
-	events := t.EndCounts()
-	for _, p := range t.Packets {
-		for ii, ci := range t.Meta.InputChannels() {
-			if p.Starts.Get(ii) {
-				events[ci]++
-			}
-		}
+	bound := make([]int, n)
+	for _, ev := range evs {
+		bound[ev.Channel]++
 	}
-	var total uint64
-	for _, c := range events {
-		total += c
-	}
-	slab := make([]Txn, total)
+	slab := make([]Txn, len(evs))
 	out := make([][]Txn, n)
-	for ci, c := range events {
+	for ci, c := range bound {
 		out[ci], slab = slab[:0:c], slab[c:]
 	}
 	open := make([]bool, n)
-	t.eachEvent(func(ev Event) {
+	for _, ev := range evs {
 		ci := ev.Channel
 		if ev.Kind == EndEvent && open[ci] {
 			out[ci][len(out[ci])-1].EndPacket = ev.Packet
 			open[ci] = false
-			return
+			continue
 		}
 		tx := Txn{Channel: ci, Ordinal: uint64(len(out[ci])), StartPacket: -1, EndPacket: -1, Content: ev.Content}
 		if ev.Kind == StartEvent {
@@ -138,7 +117,43 @@ func (t *Trace) AllTransactions() [][]Txn {
 		}
 		out[ci] = append(out[ci], tx)
 		open[ci] = ev.Kind == StartEvent
-	})
+	}
+	return out
+}
+
+// End is one end event of a channel: the cycle packet carrying it and the
+// content recorded with it, nil when the trace records none.
+type End struct {
+	Packet  int
+	Content []byte
+}
+
+// ChannelEnds returns every channel's end events in order, carved from one
+// slab: entry ch lists channel ch's.
+func (t *Trace) ChannelEnds() [][]End {
+	m := t.Meta
+	counts := t.EndCounts()
+	var total uint64
+	for _, c := range counts {
+		total += c
+	}
+	slab := make([]End, total)
+	out := make([][]End, m.NumChannels())
+	for ci, c := range counts {
+		out[ci], slab = slab[:0:c], slab[c:]
+	}
+	for pi := 0; pi < t.Len(); pi++ {
+		p := t.Packet(pi)
+		at := widthBelow(p.Starts.words, len(m.startWidth), m.startWidth)
+		for ci := p.Ends.Next(0); ci >= 0; ci = p.Ends.Next(ci + 1) {
+			var c []byte
+			if w := m.endWidth[ci]; w > 0 && !p.Lossy {
+				c = p.Body[at : at+w : at+w]
+				at += w
+			}
+			out[ci] = append(out[ci], End{Packet: pi, Content: c})
+		}
+	}
 	return out
 }
 
@@ -147,19 +162,19 @@ func (t *Trace) AllTransactions() [][]Txn {
 // determinism preserves.
 func (t *Trace) EndEvents() []Event {
 	var out []Event
-	t.eachEvent(func(ev Event) {
+	for _, ev := range t.Events() {
 		if ev.Kind == EndEvent {
 			out = append(out, ev)
 		}
-	})
+	}
 	return out
 }
 
 // FindEnd locates the packet index of the n-th end event (0-based) on
 // channel ch, or -1 if the trace has fewer.
 func (t *Trace) FindEnd(ch int, n uint64) int {
-	for pi, p := range t.Packets {
-		if p.Ends.Get(ch) {
+	for pi := 0; pi < t.Len(); pi++ {
+		if t.Packet(pi).Ends.Get(ch) {
 			if n == 0 {
 				return pi
 			}
@@ -172,7 +187,7 @@ func (t *Trace) FindEnd(ch int, n uint64) int {
 // Summary returns a human-readable per-channel transaction count summary.
 func (t *Trace) Summary() string {
 	counts := t.EndCounts()
-	s := fmt.Sprintf("%d cycle packets, %d bytes, %d transactions\n", len(t.Packets), t.SizeBytes(), t.TotalTransactions())
+	s := fmt.Sprintf("%d cycle packets, %d bytes, %d transactions\n", t.Len(), t.SizeBytes(), t.TotalTransactions())
 	for i, c := range t.Meta.Channels {
 		s += fmt.Sprintf("  [%2d] %-16s %-6s width=%-3d ends=%d\n", i, c.Name, c.Dir, c.Width, counts[i])
 	}

@@ -8,44 +8,23 @@ import (
 )
 
 // referenceTransactions reconstructs channel ch's transactions the
-// straightforward way: it decodes every packet afresh, sharing no state
-// across packets or channels.
+// straightforward way: it decomposes every packet afresh into the channel's
+// own channel packet, sharing no state across packets or channels.
 func referenceTransactions(tr *Trace, ch int) []Txn {
-	m := tr.Meta
 	var out []Txn
 	open := false
-	for pi, p := range tr.Packets {
-		var start, end []byte
-		started := false
-		k := 0
-		for ii, ci := range m.InputChannels() {
-			if p.Starts.Get(ii) {
-				if ci == ch {
-					start, started = p.Contents[k], true
-				}
-				k++
-			}
-		}
-		if m.ValidateOutputs && !p.Lossy {
-			for _, ci := range m.OutputChannels() {
-				if p.Ends.Get(ci) {
-					if ci == ch {
-						end = p.Contents[k]
-					}
-					k++
-				}
-			}
-		}
-		if started {
-			out = append(out, Txn{Channel: ch, Ordinal: uint64(len(out)), StartPacket: pi, EndPacket: -1, Content: start})
+	for pi := 0; pi < tr.Len(); pi++ {
+		cp := tr.Packet(pi).Channel(ch)
+		if cp.Start {
+			out = append(out, Txn{Channel: ch, Ordinal: uint64(len(out)), StartPacket: pi, EndPacket: -1, Content: cp.Content})
 			open = true
 		}
-		if p.Ends.Get(ch) {
+		if cp.End {
 			if open {
 				out[len(out)-1].EndPacket = pi
 				open = false
 			} else {
-				out = append(out, Txn{Channel: ch, Ordinal: uint64(len(out)), StartPacket: -1, EndPacket: pi, Content: end})
+				out = append(out, Txn{Channel: ch, Ordinal: uint64(len(out)), StartPacket: -1, EndPacket: pi, Content: cp.Content})
 			}
 		}
 	}
@@ -91,16 +70,8 @@ func TestAllTransactionsLossyAfterValidated(t *testing.T) {
 func TestAllTransactionsOpenAtEnd(t *testing.T) {
 	m := testMeta(true)
 	tr := NewTrace(m)
-	p0 := NewCyclePacket(m)
-	p0.Starts.Set(0)
-	p0.Starts.Set(1)
-	p0.Contents = [][]byte{{1, 1, 1, 1}, {2, 2, 2, 2}}
-	tr.Append(p0)
-	p1 := NewCyclePacket(m)
-	p1.Ends.Set(1)
-	p1.Ends.Set(2)
-	p1.Contents = [][]byte{{3}}
-	tr.Append(p1)
+	tr.Append(false).Start(0, []byte{1, 1, 1, 1}).Start(1, []byte{2, 2, 2, 2})
+	tr.Append(false).End(1, nil).End(2, []byte{3})
 	checkIndex(t, tr)
 	if got := tr.AllTransactions()[0]; len(got) != 1 || got[0].StartPacket != 0 || got[0].EndPacket != -1 {
 		t.Fatalf("ocl.AW transactions %+v: want one open transaction", got)
@@ -115,14 +86,12 @@ func TestAllTransactionsOutputOnly(t *testing.T) {
 	}, true)
 	tr := NewTrace(m)
 	for i := 0; i < 4; i++ {
-		p := NewCyclePacket(m)
-		p.Ends.Set(i % 2)
-		p.Contents = [][]byte{make([]byte, 1+i%2)}
+		b := tr.Append(false)
 		if i == 3 {
-			p.Ends.Set(0)
-			p.Contents = [][]byte{{9}, {8, 8}}
+			b.End(1, []byte{8, 8}).End(0, []byte{9})
+		} else {
+			b.End(i%2, make([]byte, 1+i%2))
 		}
-		tr.Append(p)
 	}
 	checkIndex(t, tr)
 }
@@ -134,24 +103,24 @@ func TestAllTransactionsMatchesReference(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		m := testMeta(validate)
 		tr := NewTrace(m)
+		content := func(ci int) []byte {
+			c := make([]byte, m.Channels[ci].Width)
+			c[0] = byte(ci)
+			c[len(c)-1] ^= byte(r.Intn(256))
+			return c
+		}
 		for i := r.Intn(40); i > 0; i-- {
-			p := NewCyclePacket(m)
-			p.Lossy = r.Intn(4) == 0
-			for ii, ci := range m.InputChannels() {
+			b := tr.Append(r.Intn(4) == 0)
+			for _, ci := range m.InputChannels() {
 				if r.Intn(3) == 0 {
-					p.Starts.Set(ii)
-					p.Contents = append(p.Contents, []byte{byte(ci), byte(r.Intn(256))})
+					b.Start(ci, content(ci))
 				}
 			}
 			for ci := range m.Channels {
 				if r.Intn(3) == 0 {
-					p.Ends.Set(ci)
-					if validate && !p.Lossy && m.Channels[ci].Dir == Output {
-						p.Contents = append(p.Contents, []byte{byte(ci), byte(r.Intn(256))})
-					}
+					b.End(ci, content(ci))
 				}
 			}
-			tr.Append(p)
 		}
 		checkIndex(t, tr)
 		return true
