@@ -570,7 +570,7 @@ func (h *chaosHarness) killRestart(sc ChaosScenario, res *ChaosResult) error {
 	// landed but was never acknowledged, then a gap record whose append
 	// never completed (half its bytes).
 	next := framesToBytes(frames[half : half+per])
-	planted := appendRecord(nil, recSegment, sha256.Sum256(next), encodeSegment(next))
+	planted := segmentRecord(sha256.Sum256(next), next)
 	gap := lifecycleRecord(recGap, binary.BigEndian.AppendUint64(nil, 12))
 	planted = append(planted, gap[:len(gap)/2]...)
 	f, err := os.OpenFile(filepath.Join(h.opts.Root, res.RunID, "log"), os.O_WRONLY|os.O_APPEND, 0o644)

@@ -273,13 +273,13 @@ func (p *jobPool) loadTrace(ctx context.Context, runID string) (*trace.Trace, *M
 		p.noteIfCorrupt(err)
 		return nil, nil, err
 	}
-	tr, err := trace.FromFrames(frames)
+	tr, h, err := decodeFrames(frames)
 	if err != nil {
 		err = &CorruptRunError{RunID: runID, Artifact: "stream", Reason: err.Error()}
 		p.noteIfCorrupt(err)
 		return nil, nil, err
 	}
-	if h := hashBytes(tr.Bytes()); h != m.BodySHA256 {
+	if h != m.BodySHA256 {
 		err = &CorruptRunError{RunID: runID, Artifact: "body",
 			Reason: "decoded body hash does not match manifest"}
 		p.noteIfCorrupt(err)

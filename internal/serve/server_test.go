@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"hash/crc32"
 	"math"
 	"net/http"
@@ -46,7 +47,7 @@ var (
 	recErr   error
 )
 
-func recordedTrace(t *testing.T) *trace.Trace {
+func recordedTrace(t testing.TB) *trace.Trace {
 	t.Helper()
 	recOnce.Do(func() {
 		var res *eval.RunResult
@@ -452,6 +453,69 @@ func TestJobPoolCloseDrainsQueuedJobs(t *testing.T) {
 	}
 	if got.Status != "failed" || !strings.Contains(got.Error, "shutting down") {
 		t.Fatalf("queued job not failed at shutdown: %+v", got)
+	}
+}
+
+// TestCommitHashesDecodedBody: the body hash a commit records is the
+// sha256 of the uploaded recording's bytes, and a job still refuses a run
+// whose stored body is not the one its manifest vouches for, even when
+// every frame, segment and log record checks out.
+func TestCommitHashesDecodedBody(t *testing.T) {
+	root := t.TempDir()
+	ls, err := startLiveServer(root, fastOpts(), Limits{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := &Client{BaseURL: ls.url, SegmentFrames: 4}
+	tr := recordedTrace(t)
+	ctx := context.Background()
+	meta := RunMeta{Tenant: "acme", App: "dma-irq", Scale: 1, Seed: 42}
+	sess, err := cl.OpenSession(ctx, "run-a", meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.UploadTrace(ctx, sess.SessionID, tr); err != nil {
+		t.Fatal(err)
+	}
+	m, err := cl.Commit(ctx, sess.SessionID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ls.stop()
+	if m.BodySHA256 != hashBytes(tr.Bytes()) {
+		t.Fatalf("committed body hash %s, want sha256 of the recording's bytes", m.BodySHA256)
+	}
+
+	// A valid shorter recording stored under run-a's manifest hash: the
+	// damaged body decodes, so only the body hash can refuse it.
+	short, err := trace.FromBytes(tr.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	short.Truncate(short.Len() / 2)
+	st, _, err := OpenStore(root, fastOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := st.Begin(ctx, "run-b", meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := w.PutSegment(ctx, framesToBytes(short.Frames()), 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Commit(ctx, TraceStats{BodySHA256: m.BodySHA256, Replayable: true}); err != nil {
+		t.Fatal(err)
+	}
+	p := newJobPool(st, Limits{}, newMetrics(telemetry.New()))
+	defer p.close()
+	got, _, err := p.loadTrace(ctx, "run-a")
+	if err != nil || string(got.Bytes()) != string(tr.Bytes()) {
+		t.Fatalf("committed run does not load as the recording: %v", err)
+	}
+	var cre *CorruptRunError
+	if _, _, err := p.loadTrace(ctx, "run-b"); !errors.As(err, &cre) || cre.Artifact != "body" {
+		t.Fatalf("damaged body not refused by its hash: %v", err)
 	}
 }
 

@@ -129,13 +129,13 @@ func newMetrics(sink *telemetry.Sink) *metrics {
 	reg(&m.divergences, "vidi_serve_divergences_total", "Divergences reported by replay jobs.")
 	reg(&m.unrecorded, "vidi_serve_unrecorded_total", "Unrecorded (degraded-gap) transactions reported by replay jobs.")
 	reg(&m.quarantined, "vidi_serve_quarantined_total", "Artifacts quarantined by recovery or read verification.")
-	reg(&m.storedRaw, "vidi_serve_stored_raw_bytes_total", "Raw frame bytes of committed runs (pre-compression).")
-	reg(&m.storedDisk, "vidi_serve_stored_disk_bytes_total", "On-disk segment bytes of committed runs (post-compression).")
+	reg(&m.storedRaw, "vidi_serve_stored_raw_bytes_total", "Raw frame bytes of committed runs.")
+	reg(&m.storedDisk, "vidi_serve_stored_disk_bytes_total", "On-disk segment container bytes of committed runs.")
 	m.gSessions = sink.Gauge("vidi_serve_sessions_open", "Currently open recording sessions.")
 	m.gBreaker = sink.Gauge("vidi_serve_breaker_state", "Store breaker state: 0 closed, 0.5 half-open, 1 open.")
 	m.gQueued = sink.Gauge("vidi_serve_jobs_queued", "Jobs waiting for a worker.")
 	m.gInFlight = sink.Gauge("vidi_serve_requests_in_flight", "HTTP requests currently being handled.")
-	m.gCompression = sink.Gauge("vidi_serve_compression_ratio", "Raw/stored byte ratio across committed runs (1 = incompressible).")
+	m.gCompression = sink.Gauge("vidi_serve_compression_ratio", "Raw/stored byte ratio across committed runs (just under 1: segments are stored raw).")
 	sink.OnGather(m.flush)
 	return m
 }
