@@ -41,7 +41,7 @@ func TestStandaloneExitCodes(t *testing.T) {
 	}
 	bin := buildTool(t)
 
-	clean := exec.Command(bin, "./internal/vclock")
+	clean := exec.Command(bin, "./internal/cliutil")
 	clean.Dir = "../.."
 	if code, out := exitCode(t, clean); code != 0 {
 		t.Errorf("clean package: exit %d, want 0\n%s", code, out)
@@ -64,7 +64,7 @@ func TestVetTool(t *testing.T) {
 		t.Skip("builds and runs the lint binary under go vet; skipped in -short mode")
 	}
 	bin := buildTool(t)
-	cmd := exec.Command("go", "vet", "-vettool="+bin, "./internal/vclock")
+	cmd := exec.Command("go", "vet", "-vettool="+bin, "./internal/cliutil")
 	cmd.Dir = "../.."
 	if code, out := exitCode(t, cmd); code != 0 {
 		t.Errorf("go vet -vettool: exit %d, want 0\n%s", code, out)

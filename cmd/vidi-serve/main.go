@@ -93,7 +93,7 @@ func main() {
 	}
 	fmt.Println(rec.String())
 
-	sink := telemetry.New(telemetry.WithTracing(), telemetry.WithConstLabels(telemetry.L("service", "vidi-serve")))
+	sink := telemetry.New(telemetry.WithConstLabels(telemetry.L("service", "vidi-serve")))
 	srv := serve.NewServer(st, serve.ServerOptions{
 		Limits: serve.Limits{
 			MaxSessionsPerTenant: *tenantSessions,

@@ -595,6 +595,37 @@ func TestCodecAllocsIndependentOfLength(t *testing.T) {
 	}
 }
 
+// endPrefix is the reference vector clock of every cycle packet of t, the
+// paper's T_expected: the per-channel count of end events in strictly
+// earlier packets, as one slab in which packet p's clock is
+// clockAt(slab, p, n) for t's n channels.
+func endPrefix(t *trace.Trace) []uint64 {
+	n := t.Meta.NumChannels()
+	slab := make([]uint64, t.Len()*n)
+	for pi := 1; pi < t.Len(); pi++ {
+		cur := clockAt(slab, pi, n)
+		copy(cur, clockAt(slab, pi-1, n))
+		ends := t.Packet(pi - 1).Ends
+		for ci := ends.Next(0); ci >= 0; ci = ends.Next(ci + 1) {
+			cur[ci]++
+		}
+	}
+	return slab
+}
+
+// clockAt is packet p's clock in an endPrefix slab over n channels.
+func clockAt(slab []uint64, p, n int) []uint64 { return slab[p*n : (p+1)*n] }
+
+// geq reports whether clock a ≥ clock b pointwise.
+func geq(a, b []uint64) bool {
+	for i := range a {
+		if a[i] < b[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // TestCompareOrderMatchesClocks checks Compare's one-pass order check
 // against its definition: the k-th end of a channel is out of order when the
 // validation trace's end counts before its packet do not dominate the
@@ -628,7 +659,7 @@ func TestCompareOrderMatchesClocks(t *testing.T) {
 				if rp < 0 || vp < 0 {
 					break
 				}
-				if !clockAt(valVC, vp, n).Geq(clockAt(refVC, rp, n)) {
+				if !geq(clockAt(valVC, vp, n), clockAt(refVC, rp, n)) {
 					out = append(out, [2]uint64{uint64(ci), k})
 				}
 			}
@@ -675,5 +706,64 @@ func TestCompareOrderMatchesClocks(t *testing.T) {
 	}
 	if clean < 30 || diverged < 30 {
 		t.Fatalf("weak sample: %d clean and %d divergent pairs", clean, diverged)
+	}
+}
+
+// TestFrontierMatchesClocks checks the replay gate against its definition:
+// on random traces and random completion orders, the coordinator releases
+// cycle packet p exactly when the completion counts dominate p's vector
+// clock of earlier ends, as the paper's replayers compare them.
+func TestFrontierMatchesClocks(t *testing.T) {
+	m := trace.NewMeta([]trace.ChannelInfo{
+		{Name: "a", Width: 1, Dir: trace.Input},
+		{Name: "b", Width: 1, Dir: trace.Input},
+		{Name: "c", Width: 1, Dir: trace.Output},
+		{Name: "d", Width: 1, Dir: trace.Output},
+	}, true)
+	n := m.NumChannels()
+	held, released := 0, 0
+	for seed := int64(0); seed < 300; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		tr := trace.NewTrace(m)
+		for i := r.Intn(40); i > 0; i-- {
+			b := tr.Append(false)
+			for ci := 0; ci < n; ci++ {
+				if r.Intn(3) == 0 {
+					b.End(ci, []byte{0})
+				}
+			}
+		}
+		prefix := endPrefix(tr)
+		left := tr.EndCounts()
+		c := NewCoordinator(tr)
+		for {
+			for p := 0; p < tr.Len(); p++ {
+				want := geq(c.Completions(), clockAt(prefix, p, n))
+				if got := c.Released(p); got != want {
+					t.Fatalf("seed %d: packet %d after completions %v: frontier gate %v, clocks %v",
+						seed, p, c.Completions(), got, want)
+				}
+				if want {
+					released++
+				} else {
+					held++
+				}
+			}
+			var open []int
+			for ci, k := range left {
+				if k > 0 {
+					open = append(open, ci)
+				}
+			}
+			if len(open) == 0 {
+				break
+			}
+			ci := open[r.Intn(len(open))]
+			left[ci]--
+			c.Completed(ci)
+		}
+	}
+	if held < 1000 || released < 1000 {
+		t.Fatalf("weak sample: %d held and %d released decisions", held, released)
 	}
 }

@@ -1,15 +1,25 @@
 package core
 
 import (
+	"math"
+
 	"vidi/internal/sim"
 	"vidi/internal/trace"
-	"vidi/internal/vclock"
 )
 
-// Coordinator carries the shared T_current vector clock: entry i counts the
-// transactions that have completed on channel i during the replay. In
-// hardware each replayer keeps its own copy updated by broadcast messages;
-// sharing the clock is behaviourally identical and deterministic.
+// Coordinator carries the replay's shared progress: per channel, the count
+// of transactions completed during the replay, and the frontier those
+// counts reach in the trace. In hardware each replayer keeps its own copy
+// of T_current updated by broadcast messages; sharing it is behaviourally
+// identical and deterministic.
+//
+// The paper's replayer releases an event of cycle packet p once
+// T_current ≥ T_expected(p), where T_expected(p)[c] counts channel c's
+// recorded ends in packets before p. Each channel completes its ends in
+// recorded order, so that holds for channel c exactly when c's first
+// recorded end not yet completed lies in packet p or later. The whole
+// comparison is therefore one integer: p ≤ frontier, the lowest packet
+// index of any channel's first uncompleted end.
 //
 // The coordinator is itself a module, registered after every replayer: its
 // Tick runs the replayers' item-processing phase once all of the cycle's
@@ -18,12 +28,54 @@ import (
 // than skewed by module iteration order.
 type Coordinator struct {
 	sim.NullEval
-	tcur      vclock.Clock
+	done []uint64 // completed transactions per channel
+	// ends lists, per channel, the cycle packets holding its recorded
+	// ends, in order; all channels share one slab.
+	ends      [][]int
+	frontier  int
 	replayers []*Replayer
 }
 
-// NewCoordinator creates a coordinator over n channels.
-func NewCoordinator(n int) *Coordinator { return &Coordinator{tcur: vclock.New(n)} }
+// NewCoordinator creates the coordinator for replaying tr.
+func NewCoordinator(tr *trace.Trace) *Coordinator {
+	n := tr.Meta.NumChannels()
+	counts := tr.EndCounts()
+	var total uint64
+	for _, c := range counts {
+		total += c
+	}
+	slab := make([]int, total)
+	c := &Coordinator{done: make([]uint64, n), ends: make([][]int, n)}
+	for ci, k := range counts {
+		c.ends[ci], slab = slab[:0:k], slab[k:]
+	}
+	for pi := 0; pi < tr.Len(); pi++ {
+		ends := tr.Packet(pi).Ends
+		for ci := ends.Next(0); ci >= 0; ci = ends.Next(ci + 1) {
+			c.ends[ci] = append(c.ends[ci], pi)
+		}
+	}
+	c.frontier = c.lowest()
+	return c
+}
+
+// pending is the cycle packet of channel ci's first recorded end not yet
+// completed, or MaxInt once every recorded end has.
+func (c *Coordinator) pending(ci int) int {
+	if e := c.ends[ci]; c.done[ci] < uint64(len(e)) {
+		return e[c.done[ci]]
+	}
+	return math.MaxInt
+}
+
+// lowest is the frontier: the least pending end over all channels.
+func (c *Coordinator) lowest() int {
+	f := math.MaxInt
+	for ci := range c.ends {
+		f = min(f, c.pending(ci))
+	}
+	return f
+}
 
 // Name implements sim.Module.
 func (c *Coordinator) Name() string { return "replay-coordinator" }
@@ -37,7 +89,7 @@ func (c *Coordinator) Tick() {
 }
 
 // TickHorizon implements sim.TickHorizon. A processing pass stops only where
-// T_current, the decoder's released count or a handshake must move before
+// the frontier, the decoder's released count or a handshake must move before
 // it can go on, and on a frozen network none of them does: every further
 // pass stops at the same place, having changed nothing but gate stalls.
 func (c *Coordinator) TickHorizon(now uint64) uint64 { return sim.NoHorizon }
@@ -52,20 +104,30 @@ func (c *Coordinator) SkipTicks(n uint64) {
 	}
 }
 
-// Completed broadcasts that a transaction completed on channel ci.
-func (c *Coordinator) Completed(ci int) { c.tcur.Inc(ci) }
+// Completed broadcasts that a transaction completed on channel ci. Only the
+// channel holding the frontier can move it.
+func (c *Coordinator) Completed(ci int) {
+	at := c.pending(ci)
+	c.done[ci]++
+	if at == c.frontier {
+		c.frontier = c.lowest()
+	}
+}
 
-// Current returns the shared T_current clock.
-func (c *Coordinator) Current() vclock.Clock { return c.tcur }
+// Released reports whether T_current ≥ T_expected holds for cycle packet p.
+func (c *Coordinator) Released(p int) bool { return p <= c.frontier }
+
+// Completions returns the per-channel counts of completed transactions.
+func (c *Coordinator) Completions() []uint64 { return c.done }
 
 // Decoder is the trace decoder (§3.4): it decomposes cycle packets into
 // per-channel packets plus the Ends vector and makes them available to the
 // channel replayers, at a bounded fetch bandwidth that models reading the
 // trace back from external storage. When built it splits the trace once into
 // one stream per channel: the cycle packets that carry an event on the
-// channel, each with the channel's own packet and its T_expected, the sum of
-// the Ends vectors of every earlier cycle packet. These are the paper's
-// per-replayer ⟨channel packet, Ends⟩ streams with the Ends already summed.
+// channel, each with the channel's own packet and that packet's index,
+// against which the coordinator's frontier stands in for T_expected. These
+// are the paper's per-replayer ⟨channel packet, Ends⟩ streams.
 type Decoder struct {
 	sim.NullEval
 	tr    *trace.Trace
@@ -88,9 +150,6 @@ type Decoder struct {
 type streamEntry struct {
 	pkt int // index of the cycle packet
 	cp  trace.ChannelPacket
-	// texp is T_expected: the per-channel end counts of every earlier cycle
-	// packet, a view into the slab all of the decoder's streams share.
-	texp vclock.Clock
 }
 
 // NewDecoder creates a decoder over tr fetching through store.
@@ -116,43 +175,21 @@ func NewDecoder(tr *trace.Trace, store *Store) *Decoder {
 	for ci, c := range size {
 		d.streams[ci], slab = slab[:0:c], slab[c:]
 	}
-	prefix := endPrefix(tr)
 	for pi := 0; pi < tr.Len(); pi++ {
 		p := tr.Packet(pi)
-		texp := clockAt(prefix, pi, n)
 		for ii := p.Starts.Next(0); ii >= 0; ii = p.Starts.Next(ii + 1) {
 			ci := inputs[ii]
-			d.streams[ci] = append(d.streams[ci], streamEntry{pkt: pi, cp: p.Channel(ci), texp: texp})
+			d.streams[ci] = append(d.streams[ci], streamEntry{pkt: pi, cp: p.Channel(ci)})
 		}
 		for ci := p.Ends.Next(0); ci >= 0; ci = p.Ends.Next(ci + 1) {
 			if s := d.streams[ci]; len(s) > 0 && s[len(s)-1].pkt == pi {
 				continue // the start's entry already carries the end
 			}
-			d.streams[ci] = append(d.streams[ci], streamEntry{pkt: pi, cp: trace.ChannelPacket{End: true}, texp: texp})
+			d.streams[ci] = append(d.streams[ci], streamEntry{pkt: pi, cp: trace.ChannelPacket{End: true}})
 		}
 	}
 	return d
 }
-
-// endPrefix returns, for every cycle packet of t, the per-channel count of
-// end events in strictly earlier packets, as one slab: packet p's clock is
-// clockAt(slab, p, n) for t's n channels.
-func endPrefix(t *trace.Trace) []uint64 {
-	n := t.Meta.NumChannels()
-	slab := make([]uint64, t.Len()*n)
-	for pi := 1; pi < t.Len(); pi++ {
-		cur := clockAt(slab, pi, n)
-		copy(cur, clockAt(slab, pi-1, n))
-		ends := t.Packet(pi - 1).Ends
-		for ci := ends.Next(0); ci >= 0; ci = ends.Next(ci + 1) {
-			cur.Inc(ci)
-		}
-	}
-	return slab
-}
-
-// clockAt is packet p's clock in an endPrefix slab over n channels.
-func clockAt(slab []uint64, p, n int) vclock.Clock { return slab[p*n : (p+1)*n : (p+1)*n] }
 
 // Name implements sim.Module.
 func (d *Decoder) Name() string { return "trace-decoder" }
@@ -200,11 +237,11 @@ func (d *Decoder) SkipTicks(uint64) {}
 // replayer acts as the receiver: it completes each recorded transaction by
 // asserting READY once the precondition holds.
 //
-// The replayer walks its own stream from the decoder. Each entry's
+// The replayer walks its own stream from the decoder. An entry's
 // T_expected counts the transaction ends of every earlier cycle packet, so
 // an event is only recreated after every transaction end that preceded it in
 // the recorded execution has completed in the replay — transaction
-// determinism.
+// determinism. The coordinator's frontier decides that comparison.
 type Replayer struct {
 	sim.EvalTracker
 	ci    int
@@ -264,7 +301,7 @@ func (r *Replayer) Eval() {
 
 // Sensitivity implements sim.Sensitive: the replayer recreates the
 // environment side of its channel from registered state. Replayers also
-// share the coordinator's vector clock and the decoder's cursor state at
+// share the coordinator's frontier and the decoder's cursor state at
 // Tick time, which the stack sees in registration order.
 func (r *Replayer) Sensitivity() sim.Sensitivity {
 	if r.bc.Info.Dir == trace.Input {
@@ -306,7 +343,7 @@ func (r *Replayer) process() {
 	// An entry is visible once the decoder has released its packet.
 	for r.next < len(stream) && stream[r.next].pkt < r.dec.released {
 		e := &stream[r.next]
-		if !r.coord.Current().Geq(e.texp) {
+		if !r.coord.Released(e.pkt) {
 			r.gateStalls++
 			r.parked = true
 			return // happens-before precondition not yet satisfied

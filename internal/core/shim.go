@@ -209,7 +209,7 @@ func NewShim(s *sim.Simulator, b *Boundary, opts Options) (*Shim, error) {
 		}
 		sh.repStore = NewStore(opts.StoreBytesPerCycle, opts.Link)
 		sh.repStore.name = "replay-store"
-		sh.coord = NewCoordinator(len(eff.Channels()))
+		sh.coord = NewCoordinator(opts.ReplayTrace)
 		sh.decoder = NewDecoder(opts.ReplayTrace, sh.repStore)
 		for ci, bc := range eff.Channels() {
 			r := NewReplayer(ci, bc, sh.coord, sh.decoder)

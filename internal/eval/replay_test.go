@@ -96,9 +96,8 @@ func TestPrefixReplay(t *testing.T) {
 	// Replayed exactly the prefix's transactions.
 	want := prefix.TotalTransactions()
 	var got uint64
-	cur := b.Shim.Coordinator().Current()
-	for i := 0; i < cur.Len(); i++ {
-		got += cur[i]
+	for _, n := range b.Shim.Coordinator().Completions() {
+		got += n
 	}
 	if got != want {
 		t.Fatalf("prefix replay recreated %d transactions, want %d", got, want)

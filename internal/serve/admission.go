@@ -48,6 +48,16 @@ func (l Limits) openSessions() int      { return lim(l.MaxOpenSessions, 32) }
 func (l Limits) queuedJobs() int        { return lim(l.MaxQueuedJobs, 64) }
 func (l Limits) workers() int           { return lim(l.Workers, 2) }
 
+// readJobs is how many jobs must finish after a finished job's result was
+// first returned before the pool may retire it: one full queue.
+func (l Limits) readJobs() int { return l.queuedJobs() }
+
+// unreadJobs bounds the finished jobs whose result was never returned:
+// 128 full queues per worker, enough that a poller backing off for 3.2 s
+// still finds its job at the pool's peak completion rate (DESIGN.md, "Job
+// retention").
+func (l Limits) unreadJobs() int { return 128 * min(l.queuedJobs(), 1<<16) * min(l.workers(), 1<<16) }
+
 func (l Limits) runBytes() int64 {
 	switch {
 	case l.MaxRunBytes > 0:

@@ -1,12 +1,15 @@
 package serve
 
 import (
+	"container/list"
 	"context"
 	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 
 	"vidi/internal/core"
@@ -43,11 +46,38 @@ type Job struct {
 	Findings    []string `json:"findings,omitempty"`
 
 	done chan struct{}
+	// Retention, guarded by the pool's mutex: a finished job's element in
+	// the pool's unread or read list, and the pool's finish count when its
+	// terminal state was first returned (0 until then: by the time a job
+	// has finished, the count is at least 1).
+	elem   *list.Element
+	readAt uint64
 }
+
+// snapshot is a copy of the job that is safe to marshal concurrently.
+func (j *Job) snapshot() *Job {
+	cp := *j
+	cp.done, cp.elem = nil, nil
+	return &cp
+}
+
+// A job id that is not in the pool's table was either never issued (404)
+// or belongs to a finished job the pool has retired (410).
+var (
+	errNoJob      = errors.New("unknown job")
+	errJobExpired = errors.New("job finished and its result was retired")
+)
 
 // jobPool is the bounded worker pool: a fixed queue, a fixed worker count,
 // and a hard per-job timeout — a wedged replay fails a job, never the
 // service.
+//
+// Its job table is bounded too. Queued and running jobs always stay. A
+// finished job stays until its terminal state has been returned once, by
+// GET /v1/jobs/{id} or ?wait, and then until readJobs more jobs have
+// finished, so a retried read still finds it. At most unreadJobs finished
+// jobs that were never returned stay, oldest first out. A retired id
+// answers 410 job_expired.
 type jobPool struct {
 	store  *Store
 	limits Limits
@@ -59,9 +89,12 @@ type jobPool struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
-	mu   sync.Mutex
-	jobs map[string]*Job
-	seq  int
+	mu       sync.Mutex
+	jobs     map[string]*Job
+	seq      int       // ids issued: job-1 … job-seq
+	finished uint64    // jobs finished so far
+	unread   list.List // finished, never returned; oldest finish first
+	read     list.List // finished and returned; oldest first return first
 }
 
 func newJobPool(store *Store, limits Limits, met *metrics) *jobPool {
@@ -99,9 +132,10 @@ func (p *jobPool) close() {
 
 func (p *jobPool) queued() int { return len(p.queue) }
 
-// submit validates and enqueues a job; a full queue is an admission
-// rejection (503: the server's backlog, not the caller's quota). reqID is
-// the submitting request's id, kept on the job for correlation.
+// submit validates and enqueues a job and returns its queued snapshot; a
+// full queue is an admission rejection (503: the server's backlog, not the
+// caller's quota). reqID is the submitting request's id, kept on the job
+// for correlation.
 func (p *jobPool) submit(kind, runID, refRunID, reqID string) (*Job, error) {
 	switch kind {
 	case JobReplay, JobDiagnose:
@@ -130,10 +164,13 @@ func (p *jobPool) submit(kind, runID, refRunID, reqID string) (*Job, error) {
 		return nil, fmt.Errorf("serve: run %s is not replayable (degraded upload)", runID)
 	}
 
+	// The job enters the queue and the table under one lock: a worker
+	// cannot touch it before it is in the table, and a rejected job takes
+	// no id, so every issued id was once a queued job.
 	p.mu.Lock()
-	p.seq++
+	defer p.mu.Unlock()
 	j := &Job{
-		ID:        fmt.Sprintf("job-%d", p.seq),
+		ID:        fmt.Sprintf("job-%d", p.seq+1),
 		Kind:      kind,
 		RunID:     runID,
 		RefRunID:  refRunID,
@@ -141,16 +178,12 @@ func (p *jobPool) submit(kind, runID, refRunID, reqID string) (*Job, error) {
 		Status:    "queued",
 		done:      make(chan struct{}),
 	}
-	p.jobs[j.ID] = j
-	p.mu.Unlock()
-
 	select {
 	case p.queue <- j:
-		return j, nil
+		p.seq++
+		p.jobs[j.ID] = j
+		return j.snapshot(), nil
 	default:
-		p.mu.Lock()
-		delete(p.jobs, j.ID)
-		p.mu.Unlock()
 		return nil, &AdmissionError{
 			Status:     http.StatusServiceUnavailable,
 			Code:       "job_queue_full",
@@ -160,53 +193,87 @@ func (p *jobPool) submit(kind, runID, refRunID, reqID string) (*Job, error) {
 	}
 }
 
-// get returns a snapshot copy of a job (safe to marshal concurrently).
-func (p *jobPool) get(id string) (*Job, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	j, ok := p.jobs[id]
-	if !ok {
-		return nil, false
+// find returns the table's job for id, or errNoJob or errJobExpired. The
+// caller holds p.mu.
+func (p *jobPool) find(id string) (*Job, error) {
+	if j, ok := p.jobs[id]; ok {
+		return j, nil
 	}
-	cp := *j
-	cp.done = nil
-	return &cp, true
+	n, err := strconv.Atoi(strings.TrimPrefix(id, "job-"))
+	if err == nil && n >= 1 && n <= p.seq && id == fmt.Sprintf("job-%d", n) {
+		return nil, errJobExpired
+	}
+	return nil, errNoJob
 }
 
-// list returns snapshot copies of all jobs, by id.
+// get returns a snapshot of a job; a terminal one counts as returned.
+func (p *jobPool) get(id string) (*Job, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	j, err := p.find(id)
+	if err != nil {
+		return nil, err
+	}
+	return p.report(j), nil
+}
+
+// report snapshots j and, if it has finished, moves it to the read list
+// the first time. The caller holds p.mu. A job retired meanwhile is still
+// snapshotted from the caller's pointer, never looked up again.
+func (p *jobPool) report(j *Job) *Job {
+	if j.elem != nil && j.readAt == 0 {
+		p.unread.Remove(j.elem)
+		j.readAt = p.finished
+		j.elem = p.read.PushBack(j)
+	}
+	return j.snapshot()
+}
+
+// retire evicts finished jobs past the retention bounds. The caller holds
+// p.mu.
+func (p *jobPool) retire() {
+	evict := func(l *list.List, e *list.Element) {
+		j := l.Remove(e).(*Job)
+		j.elem = nil
+		delete(p.jobs, j.ID)
+	}
+	for p.unread.Len() > p.limits.unreadJobs() {
+		evict(&p.unread, p.unread.Front())
+	}
+	for e := p.read.Front(); e != nil && p.finished-e.Value.(*Job).readAt >= uint64(p.limits.readJobs()); e = p.read.Front() {
+		evict(&p.read, e)
+	}
+}
+
+// list returns snapshots of all retained jobs, by id.
 func (p *jobPool) list() []*Job {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	out := make([]*Job, 0, len(p.jobs))
 	for _, j := range p.jobs {
-		cp := *j
-		cp.done = nil
-		out = append(out, &cp)
+		out = append(out, j.snapshot())
 	}
 	sort.Slice(out, func(i, k int) bool { return out[i].ID < out[k].ID })
 	return out
 }
 
-// wait blocks until the job finishes or ctx expires (test/chaos helper).
+// wait blocks until the job finishes or ctx expires, and returns it.
 func (p *jobPool) wait(ctx context.Context, id string) (*Job, error) {
 	p.mu.Lock()
-	j, ok := p.jobs[id]
+	j, err := p.find(id)
 	p.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("serve: unknown job %s", id)
+	if err != nil {
+		return nil, err
 	}
 	//lint:detaudit completion-vs-deadline race only chooses between returning the finished job and a timeout error; the job's stored result is committed either way
 	select {
 	case <-j.done:
-		return p.mustGet(id), nil
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return p.report(j), nil
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-}
-
-func (p *jobPool) mustGet(id string) *Job {
-	j, _ := p.get(id)
-	return j
 }
 
 func (p *jobPool) worker() {
@@ -240,7 +307,10 @@ func (p *jobPool) finish(j *Job, err error) {
 	} else {
 		j.Status = "done"
 	}
-	cp := *j
+	j.elem = p.unread.PushBack(j)
+	p.finished++
+	p.retire()
+	cp := j.snapshot()
 	p.mu.Unlock()
 	close(j.done)
 	if err != nil {
@@ -268,12 +338,12 @@ func (p *jobPool) finish(j *Job, err error) {
 // loadTrace reads a committed run's frames with full verification, decodes
 // the trace, and cross-checks the manifest's end-to-end body hash.
 func (p *jobPool) loadTrace(ctx context.Context, runID string) (*trace.Trace, *Manifest, error) {
-	frames, m, err := p.store.ReadFrames(ctx, runID)
+	segs, m, err := p.store.readRun(runID)
 	if err != nil {
 		p.noteIfCorrupt(err)
 		return nil, nil, err
 	}
-	tr, h, err := decodeFrames(frames)
+	tr, h, err := decodeSegments(segs)
 	if err != nil {
 		err = &CorruptRunError{RunID: runID, Artifact: "stream", Reason: err.Error()}
 		p.noteIfCorrupt(err)

@@ -23,8 +23,8 @@ import (
 type ServerOptions struct {
 	// Limits are the admission quotas and deadlines (zeros = defaults).
 	Limits Limits
-	// Sink receives service metrics and per-session spans. Nil builds a
-	// private sink (metrics still served on /metrics).
+	// Sink receives service metrics. Nil builds a private sink (metrics
+	// still served on /metrics).
 	Sink *telemetry.Sink
 	// Recovery, when set, is the store-open recovery report, served on
 	// /v1/recovery for operators (and the chaos harness) to audit.
@@ -52,7 +52,6 @@ type Server struct {
 	log     *slog.Logger
 	slow    *slowRing
 	reqSeq  atomic.Uint64
-	start   time.Time
 
 	mu       sync.Mutex
 	sessions map[string]*session
@@ -66,7 +65,6 @@ type session struct {
 	runID  string
 	meta   RunMeta
 	w      *RunWriter
-	track  *telemetry.Track
 	server *Server
 
 	mu      sync.Mutex
@@ -80,20 +78,18 @@ type session struct {
 func NewServer(store *Store, opts ServerOptions) *Server {
 	sink := opts.Sink
 	if sink == nil {
-		sink = telemetry.New(telemetry.WithTracing())
+		sink = telemetry.New()
 	}
 	met := newMetrics(sink)
 	s := &Server{
-		store:   store,
-		limits:  opts.Limits,
-		adm:     newAdmission(opts.Limits),
-		sink:    sink,
-		met:     met,
-		recInfo: opts.Recovery,
-		log:     opts.Logger,
-		slow:    newSlowRing(opts.SlowRequests),
-		//lint:detaudit server start timestamp feeds only the /metrics uptime gauge; simulation runs inside jobs never see it
-		start:    time.Now(),
+		store:    store,
+		limits:   opts.Limits,
+		adm:      newAdmission(opts.Limits),
+		sink:     sink,
+		met:      met,
+		recInfo:  opts.Recovery,
+		log:      opts.Logger,
+		slow:     newSlowRing(opts.SlowRequests),
 		sessions: map[string]*session{},
 	}
 	s.jobs = newJobPool(store, opts.Limits, met)
@@ -208,7 +204,7 @@ func (s *Server) Close() {
 	s.sessions = map[string]*session{}
 	s.mu.Unlock()
 	// Abort in session-id order, not map order: shutdown side effects
-	// (abort spans, admission releases, partial-upload tombstones) land in a
+	// (admission releases, partial-upload tombstones) land in a
 	// reproducible sequence for the chaos harness to compare across runs.
 	sort.Slice(open, func(i, j int) bool { return open[i].id < open[j].id })
 	for _, se := range open {
@@ -218,9 +214,6 @@ func (s *Server) Close() {
 	}
 	s.jobs.close()
 }
-
-// Sink returns the server's telemetry sink.
-func (s *Server) Sink() *telemetry.Sink { return s.sink }
 
 type statusRecorder struct {
 	http.ResponseWriter
@@ -238,11 +231,6 @@ func (r *statusRecorder) Write(b []byte) (int, error) {
 	r.bytes += int64(n)
 	return n, err
 }
-
-// usec is the span timestamp clock: microseconds since server start.
-//
-//lint:detaudit uptime stamps service-side telemetry spans only; trace and replay state are cycle-derived
-func (s *Server) usec() uint64 { return uint64(time.Since(s.start) / time.Microsecond) }
 
 // ---- error and JSON plumbing ----
 
@@ -367,7 +355,6 @@ func (s *Server) handleOpenSession(w http.ResponseWriter, r *http.Request) {
 		runID:   req.RunID,
 		meta:    meta,
 		w:       wtr,
-		track:   s.sink.Track("vidi-serve", "session "+req.RunID),
 		server:  s,
 		byFirst: map[uint32]string{},
 	}
@@ -378,7 +365,6 @@ func (s *Server) handleOpenSession(w http.ResponseWriter, r *http.Request) {
 	if resumed {
 		s.met.sessionsResumed.v.Add(1)
 	}
-	se.track.Instant("open", s.usec())
 	writeJSON(w, http.StatusCreated, openSessionResponse{SessionID: se.id, RunID: req.RunID, Resumed: resumed})
 }
 
@@ -487,7 +473,6 @@ func (s *Server) handlePutSegment(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	t0 := s.usec()
 	ref, dedup, err := se.w.PutSegment(r.Context(), body, firstSeq)
 	if err != nil {
 		s.fail(w, err)
@@ -496,7 +481,6 @@ func (s *Server) handlePutSegment(w http.ResponseWriter, r *http.Request) {
 	se.byFirst[firstSeq] = ref.Hash
 	se.nextSeq += uint32(ref.Frames)
 	se.bytes += int64(ref.Bytes)
-	se.track.Span("segment", t0, s.usec())
 	s.met.segments.v.Add(1)
 	s.met.frames.v.Add(uint64(ref.Frames))
 	s.met.bytes.v.Add(uint64(ref.Bytes))
@@ -538,7 +522,6 @@ func (s *Server) handleGap(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	se.nextSeq += uint32(req.Frames)
-	se.track.Instant("gap", s.usec())
 	s.met.gapFrames.v.Add(req.Frames)
 	w.WriteHeader(http.StatusNoContent)
 }
@@ -556,10 +539,9 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "no_session", "session is closed")
 		return
 	}
-	t0 := s.usec()
 	// Commit validates what was persisted: re-read every segment from
 	// disk, re-verify hashes, and decode the trace end to end.
-	body, err := se.w.ReadBack(r.Context())
+	segs, err := se.w.readBack(r.Context())
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -567,15 +549,12 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 	stats := TraceStats{UploadGaps: se.w.GapFrames()}
 	if stats.UploadGaps == 0 {
 		endDecode := stageTimer(r.Context(), "decode")
-		frames, err := framesFromBytes(body)
-		if err == nil {
-			var tr *trace.Trace
-			if tr, stats.BodySHA256, err = decodeFrames(frames); err == nil {
-				stats.Transactions = tr.TotalTransactions()
-				stats.Unrecorded = tr.UnrecordedTransactions()
-				stats.LossyPackets = uint64(tr.LossyPackets())
-				stats.Replayable = true
-			}
+		var tr *trace.Trace
+		if tr, stats.BodySHA256, err = decodeSegments(segs); err == nil {
+			stats.Transactions = tr.TotalTransactions()
+			stats.Unrecorded = tr.UnrecordedTransactions()
+			stats.LossyPackets = uint64(tr.LossyPackets())
+			stats.Replayable = true
 		}
 		endDecode()
 		if err != nil {
@@ -594,7 +573,6 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 	}
 	se.gone = true
 	s.dropSession(se)
-	se.track.Span("commit", t0, s.usec())
 	s.met.sessionsCommitted.v.Add(1)
 	s.met.noteStored(m.Bytes, m.StoredBytes)
 	writeJSON(w, http.StatusOK, m)
@@ -616,7 +594,6 @@ func (s *Server) handleAbort(w http.ResponseWriter, r *http.Request) {
 	se.mu.Unlock()
 	se.w.Abort()
 	s.dropSession(se)
-	se.track.Instant("abort", s.usec())
 	s.met.sessionsAborted.v.Add(1)
 	w.WriteHeader(http.StatusNoContent)
 }
@@ -669,7 +646,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "bad_job", err.Error())
 		return
 	}
-	writeJSON(w, http.StatusAccepted, s.jobs.mustGet(j.ID))
+	writeJSON(w, http.StatusAccepted, j)
 }
 
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
@@ -678,25 +655,23 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
+	var j *Job
+	var err error
 	if r.URL.Query().Get("wait") != "" {
-		j, err := s.jobs.wait(r.Context(), id)
-		if err != nil {
-			if errors.Is(err, context.DeadlineExceeded) {
-				s.fail(w, err)
-			} else {
-				writeErr(w, http.StatusNotFound, "no_job", err.Error())
-			}
-			return
-		}
+		j, err = s.jobs.wait(r.Context(), id)
+	} else {
+		j, err = s.jobs.get(id)
+	}
+	switch {
+	case errors.Is(err, errJobExpired):
+		writeErr(w, http.StatusGone, "job_expired", err.Error())
+	case errors.Is(err, errNoJob):
+		writeErr(w, http.StatusNotFound, "no_job", err.Error())
+	case err != nil:
+		s.fail(w, err)
+	default:
 		writeJSON(w, http.StatusOK, j)
-		return
 	}
-	j, ok := s.jobs.get(id)
-	if !ok {
-		writeErr(w, http.StatusNotFound, "no_job", "unknown job")
-		return
-	}
-	writeJSON(w, http.StatusOK, j)
 }
 
 func (s *Server) handleRecovery(w http.ResponseWriter, r *http.Request) {

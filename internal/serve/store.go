@@ -381,15 +381,22 @@ type logRecord struct {
 // the intact records, the intact prefix length, and why the next record is
 // damaged ("" when the whole log is intact).
 func scanLog(data []byte) (recs []logRecord, off int, damage string) {
+	off, damage = walkLog(data, func(rec logRecord) { recs = append(recs, rec) })
+	return recs, off, damage
+}
+
+// walkLog is scanLog passing each intact record to fn instead of
+// collecting them.
+func walkLog(data []byte, fn func(logRecord)) (off int, damage string) {
 	for off < len(data) {
 		rec, bad := parseRecord(data[off:])
 		if bad != "" {
-			return recs, off, fmt.Sprintf("record at offset %d: %s", off, bad)
+			return off, fmt.Sprintf("record at offset %d: %s", off, bad)
 		}
-		recs = append(recs, rec)
+		fn(rec)
 		off += logHeaderSize + len(rec.payload)
 	}
-	return recs, off, ""
+	return off, ""
 }
 
 // parseRecord verifies the record at the start of b, or says why it is
@@ -641,17 +648,28 @@ func (w *RunWriter) GapFrames() uint64 {
 // verifying every record — commit validates what was persisted, not what
 // the handler held in memory.
 func (w *RunWriter) ReadBack(ctx context.Context) ([]byte, error) {
+	segs, err := w.readBack(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return bytes.Join(segs, nil), nil
+}
+
+// readBack is ReadBack without joining the segments: each aliases the log
+// as read from disk.
+func (w *RunWriter) readBack(ctx context.Context) ([][]byte, error) {
 	w.mu.Lock()
 	refs := append([]SegmentRef(nil), w.refs...)
 	w.mu.Unlock()
 	defer stageTimer(ctx, "readback")()
-	return w.st.readSegments(w.runID, refs)
+	return w.st.segments(w.runID, refs)
 }
 
-// readSegments verifies a run's log and returns the raw bytes of
-// refs in order. Damage past the records refs need is not the run's: an
-// append in flight, or a refused one the next append overwrites.
-func (st *Store) readSegments(runID string, refs []SegmentRef) ([]byte, error) {
+// segments verifies a run's log and returns the raw frame bytes of refs in
+// order. Each aliases the one buffer the log was read into, so nothing is
+// copied. Damage past the records refs need is not the run's: an append in
+// flight, or a refused one the next append overwrites.
+func (st *Store) segments(runID string, refs []SegmentRef) ([][]byte, error) {
 	data, err := os.ReadFile(st.logPath(runID))
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
@@ -663,19 +681,14 @@ func (st *Store) readSegments(runID string, refs []SegmentRef) ([]byte, error) {
 		// 503, never grounds to quarantine an intact committed run.
 		return nil, &StoreFaultError{Op: "segment read", Err: err}
 	}
-	recs, _, damage := scanLog(data)
-	raws := make(map[string][]byte, len(recs))
-	for _, r := range recs {
+	raws := make(map[string][]byte, len(refs))
+	_, damage := walkLog(data, func(r logRecord) {
 		if r.kind == recSegment {
 			raws[hex.EncodeToString(r.sum[:])] = r.raw
 		}
-	}
-	size := 0
-	for _, ref := range refs {
-		size += ref.Bytes
-	}
-	out := make([]byte, 0, size)
-	for _, ref := range refs {
+	})
+	out := make([][]byte, len(refs))
+	for i, ref := range refs {
 		raw, ok := raws[ref.Hash]
 		if !ok && damage != "" {
 			return nil, &CorruptRunError{RunID: runID, Artifact: "log", Reason: damage}
@@ -683,7 +696,7 @@ func (st *Store) readSegments(runID string, refs []SegmentRef) ([]byte, error) {
 		if !ok {
 			return nil, &CorruptRunError{RunID: runID, Artifact: ref.Hash, Reason: "segment missing from the log"}
 		}
-		out = append(out, raw...)
+		out[i] = raw
 	}
 	return out, nil
 }
@@ -805,26 +818,75 @@ func (st *Store) Runs() []string {
 // every segment record's CRC and content hash, plus the manifest's
 // end-to-end body hash after deframing in the caller. A failed check
 // quarantines the run in memory so it is never served again, and returns a
-// typed error wrapping trace.ErrCorrupt.
+// typed error wrapping trace.ErrCorrupt. The frames are the one copy made
+// of the bytes read from disk.
 func (st *Store) ReadFrames(ctx context.Context, runID string) ([][trace.StoragePacketSize]byte, *Manifest, error) {
+	segs, m, err := st.readRun(runID)
+	if err != nil {
+		return nil, nil, err
+	}
+	frames := make([][trace.StoragePacketSize]byte, 0, streamLen(segs)/trace.StoragePacketSize)
+	eachFrame(segs, func(f *[trace.StoragePacketSize]byte) error {
+		frames = append(frames, *f)
+		return nil
+	})
+	return frames, m, nil
+}
+
+// readRun returns a committed run's manifest and its verified segments,
+// aliasing the log as read, and quarantines the run on verified damage.
+func (st *Store) readRun(runID string) ([][]byte, *Manifest, error) {
 	m, ok := st.Manifest(runID)
 	if !ok {
 		return nil, nil, fmt.Errorf("serve: unknown run %s", runID)
 	}
-	body, err := st.readSegments(runID, m.Segments)
-	if err != nil {
-		var ce *CorruptRunError
-		if errors.As(err, &ce) {
-			st.quarantineRun(runID, ce.Reason)
+	segs, err := st.segments(runID, m.Segments)
+	if err == nil {
+		if werr := wholeFrames(segs); werr != nil {
+			err = &CorruptRunError{RunID: runID, Artifact: "stream", Reason: werr.Error()}
 		}
+	}
+	var ce *CorruptRunError
+	if errors.As(err, &ce) {
+		st.quarantineRun(runID, ce.Reason)
+	}
+	if err != nil {
 		return nil, nil, err
 	}
-	frames, err := framesFromBytes(body)
-	if err != nil {
-		st.quarantineRun(runID, err.Error())
-		return nil, nil, &CorruptRunError{RunID: runID, Artifact: "stream", Reason: err.Error()}
+	return segs, m, nil
+}
+
+// wholeFrames checks that every segment is a whole number of storage
+// frames, as ingest accepts them.
+func wholeFrames(segs [][]byte) error {
+	for i, s := range segs {
+		if len(s)%trace.StoragePacketSize != 0 {
+			return fmt.Errorf("segment %d length %d is not a whole number of frames", i, len(s))
+		}
 	}
-	return frames, m, nil
+	return nil
+}
+
+// streamLen is the byte length of the stream segs concatenate.
+func streamLen(segs [][]byte) int {
+	n := 0
+	for _, s := range segs {
+		n += len(s)
+	}
+	return n
+}
+
+// eachFrame calls fn on every storage frame of segs, whole-frame
+// segments, in stream order, in place.
+func eachFrame(segs [][]byte, fn func(*[trace.StoragePacketSize]byte) error) error {
+	for _, seg := range segs {
+		for ; len(seg) > 0; seg = seg[trace.StoragePacketSize:] {
+			if err := fn((*[trace.StoragePacketSize]byte)(seg)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // framesFromBytes reslices a raw byte stream into storage frames.
@@ -839,10 +901,19 @@ func framesFromBytes(b []byte) ([][trace.StoragePacketSize]byte, error) {
 	return out, nil
 }
 
-// decodeFrames decodes a run's stream and returns the hex sha256 of its
+// decodeSegments deframes a run's stream straight from its segments, the
+// one copy of its bytes, decodes it, and returns the hex sha256 of its
 // body, which trace.FromBytes accepts only if the trace re-encodes to it.
-func decodeFrames(frames [][trace.StoragePacketSize]byte) (*trace.Trace, string, error) {
-	body, err := trace.DeframeStream(frames)
+func decodeSegments(segs [][]byte) (*trace.Trace, string, error) {
+	if err := wholeFrames(segs); err != nil {
+		return nil, "", err
+	}
+	body := make([]byte, 0, streamLen(segs)/trace.StoragePacketSize*trace.FramePayloadSize)
+	var d trace.Deframer
+	err := eachFrame(segs, func(f *[trace.StoragePacketSize]byte) (err error) {
+		body, err = d.Append(body, f)
+		return err
+	})
 	if err != nil {
 		return nil, "", err
 	}

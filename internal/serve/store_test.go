@@ -6,6 +6,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -1220,19 +1221,86 @@ func BenchmarkCommit(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		body, err := w.ReadBack(ctx)
+		segs, err := w.readBack(ctx)
 		if err != nil {
 			b.Fatal(err)
 		}
-		stream, err := framesFromBytes(body)
-		if err != nil {
-			b.Fatal(err)
-		}
-		tr, sum, err := decodeFrames(stream)
+		tr, sum, err := decodeSegments(segs)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if _, err := w.Commit(ctx, TraceStats{Transactions: tr.TotalTransactions(), BodySHA256: sum, Replayable: true}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// ---- read cost ----
+
+// storeRecording commits the dma-irq recording as 16-frame segments, as
+// both serve workloads upload it, and returns its manifest.
+func storeRecording(tb testing.TB, st *Store, runID string) *Manifest {
+	tb.Helper()
+	tr := recordedTrace(tb)
+	frames := tr.Frames()
+	ctx := context.Background()
+	w, err := st.Begin(ctx, runID, RunMeta{Tenant: "t0", App: "dma-irq", Scale: 1, Seed: 42})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for off := 0; off < len(frames); off += 16 {
+		if _, _, err := w.PutSegment(ctx, framesToBytes(frames[off:min(off+16, len(frames))]), uint32(off)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	sum := sha256.Sum256(tr.Bytes())
+	m, err := w.Commit(ctx, TraceStats{Transactions: tr.TotalTransactions(), BodySHA256: hex.EncodeToString(sum[:]), Replayable: true})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m
+}
+
+// TestReadFramesAllocationBound: reading a committed run allocates the
+// buffer the log is read into and the frames it is copied into once, and
+// little else. Joining the segments into one body before framing it, or
+// collecting every parsed record, breaks the bound.
+func TestReadFramesAllocationBound(t *testing.T) {
+	st, _, err := OpenStore(t.TempDir(), fastOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := storeRecording(t, st, "r1")
+	if len(m.Segments) != 19 {
+		t.Fatalf("recording stored as %d segments, want 19", len(m.Segments))
+	}
+	ctx := context.Background()
+	const n = 16
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		if _, _, err := st.ReadFrames(ctx, "r1"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got, limit := (after.TotalAlloc-before.TotalAlloc)/n, 3*m.Bytes; got > limit {
+		t.Fatalf("one ReadFrames of a %d-byte run allocates %d bytes, want at most %d", m.Bytes, got, limit)
+	}
+}
+
+// BenchmarkReadFrames: one verified read of a committed 19-segment run.
+func BenchmarkReadFrames(b *testing.B) {
+	st, _, err := OpenStore(b.TempDir(), fastOpts())
+	if err != nil {
+		b.Fatal(err)
+	}
+	storeRecording(b, st, "r1")
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := st.ReadFrames(ctx, "r1"); err != nil {
 			b.Fatal(err)
 		}
 	}

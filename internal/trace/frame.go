@@ -111,21 +111,43 @@ func FramePayload(f *[StoragePacketSize]byte, used int) []byte {
 // verifying per-frame CRCs and sequence continuity. Corruption, reordering
 // and mid-stream loss all yield a typed *CorruptError.
 func DeframeStream(frames [][StoragePacketSize]byte) ([]byte, error) {
+	var d Deframer
 	out := make([]byte, 0, len(frames)*FramePayloadSize)
 	for i := range frames {
-		f := &frames[i]
-		seq, used, err := checkFrame(f)
-		switch {
-		case err != nil:
-			return nil, frameErr(i, "%v", err)
-		case seq != uint32(i):
-			return nil, frameErr(i, "sequence %d (frame lost or reordered)", seq)
-		case i < len(frames)-1 && used != FramePayloadSize:
-			return nil, frameErr(i, "short frame mid-stream (%d bytes)", used)
+		var err error
+		if out, err = d.Append(out, &frames[i]); err != nil {
+			return nil, err
 		}
-		out = append(out, FramePayload(f, used)...)
 	}
 	return out, nil
+}
+
+// Deframer is DeframeStream one frame at a time, for frames that are not
+// held in one slice: it makes the same checks and reports the same first
+// error. The zero value expects frame 0.
+type Deframer struct {
+	seq   uint32 // sequence number the next frame must carry
+	short bool   // the previous frame was short, so it had to be the last
+	used  int    // the previous frame's payload size
+}
+
+// Append verifies f as the stream's next frame and appends its payload to
+// dst.
+func (d *Deframer) Append(dst []byte, f *[StoragePacketSize]byte) ([]byte, error) {
+	i := int(d.seq)
+	if d.short {
+		return dst, frameErr(i-1, "short frame mid-stream (%d bytes)", d.used)
+	}
+	seq, used, err := checkFrame(f)
+	switch {
+	case err != nil:
+		return dst, frameErr(i, "%v", err)
+	case seq != d.seq:
+		return dst, frameErr(i, "sequence %d (frame lost or reordered)", seq)
+	}
+	d.seq++
+	d.short, d.used = used != FramePayloadSize, used
+	return append(dst, FramePayload(f, used)...), nil
 }
 
 // frameErr reports damage to frame i; the site string is built only here,
