@@ -239,15 +239,6 @@ func DecodeR(b []byte, lite bool) RPayload {
 	}
 }
 
-// AllOnesStrb returns a strobe enabling all n data bytes.
-func AllOnesStrb(n int) []byte {
-	s := make([]byte, n)
-	for i := range s {
-		s[i] = 1
-	}
-	return s
-}
-
 // strbBytes packs per-byte enables (one byte per data byte, 0/1) into a
 // bitmask of n/8 bytes.
 func strbBytes(strb []byte, n int) []byte {

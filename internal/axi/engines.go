@@ -45,13 +45,13 @@ type WriteManager struct {
 	// Link, if non-nil, throttles data beats to the shared link bandwidth.
 	Link *TokenBucket
 
-	// Telemetry, attached by the shell when a sink is configured. The
-	// counter shards and the track are written only from this manager's own
-	// Tick; all fields are nil-safe and nil by default.
-	Bursts *telemetry.Counter // completed write bursts (B responses)
-	Beats  *telemetry.Counter // data beats transferred (W fires)
-	Track  *telemetry.Track   // one span per burst, push to response
-	Now    func() uint64      // simulation cycle, required with Track
+	// Traffic counts, written only from this manager's own Tick; the shell
+	// registers them with its sink. The track is attached by the shell when
+	// tracing is armed and is nil-safe and nil by default.
+	Bursts uint64           // completed write bursts (B responses)
+	Beats  uint64           // data beats transferred (W fires)
+	Track  *telemetry.Track // one span per burst, push to response
+	Now    func() uint64    // simulation cycle, required with Track
 
 	pendStart []uint64 // per-pending-burst push cycles (Track only)
 
@@ -171,7 +171,7 @@ func (m *WriteManager) Tick() {
 	if m.wActive && m.iface.W.Fired() {
 		m.wActive = false
 		m.Touch()
-		m.Beats.Inc()
+		m.Beats++
 		if m.Link != nil {
 			m.Link.Spend(m.beatSize())
 		}
@@ -192,7 +192,7 @@ func (m *WriteManager) Tick() {
 	if m.iface.B.Fired() && len(m.pending) > 0 {
 		done := m.pending[0]
 		m.pending = m.pending[1:]
-		m.Bursts.Inc()
+		m.Bursts++
 		if m.Track != nil && len(m.pendStart) > 0 {
 			m.Track.Span("write", m.pendStart[0], m.Now()+1)
 			m.pendStart = m.pendStart[1:]
@@ -232,11 +232,10 @@ type ReadManager struct {
 	// bandwidth by gating R-side readiness.
 	Link *TokenBucket
 
-	// Telemetry, attached by the shell when a sink is configured; nil-safe
-	// and nil by default (see WriteManager).
-	Bursts *telemetry.Counter // completed read bursts (last beat delivered)
-	Beats  *telemetry.Counter // data beats received (R fires)
-	Track  *telemetry.Track   // one span per burst, push to last beat
+	// Traffic counts and track, as on WriteManager.
+	Bursts uint64           // completed read bursts (last beat delivered)
+	Beats  uint64           // data beats received (R fires)
+	Track  *telemetry.Track // one span per burst, push to last beat
 	Now    func() uint64
 
 	pendStart []uint64
@@ -353,7 +352,7 @@ func (m *ReadManager) Tick() {
 		if m.Link != nil {
 			m.Link.Spend(m.beatSize())
 		}
-		m.Beats.Inc()
+		m.Beats++
 		beat := DecodeR(m.iface.R.Data.Get(), m.iface.Lite)
 		st := m.pending[0]
 		st.data = append(st.data, beat.Data...)
@@ -362,7 +361,7 @@ func (m *ReadManager) Tick() {
 		}
 		if beat.Last {
 			m.pending = m.pending[1:]
-			m.Bursts.Inc()
+			m.Bursts++
 			if m.Track != nil && len(m.pendStart) > 0 {
 				m.Track.Span("read", m.pendStart[0], m.Now()+1)
 				m.pendStart = m.pendStart[1:]
@@ -451,10 +450,9 @@ type MemSubordinate struct {
 	// Base is subtracted from incoming addresses before indexing mem.
 	Base uint64
 
-	// Telemetry, attached by the shell when a sink is configured; nil-safe
-	// and nil by default (see WriteManager).
-	Bursts *telemetry.Counter // bursts served (write commits + read starts)
-	Beats  *telemetry.Counter // data beats moved (W and R fires)
+	// Traffic counts, as on WriteManager.
+	Bursts uint64 // bursts served (write commits + read starts)
+	Beats  uint64 // data beats moved (W and R fires)
 
 	awBuf []AWPayload
 	wBuf  []WPayload
@@ -580,7 +578,7 @@ func (s *MemSubordinate) Tick() {
 	}
 	if s.iface.W.Fired() {
 		s.wBuf = append(s.wBuf, DecodeW(s.iface.W.Data.Get(), s.iface.Lite))
-		s.Beats.Inc()
+		s.Beats++
 		if s.Link != nil {
 			s.Link.Spend(s.beatSize())
 		}
@@ -609,7 +607,7 @@ func (s *MemSubordinate) Tick() {
 		}
 		s.awBuf = s.awBuf[1:]
 		s.wBuf = s.wBuf[need:]
-		s.Bursts.Inc()
+		s.Bursts++
 		if s.RespDelay != nil {
 			s.bDelay = s.RespDelay()
 		}
@@ -632,7 +630,7 @@ func (s *MemSubordinate) Tick() {
 	}
 	linkOK := s.Link == nil || s.Link.Ok()
 	if s.rActive && s.iface.R.Fired() {
-		s.Beats.Inc()
+		s.Beats++
 		if s.Link != nil {
 			s.Link.Spend(s.beatSize())
 		}
@@ -653,7 +651,7 @@ func (s *MemSubordinate) Tick() {
 			s.rDelay = 0
 			ar := s.rq[0]
 			s.rq = s.rq[1:]
-			s.Bursts.Inc()
+			s.Bursts++
 			bs := s.beatSize()
 			beats := int(ar.Len) + 1
 			for i := 0; i < beats; i++ {

@@ -12,7 +12,6 @@ import (
 	"fmt"
 
 	"vidi/internal/sim"
-	"vidi/internal/trace"
 )
 
 // CycleTrace is a cycle-accurate capture: for every clock cycle, every
@@ -88,19 +87,6 @@ func NewCycleRecorder(inputs, outputs []*sim.Channel) *CycleRecorder {
 		rec.Outputs = append(rec.Outputs, ChannelDesc{Name: ch.Name(), Width: ch.Width()})
 	}
 	return &CycleRecorder{inputs: inputs, outputs: outputs, rec: rec, Capture: true}
-}
-
-// FromMeta builds a recorder over a boundary's environment-side channels.
-func FromMeta(m *trace.Meta, chans []*sim.Channel) *CycleRecorder {
-	var ins, outs []*sim.Channel
-	for i, ci := range m.Channels {
-		if ci.Dir == trace.Input {
-			ins = append(ins, chans[i])
-		} else {
-			outs = append(outs, chans[i])
-		}
-	}
-	return NewCycleRecorder(ins, outs)
 }
 
 // Name implements sim.Module.

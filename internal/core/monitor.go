@@ -52,7 +52,7 @@ type Monitor struct {
 	// observed counts receiver-side handshake events (starts and ends),
 	// recorded counts events actually logged to the encoder, gapped counts
 	// output ends whose contents were shed in lossy mode. Plain fields,
-	// folded into the sink on scrape.
+	// read by the sink when it is gathered.
 	observed uint64
 	recorded uint64
 	gapped   uint64

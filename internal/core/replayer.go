@@ -142,7 +142,7 @@ type Decoder struct {
 	offset   int // serialized offset of the next packet
 
 	// fetchStalls counts Ticks that exhausted the fetch bandwidth with
-	// packets still pending. Folded into the telemetry sink on scrape.
+	// packets still pending. Read by the telemetry sink when gathered.
 	fetchStalls uint64
 }
 
@@ -267,7 +267,7 @@ type Replayer struct {
 
 	// gateStalls counts process() passes parked on the happens-before
 	// precondition (T_current < T_expected) — the replay-side analogue of
-	// recording back-pressure. Folded into the telemetry sink on scrape.
+	// recording back-pressure. Read by the telemetry sink when gathered.
 	gateStalls uint64
 	// parked marks that the last pass ended on that precondition.
 	parked bool

@@ -86,13 +86,9 @@ type Options struct {
 	// backoff; a fault persisting past the retry budget aborts the run with
 	// a StoreFaultError.
 	StoreFaultFn func(cycle uint64) bool
-	// StoreRetryJitterSeed arms deterministic seeded jitter on the trace
-	// store's retry backoff (see Store.RetryJitterSeed). Zero keeps the
-	// unjittered golden schedule.
-	StoreRetryJitterSeed int64
 	// Telemetry, when non-nil, receives the shim's metrics and transaction
-	// spans. Counters stay on plain component fields and are folded into the
-	// sink only at scrape time, so recording and replay behaviour is
+	// spans. Counters stay on plain component fields that the sink reads
+	// only when it is gathered, so recording and replay behaviour is
 	// byte-identical with or without a sink.
 	Telemetry *telemetry.Sink
 }
@@ -169,7 +165,6 @@ func NewShim(s *sim.Simulator, b *Boundary, opts Options) (*Shim, error) {
 		meta := eff.Meta(opts.ValidateOutputs)
 		sh.recStore = NewStore(opts.StoreBytesPerCycle, opts.Link)
 		sh.recStore.FaultFn = opts.StoreFaultFn
-		sh.recStore.RetryJitterSeed = opts.StoreRetryJitterSeed
 		enc = NewEncoder(meta, sh.recStore, opts.BufBytes)
 		enc.EmitIdlePackets = opts.EmitIdlePackets
 		enc.Degraded = opts.DegradedRecording
@@ -265,14 +260,6 @@ func (sh *Shim) StoredBytes() uint64 {
 		return 0
 	}
 	return sh.recStore.StoredBytes
-}
-
-// PendingBytes reports trace bytes still staged on-FPGA.
-func (sh *Shim) PendingBytes() int {
-	if sh.encoder == nil {
-		return 0
-	}
-	return sh.encoder.BufferedBytes()
 }
 
 // Encoder exposes the encoder for statistics (nil when not recording).

@@ -41,9 +41,6 @@ type RunConfig struct {
 	Cfg   Configuration
 	// ReplayTrace is required for R3.
 	ReplayTrace *trace.Trace
-	// ShareLink routes trace-store traffic over the application's PCIe
-	// link (the realistic deployment; default true unless DisableShare).
-	DisableShare bool
 	// BufBytes / StoreBytesPerCycle override the shim defaults when >0.
 	BufBytes           int
 	StoreBytesPerCycle int
@@ -68,9 +65,6 @@ type RunConfig struct {
 	// DegradedRecording lets recording go lossy under sustained
 	// back-pressure instead of stalling the application indefinitely.
 	DegradedRecording bool
-	// StoreRetryJitterSeed arms deterministic seeded jitter on the trace
-	// store's retry backoff (zero = unjittered golden schedule).
-	StoreRetryJitterSeed int64
 	// StallBudgetCycles overrides the degradation stall budget when >0.
 	StallBudgetCycles int
 	// LegacyKernel selects the seed fixpoint simulation kernel instead of
@@ -155,19 +149,18 @@ func Build(rc RunConfig) (*Built, error) {
 	}
 	app.Build(sys)
 
+	// The trace store shares the application's PCIe link, as it does when
+	// deployed.
 	opts := core.Options{
-		BufBytes:             rc.BufBytes,
-		StoreBytesPerCycle:   rc.StoreBytesPerCycle,
-		StoreAndForward:      rc.StoreAndForward,
-		EmitIdlePackets:      rc.EmitIdlePackets,
-		OnlyInterfaces:       rc.OnlyInterfaces,
-		DegradedRecording:    rc.DegradedRecording,
-		StallBudgetCycles:    rc.StallBudgetCycles,
-		StoreRetryJitterSeed: rc.StoreRetryJitterSeed,
-		Telemetry:            rc.Telemetry,
-	}
-	if !rc.DisableShare {
-		opts.Link = sys.PCIe
+		BufBytes:           rc.BufBytes,
+		StoreBytesPerCycle: rc.StoreBytesPerCycle,
+		StoreAndForward:    rc.StoreAndForward,
+		EmitIdlePackets:    rc.EmitIdlePackets,
+		OnlyInterfaces:     rc.OnlyInterfaces,
+		DegradedRecording:  rc.DegradedRecording,
+		StallBudgetCycles:  rc.StallBudgetCycles,
+		Telemetry:          rc.Telemetry,
+		Link:               sys.PCIe,
 	}
 	switch rc.Cfg {
 	case R1:

@@ -241,7 +241,7 @@ type starver struct {
 	spec   *Spec
 	bucket *axi.TokenBucket
 
-	inj       *telemetry.Counter // one injection per window entry
+	inj       uint64 // one injection per window entry
 	wasActive bool
 }
 
@@ -250,7 +250,7 @@ func (s *starver) Tick() {
 	active := s.spec.active(s.k.cycle)
 	if active {
 		if !s.wasActive {
-			s.inj.Inc()
+			s.inj++
 		}
 		s.bucket.Spend(int(s.spec.Severity * s.bucket.BytesPerCy))
 	}
@@ -267,12 +267,13 @@ func Arm(p *Plan, sys *shell.System, sh *core.Shim) {
 	}
 	k := &clock{}
 	armed := false
-	// Injection counters by kind, keyed to the plan seed. The shell's sink
-	// may be nil, in which case every counter is a nil no-op.
+	// Injection counts by kind, keyed to the plan seed: each injector keeps
+	// its count and registers a read of it. The shell's sink may be nil, in
+	// which case registering is a no-op.
 	sink := sys.Cfg.Telemetry
-	injections := func(c Class) *telemetry.Counter {
-		return sink.Counter("vidi_fault_injections_total",
-			"Fault injector activations by kind, keyed to the plan seed.",
+	injections := func(c Class, read func() uint64) {
+		sink.CounterFunc("vidi_fault_injections_total",
+			"Fault injector activations by kind, keyed to the plan seed.", read,
 			telemetry.L("kind", c.String()),
 			telemetry.L("seed", strconv.FormatInt(p.Seed, 10)))
 	}
@@ -280,17 +281,19 @@ func Arm(p *Plan, sys *shell.System, sh *core.Shim) {
 		s := &p.Specs[i]
 		switch s.Class {
 		case LinkBrownout:
-			sv := &starver{k: k, spec: s, bucket: sys.PCIe, inj: injections(s.Class)}
+			sv := &starver{k: k, spec: s, bucket: sys.PCIe}
+			injections(s.Class, func() uint64 { return sv.inj })
 			sys.Sim.Register(sv)
 			armed = true
 		case LinkOutage:
 			if sh != nil && sh.Store() != nil {
 				spec := s
-				inj := injections(s.Class)
+				var inj uint64
+				injections(s.Class, func() uint64 { return inj })
 				sh.Store().FaultFn = func(cycle uint64) bool {
 					ok := !spec.active(cycle)
 					if !ok {
-						inj.Inc()
+						inj++
 					}
 					return ok
 				}
@@ -299,12 +302,13 @@ func Arm(p *Plan, sys *shell.System, sh *core.Shim) {
 		case CPUStall:
 			if sys.CPU != nil {
 				spec := s
-				inj := injections(s.Class)
+				var inj uint64
+				injections(s.Class, func() uint64 { return inj })
 				wasActive := false
 				sys.CPU.StallFn = func() bool {
 					active := spec.active(k.cycle)
 					if active && !wasActive {
-						inj.Inc()
+						inj++
 					}
 					wasActive = active
 					return active
@@ -313,7 +317,8 @@ func Arm(p *Plan, sys *shell.System, sh *core.Shim) {
 			}
 		case DMAHiccup:
 			spec := s
-			inj := injections(s.Class)
+			var inj uint64
+			injections(s.Class, func() uint64 { return inj })
 			orig := sys.DDRSub.RespDelay
 			extra := 1 + int(spec.Severity*24)
 			sys.DDRSub.RespDelay = func() int {
@@ -322,7 +327,7 @@ func Arm(p *Plan, sys *shell.System, sh *core.Shim) {
 					d = orig()
 				}
 				if spec.active(k.cycle) {
-					inj.Inc()
+					inj++
 					d += extra
 				}
 				return d

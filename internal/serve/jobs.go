@@ -314,9 +314,9 @@ func (p *jobPool) finish(j *Job, err error) {
 	p.mu.Unlock()
 	close(j.done)
 	if err != nil {
-		p.met.jobsFailed.v.Add(1)
+		p.met.jobsFailed.Add(1)
 	} else {
-		p.met.jobsDone.v.Add(1)
+		p.met.jobsDone.Add(1)
 	}
 	if p.log != nil {
 		level := slog.LevelInfo
@@ -363,7 +363,7 @@ func (p *jobPool) loadTrace(ctx context.Context, runID string) (*trace.Trace, *M
 func (p *jobPool) noteIfCorrupt(err error) {
 	var cre *CorruptRunError
 	if errors.As(err, &cre) {
-		p.met.quarantined.v.Add(1)
+		p.met.quarantined.Add(1)
 	}
 }
 
@@ -418,6 +418,6 @@ func (p *jobPool) record(j *Job, rep *core.Report, findings []core.Finding) {
 			fmt.Sprintf("%s: channel %s ×%d: %s", f.Kind, f.Channel, f.Count, f.Detail))
 	}
 	p.mu.Unlock()
-	p.met.divergences.v.Add(uint64(len(rep.Divergences)))
-	p.met.unrecorded.v.Add(rep.Unrecorded)
+	p.met.divergences.Add(uint64(len(rep.Divergences)))
+	p.met.unrecorded.Add(rep.Unrecorded)
 }

@@ -94,11 +94,14 @@ func NewServer(store *Store, opts ServerOptions) *Server {
 	}
 	s.jobs = newJobPool(store, opts.Limits, met)
 	s.jobs.log = opts.Logger
-	met.openSessions = func() float64 { return float64(s.adm.openSessions()) }
-	met.breakerState = store.Breaker().State
-	met.queuedJobs = func() float64 { return float64(s.jobs.queued()) }
+	sink.GaugeFunc("vidi_serve_sessions_open", "Currently open recording sessions.",
+		func() float64 { return float64(s.adm.openSessions()) })
+	sink.GaugeFunc("vidi_serve_breaker_state", "Store breaker state: 0 closed, 0.5 half-open, 1 open.",
+		store.Breaker().State)
+	sink.GaugeFunc("vidi_serve_jobs_queued", "Jobs waiting for a worker.",
+		func() float64 { return float64(s.jobs.queued()) })
 	if opts.Recovery != nil {
-		met.quarantined.v.Add(uint64(len(opts.Recovery.Quarantined)))
+		met.quarantined.Add(uint64(len(opts.Recovery.Quarantined)))
 	}
 
 	mux := http.NewServeMux()
@@ -210,7 +213,7 @@ func (s *Server) Close() {
 	for _, se := range open {
 		se.w.Abort()
 		s.adm.releaseSession(se.meta.Tenant)
-		s.met.sessionsAborted.v.Add(1)
+		s.met.sessionsAborted.Add(1)
 	}
 	s.jobs.close()
 }
@@ -262,26 +265,26 @@ func (s *Server) fail(w http.ResponseWriter, err error) {
 	var cre *CorruptRunError
 	switch {
 	case errors.As(err, &ae):
-		s.met.admissionRejects.v.Add(1)
+		s.met.admissionRejects.Add(1)
 		if ae.RetryAfter > 0 {
 			w.Header().Set("Retry-After", strconv.Itoa(int((ae.RetryAfter+time.Second-1)/time.Second)))
 		}
 		writeErr(w, ae.Status, ae.Code, ae.Detail)
 	case errors.Is(err, ErrBreakerOpen):
-		s.met.breakerShed.v.Add(1)
+		s.met.breakerShed.Add(1)
 		w.Header().Set("Retry-After", "1")
 		writeErr(w, http.StatusServiceUnavailable, "store_unavailable", err.Error())
 	case errors.As(err, &sfe):
-		s.met.storeFaults.v.Add(1)
+		s.met.storeFaults.Add(1)
 		w.Header().Set("Retry-After", "1")
 		writeErr(w, http.StatusServiceUnavailable, "store_fault", err.Error())
 	case errors.Is(err, context.DeadlineExceeded):
 		writeErr(w, http.StatusGatewayTimeout, "deadline_exceeded", err.Error())
 	case errors.As(err, &ce):
-		s.met.corruptFrames.v.Add(1)
+		s.met.corruptFrames.Add(1)
 		writeErr(w, http.StatusUnprocessableEntity, "corrupt_frame", err.Error())
 	case errors.As(err, &cre):
-		s.met.quarantined.v.Add(1)
+		s.met.quarantined.Add(1)
 		writeErr(w, http.StatusInternalServerError, "corrupt_run", err.Error())
 	default:
 		writeErr(w, http.StatusInternalServerError, "internal", err.Error())
@@ -361,9 +364,9 @@ func (s *Server) handleOpenSession(w http.ResponseWriter, r *http.Request) {
 	s.sessions[se.id] = se
 	s.mu.Unlock()
 
-	s.met.sessionsOpened.v.Add(1)
+	s.met.sessionsOpened.Add(1)
 	if resumed {
-		s.met.sessionsResumed.v.Add(1)
+		s.met.sessionsResumed.Add(1)
 	}
 	writeJSON(w, http.StatusCreated, openSessionResponse{SessionID: se.id, RunID: req.RunID, Resumed: resumed})
 }
@@ -422,7 +425,7 @@ func (s *Server) handlePutSegment(w http.ResponseWriter, r *http.Request) {
 	// Verify before persisting: every frame's CRC, length, and stream
 	// position. A corrupt upload never reaches the store.
 	if len(body)%trace.StoragePacketSize != 0 {
-		s.met.corruptFrames.v.Add(1)
+		s.met.corruptFrames.Add(1)
 		writeErr(w, http.StatusUnprocessableEntity, "corrupt_frame",
 			fmt.Sprintf("stream length %d is not a whole number of frames", len(body)))
 		return
@@ -444,7 +447,7 @@ func (s *Server) handlePutSegment(w http.ResponseWriter, r *http.Request) {
 	// not at the stream head is out of order.
 	if prev, seen := se.byFirst[firstSeq]; seen {
 		if prev == hash {
-			s.met.segmentsDeduped.v.Add(1)
+			s.met.segmentsDeduped.Add(1)
 			writeJSON(w, http.StatusOK, putSegmentResponse{Hash: hash, Frames: nFrames, Dedup: true})
 			return
 		}
@@ -461,12 +464,12 @@ func (s *Server) handlePutSegment(w http.ResponseWriter, r *http.Request) {
 		f := (*[trace.StoragePacketSize]byte)(body[i*trace.StoragePacketSize:])
 		seq, _, err := trace.CheckFrame("upload", f)
 		if err != nil {
-			s.met.corruptFrames.v.Add(1)
+			s.met.corruptFrames.Add(1)
 			writeErr(w, http.StatusUnprocessableEntity, "corrupt_frame", err.Error())
 			return
 		}
 		if seq != firstSeq+uint32(i) {
-			s.met.corruptFrames.v.Add(1)
+			s.met.corruptFrames.Add(1)
 			writeErr(w, http.StatusUnprocessableEntity, "corrupt_frame",
 				fmt.Sprintf("frame %d carries sequence %d, expected %d (frame lost or reordered)", i, seq, firstSeq+uint32(i)))
 			return
@@ -481,11 +484,11 @@ func (s *Server) handlePutSegment(w http.ResponseWriter, r *http.Request) {
 	se.byFirst[firstSeq] = ref.Hash
 	se.nextSeq += uint32(ref.Frames)
 	se.bytes += int64(ref.Bytes)
-	s.met.segments.v.Add(1)
-	s.met.frames.v.Add(uint64(ref.Frames))
-	s.met.bytes.v.Add(uint64(ref.Bytes))
+	s.met.segments.Add(1)
+	s.met.frames.Add(uint64(ref.Frames))
+	s.met.bytes.Add(uint64(ref.Bytes))
 	if dedup {
-		s.met.segmentsDeduped.v.Add(1)
+		s.met.segmentsDeduped.Add(1)
 	}
 	writeJSON(w, http.StatusOK, putSegmentResponse{Hash: ref.Hash, Frames: ref.Frames, Dedup: dedup})
 }
@@ -522,7 +525,7 @@ func (s *Server) handleGap(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	se.nextSeq += uint32(req.Frames)
-	s.met.gapFrames.v.Add(req.Frames)
+	s.met.gapFrames.Add(req.Frames)
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -561,7 +564,7 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 			// Every frame passed ingest verification, so an undecodable
 			// stream means the trace itself is malformed — reject the
 			// commit, keep the session open for the client to abort.
-			s.met.corruptFrames.v.Add(1)
+			s.met.corruptFrames.Add(1)
 			writeErr(w, http.StatusUnprocessableEntity, "undecodable_trace", err.Error())
 			return
 		}
@@ -573,7 +576,7 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 	}
 	se.gone = true
 	s.dropSession(se)
-	s.met.sessionsCommitted.v.Add(1)
+	s.met.sessionsCommitted.Add(1)
 	s.met.noteStored(m.Bytes, m.StoredBytes)
 	writeJSON(w, http.StatusOK, m)
 }
@@ -594,7 +597,7 @@ func (s *Server) handleAbort(w http.ResponseWriter, r *http.Request) {
 	se.mu.Unlock()
 	se.w.Abort()
 	s.dropSession(se)
-	s.met.sessionsAborted.v.Add(1)
+	s.met.sessionsAborted.Add(1)
 	w.WriteHeader(http.StatusNoContent)
 }
 

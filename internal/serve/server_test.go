@@ -5,9 +5,12 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -549,7 +552,7 @@ func TestCompareRejectsUnreplayableRun(t *testing.T) {
 	if _, err := p.submit(JobCompare, "good", "gapped", ""); err == nil {
 		t.Fatal("compare accepted an unreplayable reference run")
 	}
-	quarantinedBefore := p.met.quarantined.v.Load()
+	quarantinedBefore := p.met.quarantined.Load()
 	if quarantinedBefore != 0 {
 		t.Fatalf("rejections counted as quarantines: %d", quarantinedBefore)
 	}
@@ -744,5 +747,97 @@ func TestJobCarriesRequestID(t *testing.T) {
 	}
 	if got.RequestID != "submit-req-9" || got.Status != "done" {
 		t.Fatalf("finished job lost its request id: %+v", got)
+	}
+}
+
+// TestConcurrentScrapes: several goroutines scrape /metrics and /healthz
+// while sessions upload and a replay job runs. Every scrape gathers the
+// registry, so under -race this checks that gathers do not race each other,
+// the handlers or the job workers. Once the server has stopped, two gathers
+// in a row must give equal snapshots: a gather reads the counts, it never
+// moves them.
+func TestConcurrentScrapes(t *testing.T) {
+	ls, cl := newTestServer(t, Limits{})
+	tr := recordedTrace(t)
+	ctx := context.Background()
+	upload := func(runID string) error {
+		sess, err := cl.OpenSession(ctx, runID, RunMeta{Tenant: "acme", App: "dma-irq", Scale: 1, Seed: 42})
+		if err != nil {
+			return err
+		}
+		if _, err := cl.UploadTrace(ctx, sess.SessionID, tr); err != nil {
+			return err
+		}
+		_, err = cl.Commit(ctx, sess.SessionID)
+		return err
+	}
+	if err := upload("run-base"); err != nil {
+		t.Fatalf("upload run-base: %v", err)
+	}
+
+	const scrapers, minScrapes = 4, 20
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < scrapers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; ; n++ {
+				if n >= minScrapes {
+					select {
+					case <-done:
+						return
+					default:
+					}
+				}
+				path := "/metrics"
+				if n%4 == 3 {
+					path = "/healthz"
+				}
+				resp, err := http.Get(ls.url + path)
+				if err != nil {
+					t.Errorf("GET %s: %v", path, err)
+					return
+				}
+				_, err = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK {
+					t.Errorf("GET %s: status %d, read error %v", path, resp.StatusCode, err)
+					return
+				}
+			}
+		}()
+	}
+	var traffic sync.WaitGroup
+	for i := 0; i < 3; i++ {
+		traffic.Add(1)
+		go func() {
+			defer traffic.Done()
+			if err := upload(fmt.Sprintf("run-%d", i)); err != nil {
+				t.Errorf("upload run-%d: %v", i, err)
+			}
+		}()
+	}
+	j, err := cl.SubmitJob(ctx, JobReplay, "run-base", "")
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	if j, err = cl.WaitJob(ctx, j.ID); err != nil || j.Status != "done" {
+		t.Fatalf("replay job: %+v %v", j, err)
+	}
+	traffic.Wait()
+	close(done)
+	wg.Wait()
+
+	ls.stop()
+	first, second := ls.server.sink.Gather(), ls.server.sink.Gather()
+	if !reflect.DeepEqual(first, second) {
+		t.Fatal("two gathers with no traffic between them differ")
+	}
+	if got := first.Total("vidi_serve_sessions_committed_total"); got != 4 {
+		t.Fatalf("sessions_committed = %v, want 4", got)
+	}
+	if got := first.Total("vidi_serve_jobs_completed_total"); got != 1 {
+		t.Fatalf("jobs_completed = %v, want 1", got)
 	}
 }

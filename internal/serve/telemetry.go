@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -9,134 +8,101 @@ import (
 	"vidi/internal/telemetry"
 )
 
-// Serve-side metrics. The telemetry registry's metric shards are
-// single-writer by contract (the simulation loop owns them); an HTTP
-// server is anything but single-writer. The bridge is the mirror pattern:
-// handlers bump plain atomics, and an OnGather flusher — the only writer
-// the shards ever see — folds the accumulated deltas into the registry at
-// scrape time. Gauges are computed fresh in the flusher from callbacks.
+// Serve-side metrics. Handlers and job workers count into atomics and
+// mutex-guarded histograms that this struct owns, and each is registered
+// with the sink as a source that Gather reads under the registry's lock.
+// Nothing is staged or folded, so any number of concurrent scrapes read the
+// same live values; gauges are read from the server's own state.
 type metrics struct {
 	sink *telemetry.Sink
 
-	flushMu sync.Mutex // serializes flush (concurrent Gathers) and lazy registration
+	sessionsOpened    atomic.Uint64
+	sessionsResumed   atomic.Uint64
+	sessionsCommitted atomic.Uint64
+	sessionsAborted   atomic.Uint64
+	segments          atomic.Uint64
+	segmentsDeduped   atomic.Uint64
+	frames            atomic.Uint64
+	bytes             atomic.Uint64
+	gapFrames         atomic.Uint64
+	corruptFrames     atomic.Uint64
+	storeFaults       atomic.Uint64
+	breakerShed       atomic.Uint64
+	admissionRejects  atomic.Uint64
+	jobsDone          atomic.Uint64
+	jobsFailed        atomic.Uint64
+	divergences       atomic.Uint64
+	unrecorded        atomic.Uint64
+	quarantined       atomic.Uint64
 
-	sessionsOpened    mirror
-	sessionsResumed   mirror
-	sessionsCommitted mirror
-	sessionsAborted   mirror
-	segments          mirror
-	segmentsDeduped   mirror
-	frames            mirror
-	bytes             mirror
-	gapFrames         mirror
-	corruptFrames     mirror
-	storeFaults       mirror
-	breakerShed       mirror
-	admissionRejects  mirror
-	jobsDone          mirror
-	jobsFailed        mirror
-	divergences       mirror
-	unrecorded        mirror
-	quarantined       mirror
-
-	storedRaw  mirror // raw frame bytes committed (pre-codec)
-	storedDisk mirror // on-disk bytes committed (post-codec)
-
-	httpByCode map[string]*mirror // "2xx"... keyed by class; under flushMu
-
-	// Per-endpoint RED instruments, created lazily under flushMu.
-	durByEndpoint map[string]*qmirror
-	errByEndpoint map[string]*mirror // keyed by endpoint + "\xff" + class
+	storedRaw  atomic.Uint64 // raw frame bytes committed (pre-codec)
+	storedDisk atomic.Uint64 // on-disk bytes committed (post-codec)
 
 	inFlight atomic.Int64
 
-	// gauge callbacks, read in the flusher
-	openSessions func() float64
-	breakerState func() float64
-	queuedJobs   func() float64
-
-	gSessions    *telemetry.Gauge
-	gBreaker     *telemetry.Gauge
-	gQueued      *telemetry.Gauge
-	gInFlight    *telemetry.Gauge
-	gCompression *telemetry.Gauge
+	// Per-label series, registered on first use under mu.
+	mu            sync.Mutex
+	httpByCode    map[string]*atomic.Uint64 // "2xx"... keyed by class
+	durByEndpoint map[string]*latency
+	errByEndpoint map[string]*atomic.Uint64 // keyed by endpoint + "\xff" + class
 }
 
-// mirror pairs a handler-side atomic with its registry counter; flush
-// folds the delta so the registry shard stays single-writer.
-type mirror struct {
-	v    atomic.Uint64
-	last uint64 // under metrics.flushMu
-	c    *telemetry.Counter
+// latency is one endpoint's request-duration histogram. Handlers observe
+// into it and its QuantileFunc source merges it, both under mu.
+type latency struct {
+	mu   sync.Mutex
+	hist telemetry.QuantileHistogram
 }
 
-func (m *mirror) flush() {
-	cur := m.v.Load()
-	if d := cur - m.last; d > 0 {
-		m.c.Add(d)
-	}
-	m.last = cur
+func (l *latency) observe(v float64) {
+	l.mu.Lock()
+	l.hist.Observe(v)
+	l.mu.Unlock()
 }
 
-// qmirror stages request-latency samples from concurrent handlers into a
-// private quantile histogram; flush — the registry shard's only writer —
-// merges the staged samples in and resets the stage. Same single-writer
-// contract as mirror, for distributions.
-type qmirror struct {
-	mu    sync.Mutex
-	stage telemetry.QuantileHistogram
-	q     *telemetry.QuantileHistogram
-}
-
-func (m *qmirror) observe(v float64) {
-	m.mu.Lock()
-	m.stage.Observe(v)
-	m.mu.Unlock()
-}
-
-func (m *qmirror) flush() {
-	m.mu.Lock()
-	m.q.Merge(&m.stage)
-	m.stage.Reset()
-	m.mu.Unlock()
+func (l *latency) read(into *telemetry.QuantileHistogram) {
+	l.mu.Lock()
+	into.Merge(&l.hist)
+	l.mu.Unlock()
 }
 
 func newMetrics(sink *telemetry.Sink) *metrics {
 	m := &metrics{
 		sink:          sink,
-		httpByCode:    map[string]*mirror{},
-		durByEndpoint: map[string]*qmirror{},
-		errByEndpoint: map[string]*mirror{},
+		httpByCode:    map[string]*atomic.Uint64{},
+		durByEndpoint: map[string]*latency{},
+		errByEndpoint: map[string]*atomic.Uint64{},
 	}
-	reg := func(mr *mirror, name, help string) {
-		mr.c = sink.Counter(name, help)
-	}
-	reg(&m.sessionsOpened, "vidi_serve_sessions_opened_total", "Recording sessions opened.")
-	reg(&m.sessionsResumed, "vidi_serve_sessions_resumed_total", "Sessions re-opened against a recovered partial run.")
-	reg(&m.sessionsCommitted, "vidi_serve_sessions_committed_total", "Sessions committed with a verified manifest.")
-	reg(&m.sessionsAborted, "vidi_serve_sessions_aborted_total", "Sessions aborted or expired before commit.")
-	reg(&m.segments, "vidi_serve_segments_total", "Segments accepted into the trace store.")
-	reg(&m.segmentsDeduped, "vidi_serve_segments_dedup_total", "Segment uploads satisfied by content-addressed dedup.")
-	reg(&m.frames, "vidi_serve_frames_total", "Storage frames accepted.")
-	reg(&m.bytes, "vidi_serve_bytes_total", "Frame bytes accepted.")
-	reg(&m.gapFrames, "vidi_serve_upload_gap_frames_total", "Frames clients declared lost in transit.")
-	reg(&m.corruptFrames, "vidi_serve_corrupt_frames_total", "Uploaded frames rejected by CRC or sequence checks.")
-	reg(&m.storeFaults, "vidi_serve_store_faults_total", "Store writes that exhausted their retry budget.")
-	reg(&m.breakerShed, "vidi_serve_breaker_shed_total", "Writes shed fast by the open circuit breaker.")
-	reg(&m.admissionRejects, "vidi_serve_admission_rejects_total", "Requests rejected by admission control quotas.")
-	reg(&m.jobsDone, "vidi_serve_jobs_completed_total", "Replay/compare/diagnose jobs completed.")
-	reg(&m.jobsFailed, "vidi_serve_jobs_failed_total", "Jobs that ended in error.")
-	reg(&m.divergences, "vidi_serve_divergences_total", "Divergences reported by replay jobs.")
-	reg(&m.unrecorded, "vidi_serve_unrecorded_total", "Unrecorded (degraded-gap) transactions reported by replay jobs.")
-	reg(&m.quarantined, "vidi_serve_quarantined_total", "Artifacts quarantined by recovery or read verification.")
-	reg(&m.storedRaw, "vidi_serve_stored_raw_bytes_total", "Raw frame bytes of committed runs.")
-	reg(&m.storedDisk, "vidi_serve_stored_disk_bytes_total", "On-disk segment container bytes of committed runs.")
-	m.gSessions = sink.Gauge("vidi_serve_sessions_open", "Currently open recording sessions.")
-	m.gBreaker = sink.Gauge("vidi_serve_breaker_state", "Store breaker state: 0 closed, 0.5 half-open, 1 open.")
-	m.gQueued = sink.Gauge("vidi_serve_jobs_queued", "Jobs waiting for a worker.")
-	m.gInFlight = sink.Gauge("vidi_serve_requests_in_flight", "HTTP requests currently being handled.")
-	m.gCompression = sink.Gauge("vidi_serve_compression_ratio", "Raw/stored byte ratio across committed runs (just under 1: segments are stored raw).")
-	sink.OnGather(m.flush)
+	sink.CounterFunc("vidi_serve_sessions_opened_total", "Recording sessions opened.", m.sessionsOpened.Load)
+	sink.CounterFunc("vidi_serve_sessions_resumed_total", "Sessions re-opened against a recovered partial run.", m.sessionsResumed.Load)
+	sink.CounterFunc("vidi_serve_sessions_committed_total", "Sessions committed with a verified manifest.", m.sessionsCommitted.Load)
+	sink.CounterFunc("vidi_serve_sessions_aborted_total", "Sessions aborted or expired before commit.", m.sessionsAborted.Load)
+	sink.CounterFunc("vidi_serve_segments_total", "Segments accepted into the trace store.", m.segments.Load)
+	sink.CounterFunc("vidi_serve_segments_dedup_total", "Segment uploads satisfied by content-addressed dedup.", m.segmentsDeduped.Load)
+	sink.CounterFunc("vidi_serve_frames_total", "Storage frames accepted.", m.frames.Load)
+	sink.CounterFunc("vidi_serve_bytes_total", "Frame bytes accepted.", m.bytes.Load)
+	sink.CounterFunc("vidi_serve_upload_gap_frames_total", "Frames clients declared lost in transit.", m.gapFrames.Load)
+	sink.CounterFunc("vidi_serve_corrupt_frames_total", "Uploaded frames rejected by CRC or sequence checks.", m.corruptFrames.Load)
+	sink.CounterFunc("vidi_serve_store_faults_total", "Store writes that exhausted their retry budget.", m.storeFaults.Load)
+	sink.CounterFunc("vidi_serve_breaker_shed_total", "Writes shed fast by the open circuit breaker.", m.breakerShed.Load)
+	sink.CounterFunc("vidi_serve_admission_rejects_total", "Requests rejected by admission control quotas.", m.admissionRejects.Load)
+	sink.CounterFunc("vidi_serve_jobs_completed_total", "Replay/compare/diagnose jobs completed.", m.jobsDone.Load)
+	sink.CounterFunc("vidi_serve_jobs_failed_total", "Jobs that ended in error.", m.jobsFailed.Load)
+	sink.CounterFunc("vidi_serve_divergences_total", "Divergences reported by replay jobs.", m.divergences.Load)
+	sink.CounterFunc("vidi_serve_unrecorded_total", "Unrecorded (degraded-gap) transactions reported by replay jobs.", m.unrecorded.Load)
+	sink.CounterFunc("vidi_serve_quarantined_total", "Artifacts quarantined by recovery or read verification.", m.quarantined.Load)
+	sink.CounterFunc("vidi_serve_stored_raw_bytes_total", "Raw frame bytes of committed runs.", m.storedRaw.Load)
+	sink.CounterFunc("vidi_serve_stored_disk_bytes_total", "On-disk segment container bytes of committed runs.", m.storedDisk.Load)
+	sink.GaugeFunc("vidi_serve_requests_in_flight", "HTTP requests currently being handled.",
+		func() float64 { return float64(m.inFlight.Load()) })
+	sink.GaugeFunc("vidi_serve_compression_ratio", "Raw/stored byte ratio across committed runs (just under 1: segments are stored raw).",
+		func() float64 {
+			disk := m.storedDisk.Load()
+			if disk == 0 {
+				return 0
+			}
+			return float64(m.storedRaw.Load()) / float64(disk)
+		})
 	return m
 }
 
@@ -147,39 +113,41 @@ func (m *metrics) request(endpoint string, status int, dur time.Duration) {
 	if endpoint == "" {
 		endpoint = "unmatched"
 	}
-	m.flushMu.Lock()
-	qm, ok := m.durByEndpoint[endpoint]
+	m.mu.Lock()
+	lat, ok := m.durByEndpoint[endpoint]
 	if !ok {
-		qm = &qmirror{q: m.sink.Quantile("vidi_serve_request_duration_seconds",
-			"Request handling latency.", telemetry.L("endpoint", endpoint))}
-		m.durByEndpoint[endpoint] = qm
+		lat = &latency{}
+		m.sink.QuantileFunc("vidi_serve_request_duration_seconds",
+			"Request handling latency.", lat.read, telemetry.L("endpoint", endpoint))
+		m.durByEndpoint[endpoint] = lat
 	}
-	var em *mirror
+	var errs *atomic.Uint64
 	if status >= 400 {
 		class := "5xx"
 		if status < 500 {
 			class = "4xx"
 		}
 		key := endpoint + "\xff" + class
-		if em, ok = m.errByEndpoint[key]; !ok {
-			em = &mirror{c: m.sink.Counter("vidi_serve_request_errors_total",
-				"Requests that ended in an error status.",
-				telemetry.L("endpoint", endpoint), telemetry.L("class", class))}
-			m.errByEndpoint[key] = em
+		if errs, ok = m.errByEndpoint[key]; !ok {
+			errs = new(atomic.Uint64)
+			m.sink.CounterFunc("vidi_serve_request_errors_total",
+				"Requests that ended in an error status.", errs.Load,
+				telemetry.L("endpoint", endpoint), telemetry.L("class", class))
+			m.errByEndpoint[key] = errs
 		}
 	}
-	m.flushMu.Unlock()
-	qm.observe(dur.Seconds())
-	if em != nil {
-		em.v.Add(1)
+	m.mu.Unlock()
+	lat.observe(dur.Seconds())
+	if errs != nil {
+		errs.Add(1)
 	}
 }
 
 // noteStored accounts one committed run's raw and on-disk bytes (the
 // compression-ratio gauge's inputs).
 func (m *metrics) noteStored(raw, disk uint64) {
-	m.storedRaw.v.Add(raw)
-	m.storedDisk.v.Add(disk)
+	m.storedRaw.Add(raw)
+	m.storedDisk.Add(disk)
 }
 
 // httpCode counts one response by status class ("2xx".."5xx").
@@ -188,67 +156,14 @@ func (m *metrics) httpCode(status int) {
 	if status >= 100 && status < 600 {
 		class = string(rune('0'+status/100)) + "xx"
 	}
-	m.flushMu.Lock()
-	mr, ok := m.httpByCode[class]
+	m.mu.Lock()
+	n, ok := m.httpByCode[class]
 	if !ok {
-		mr = &mirror{c: m.sink.Counter("vidi_serve_http_responses_total",
-			"HTTP responses by status class.", telemetry.L("class", class))}
-		m.httpByCode[class] = mr
+		n = new(atomic.Uint64)
+		m.sink.CounterFunc("vidi_serve_http_responses_total",
+			"HTTP responses by status class.", n.Load, telemetry.L("class", class))
+		m.httpByCode[class] = n
 	}
-	m.flushMu.Unlock()
-	mr.v.Add(1)
-}
-
-// flush runs at Gather time: fold counter deltas, refresh gauges.
-func (m *metrics) flush() {
-	m.flushMu.Lock()
-	defer m.flushMu.Unlock()
-	for _, mr := range []*mirror{
-		&m.sessionsOpened, &m.sessionsResumed, &m.sessionsCommitted,
-		&m.sessionsAborted, &m.segments, &m.segmentsDeduped, &m.frames,
-		&m.bytes, &m.gapFrames, &m.corruptFrames, &m.storeFaults,
-		&m.breakerShed, &m.admissionRejects, &m.jobsDone, &m.jobsFailed,
-		&m.divergences, &m.unrecorded, &m.quarantined,
-	} {
-		mr.flush()
-	}
-	classes := make([]string, 0, len(m.httpByCode))
-	for c := range m.httpByCode {
-		classes = append(classes, c)
-	}
-	sort.Strings(classes)
-	for _, c := range classes {
-		m.httpByCode[c].flush()
-	}
-	eps := make([]string, 0, len(m.durByEndpoint))
-	for e := range m.durByEndpoint {
-		eps = append(eps, e)
-	}
-	sort.Strings(eps)
-	for _, e := range eps {
-		m.durByEndpoint[e].flush()
-	}
-	keys := make([]string, 0, len(m.errByEndpoint))
-	for k := range m.errByEndpoint {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		m.errByEndpoint[k].flush()
-	}
-	m.storedRaw.flush()
-	m.storedDisk.flush()
-	m.gInFlight.Set(float64(m.inFlight.Load()))
-	if disk := m.storedDisk.v.Load(); disk > 0 {
-		m.gCompression.Set(float64(m.storedRaw.v.Load()) / float64(disk))
-	}
-	if m.openSessions != nil {
-		m.gSessions.Set(m.openSessions())
-	}
-	if m.breakerState != nil {
-		m.gBreaker.Set(m.breakerState())
-	}
-	if m.queuedJobs != nil {
-		m.gQueued.Set(m.queuedJobs())
-	}
+	m.mu.Unlock()
+	n.Add(1)
 }

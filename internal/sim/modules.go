@@ -54,9 +54,6 @@ func (s *Sender) TickStable() bool {
 	return (s.active || len(s.queue) == 0) && s.gap == 0
 }
 
-// Pending reports the number of payloads not yet offered.
-func (s *Sender) Pending() int { return len(s.queue) }
-
 // Idle reports whether the sender has nothing queued or in flight.
 func (s *Sender) Idle() bool { return !s.active && len(s.queue) == 0 }
 

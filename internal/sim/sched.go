@@ -359,8 +359,8 @@ type scheduler struct {
 	skipped   uint64
 	tickSkips uint64
 
-	// telemetry bookkeeping, folded into the sink on scrape (never read
-	// during a Step). wakes counts event-driven pending marks (signal changes
+	// telemetry bookkeeping, read by the sink when it is gathered (never
+	// read during a Step). wakes counts event-driven pending marks (signal changes
 	// and Touch hooks); busyCycles counts cycles with at least one Eval.
 	wakes      uint64
 	busyCycles uint64

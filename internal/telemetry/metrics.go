@@ -29,52 +29,13 @@ func (k Kind) String() string {
 	return "untyped"
 }
 
-// Counter is a monotonically increasing shard.
-type Counter struct {
-	n uint64
-}
-
-// Inc adds one. No-op on a nil receiver.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.n++
-	}
-}
-
-// Add adds n. No-op on a nil receiver.
-func (c *Counter) Add(n uint64) {
-	if c != nil {
-		c.n += n
-	}
-}
-
-// Gauge is a shard holding an arbitrary value. Shards of one series fold by
-// summation on scrape.
-type Gauge struct {
-	v float64
-}
-
-// Set replaces the shard's value. No-op on a nil receiver.
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.v = v
-	}
-}
-
-// Add adjusts the shard's value. No-op on a nil receiver.
-func (g *Gauge) Add(v float64) {
-	if g != nil {
-		g.v += v
-	}
-}
-
-// series is one label combination of a family: the fold target for all
-// shards registered under the same identity.
+// series is one label combination of a family: the sources that gather
+// reads and sums, one slice per kind.
 type series struct {
-	labels   []Label // sorted by key
-	counters []*Counter
-	gauges   []*Gauge
-	quants   []*QuantileHistogram
+	labels []Label // sorted by key
+	counts []func() uint64
+	values []func() float64
+	dists  []func(into *QuantileHistogram)
 }
 
 // family is one metric name: its kind, help and series.
@@ -85,8 +46,9 @@ type family struct {
 	series map[string]*series
 }
 
-// Registry holds metric families. Registration takes a mutex (it happens at
-// Build/setup time); shard mutation is lock-free single-writer arithmetic.
+// Registry holds metric families. Registration and gather both take mu, so
+// a source is read only under mu: gathers never overlap each other, and a
+// source read from several goroutines needs only its own synchronisation.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
@@ -123,31 +85,12 @@ func (f *family) at(labels []Label) *series {
 	return se
 }
 
-func (r *Registry) counter(name, help string, labels []Label) *Counter {
+// source runs add on the series (name, labels) under mu, creating the
+// family and series on first use.
+func (r *Registry) source(name, help string, kind Kind, labels []Label, add func(*series)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c := &Counter{}
-	se := r.family(name, help, KindCounter).at(labels)
-	se.counters = append(se.counters, c)
-	return c
-}
-
-func (r *Registry) gauge(name, help string, labels []Label) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g := &Gauge{}
-	se := r.family(name, help, KindGauge).at(labels)
-	se.gauges = append(se.gauges, g)
-	return g
-}
-
-func (r *Registry) quantile(name, help string, labels []Label) *QuantileHistogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	q := &QuantileHistogram{}
-	se := r.family(name, help, KindQuantile).at(labels)
-	se.quants = append(se.quants, q)
-	return q
+	add(r.family(name, help, kind).at(labels))
 }
 
 func (r *Registry) flush() {

@@ -10,10 +10,10 @@ import (
 // label rendering, summary expansion and integral value formatting.
 func TestPrometheusGolden(t *testing.T) {
 	s := New()
-	s.Counter("vidi_events_total", "Events observed.", L("channel", "pcis.W")).Add(41)
-	s.Counter("vidi_events_total", "Events observed.", L("channel", "pcis.W")).Inc() // second shard, same series
-	s.Counter("vidi_events_total", "Events observed.", L("channel", "irq")).Add(2)
-	s.Gauge("vidi_buffer_bytes", "Buffered bytes.").Set(4096)
+	s.CounterFunc("vidi_events_total", "Events observed.", count(41), L("channel", "pcis.W"))
+	s.CounterFunc("vidi_events_total", "Events observed.", count(1), L("channel", "pcis.W")) // second source, same series
+	s.CounterFunc("vidi_events_total", "Events observed.", count(2), L("channel", "irq"))
+	s.GaugeFunc("vidi_buffer_bytes", "Buffered bytes.", value(4096))
 	h := s.Quantile("vidi_latency_cycles", "Latency.")
 	// Quantiles report the geometric midpoint of the sample's log bucket:
 	// 2^(log2(v) - 1/64) for a power of two v.
@@ -53,8 +53,8 @@ func TestDeterministicOrdering(t *testing.T) {
 	render := func(order []string) string {
 		s := New()
 		for _, ch := range order {
-			s.Counter("vidi_x_total", "x", L("channel", ch)).Inc()
-			s.Counter("vidi_a_total", "a", L("channel", ch)).Inc()
+			s.CounterFunc("vidi_x_total", "x", count(1), L("channel", ch))
+			s.CounterFunc("vidi_a_total", "a", count(1), L("channel", ch))
 		}
 		var b bytes.Buffer
 		if err := s.Gather().WritePrometheus(&b); err != nil {
@@ -87,21 +87,25 @@ func mustPanic(t *testing.T, why string, f func()) {
 func TestNameValidation(t *testing.T) {
 	s := New()
 	// Valid edge cases must not panic.
-	s.Counter("a:b_c1", "")
-	s.Counter("_x", "", L("_k", "v"))
-	mustPanic(t, "empty metric name", func() { s.Counter("", "") })
-	mustPanic(t, "leading digit", func() { s.Counter("1abc", "") })
-	mustPanic(t, "bad rune", func() { s.Counter("vidi-bad", "") })
-	mustPanic(t, "colon in label", func() { s.Counter("ok_total", "", L("a:b", "v")) })
-	mustPanic(t, "reserved label", func() { s.Counter("ok_total", "", L("__name__", "v")) })
-	mustPanic(t, "duplicate label key", func() { s.Counter("ok_total", "", L("k", "1"), L("k", "2")) })
+	s.CounterFunc("a:b_c1", "", count(0))
+	s.CounterFunc("_x", "", count(0), L("_k", "v"))
+	mustPanic(t, "empty metric name", func() { s.CounterFunc("", "", count(0)) })
+	mustPanic(t, "leading digit", func() { s.CounterFunc("1abc", "", count(0)) })
+	mustPanic(t, "bad rune", func() { s.CounterFunc("vidi-bad", "", count(0)) })
+	mustPanic(t, "colon in label", func() { s.CounterFunc("ok_total", "", count(0), L("a:b", "v")) })
+	mustPanic(t, "reserved label", func() { s.CounterFunc("ok_total", "", count(0), L("__name__", "v")) })
+	mustPanic(t, "duplicate label key", func() { s.CounterFunc("ok_total", "", count(0), L("k", "1"), L("k", "2")) })
 	mustPanic(t, "kind clash", func() {
-		s.Counter("clash", "")
-		s.Gauge("clash", "")
+		s.CounterFunc("clash", "", count(0))
+		s.GaugeFunc("clash", "", value(0))
 	})
 	mustPanic(t, "summary kind clash", func() {
 		s.Quantile("q", "")
-		s.Counter("q", "")
+		s.CounterFunc("q", "", count(0))
+	})
+	mustPanic(t, "summary source kind clash", func() {
+		s.GaugeFunc("g", "", value(0))
+		s.QuantileFunc("g", "", func(*QuantileHistogram) {})
 	})
 }
 
@@ -109,10 +113,9 @@ func TestNameValidation(t *testing.T) {
 // may panic and nothing may be recorded.
 func TestNilSinkIsFree(t *testing.T) {
 	var s *Sink
-	s.Counter("vidi_c_total", "c").Inc()
-	s.Counter("vidi_c_total", "c").Add(7)
-	s.Gauge("vidi_g", "g").Set(3)
-	s.Gauge("vidi_g", "g").Add(1)
+	s.CounterFunc("vidi_c_total", "c", func() uint64 { t.Fatal("counter source read on nil sink"); return 0 })
+	s.GaugeFunc("vidi_g", "g", func() float64 { t.Fatal("gauge source read on nil sink"); return 0 })
+	s.QuantileFunc("vidi_q", "q", func(*QuantileHistogram) { t.Fatal("quantile source read on nil sink") })
 	s.Quantile("vidi_q", "q").Observe(2)
 	s.Track("p", "t").Span("x", 0, 10)
 	s.Track("p", "t").Instant("y", 3)
@@ -136,7 +139,7 @@ func TestNilSinkIsFree(t *testing.T) {
 // the fields vidi-top consumes.
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	s := New(WithConstLabels(L("app", "sssp")))
-	s.Counter("vidi_events_total", "e", L("channel", "ocl.AW")).Add(9)
+	s.CounterFunc("vidi_events_total", "e", count(9), L("channel", "ocl.AW"))
 	s.Quantile("vidi_jitter", "j").Observe(3)
 	snap := s.Gather()
 	var b bytes.Buffer
@@ -164,8 +167,8 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 func TestMergeSnapshots(t *testing.T) {
 	mk := func(app string, n uint64) *Snapshot {
 		s := New(WithConstLabels(L("app", app)))
-		s.Counter("vidi_events_total", "e").Add(n)
-		s.Counter("vidi_shared_total", "s").Add(1)
+		s.CounterFunc("vidi_events_total", "e", count(n))
+		s.CounterFunc("vidi_shared_total", "s", count(1))
 		return s.Gather()
 	}
 	m, err := MergeSnapshots(mk("a", 3), mk("b", 4))
@@ -181,9 +184,9 @@ func TestMergeSnapshots(t *testing.T) {
 	}
 	// Same labels on both sides must fold by summation.
 	d1 := New()
-	d1.Counter("dup_total", "").Add(1)
+	d1.CounterFunc("dup_total", "", count(1))
 	d2 := New()
-	d2.Counter("dup_total", "").Add(2)
+	d2.CounterFunc("dup_total", "", count(2))
 	m2, err := MergeSnapshots(d1.Gather(), d2.Gather())
 	if err != nil {
 		t.Fatal(err)
@@ -193,23 +196,33 @@ func TestMergeSnapshots(t *testing.T) {
 	}
 }
 
-// TestOnGatherFold verifies the scrape-time fold path components use to
-// avoid hot-path instrumentation.
-func TestOnGatherFold(t *testing.T) {
+// TestGatherReadsSources: each gather reads the sources' current values
+// after the OnGather callbacks ran and sums a series' sources, so
+// re-gathering with nothing changed gives the same snapshot, never a double
+// count.
+func TestGatherReadsSources(t *testing.T) {
 	s := New()
-	c := s.Counter("vidi_folded_total", "f")
-	private := uint64(0)
-	last := uint64(0)
-	s.OnGather(func() {
-		c.Add(private - last)
-		last = private
-	})
+	var private uint64
+	s.CounterFunc("vidi_read_total", "r", func() uint64 { return private })
+	s.GaugeFunc("vidi_depth", "d", func() float64 { return float64(private) / 2 })
+	s.GaugeFunc("vidi_depth", "d", value(1.5)) // second source, same series
 	private = 10
-	if got := s.Gather().Total("vidi_folded_total"); got != 10 {
+	if got := s.Gather().Total("vidi_read_total"); got != 10 {
 		t.Fatalf("first gather %v, want 10", got)
 	}
+	if got := s.Gather().Total("vidi_read_total"); got != 10 {
+		t.Fatalf("re-gather %v, want 10 (a source is read, never folded twice)", got)
+	}
 	private = 25
-	if got := s.Gather().Total("vidi_folded_total"); got != 25 {
-		t.Fatalf("second gather %v, want 25 (delta fold must be idempotent)", got)
+	if got := s.Gather().Total("vidi_depth"); got != 14 {
+		t.Fatalf("gauge sources sum to %v, want 12.5+1.5", got)
+	}
+	s.OnGather(func() { private++ })
+	if got := s.Gather().Total("vidi_read_total"); got != 26 {
+		t.Fatalf("gather %v, want 26: OnGather callbacks run before sources are read", got)
 	}
 }
+
+// count and value are constant counter and gauge sources.
+func count(n uint64) func() uint64   { return func() uint64 { return n } }
+func value(v float64) func() float64 { return func() float64 { return v } }

@@ -13,11 +13,8 @@ import (
 // family names/kinds, same folded values, same summary quantiles.
 func TestPrometheusRoundTrip(t *testing.T) {
 	sink := New(WithConstLabels(L("app", "sssp")))
-	c := sink.Counter("vidi_rt_events_total", "Events with a \"quoted\" label.", L("kind", "link-brownout"))
-	c.Add(41)
-	c.Inc()
-	g := sink.Gauge("vidi_rt_depth", "Queue depth.")
-	g.Set(3.5)
+	sink.CounterFunc("vidi_rt_events_total", "Events with a \"quoted\" label.", count(42), L("kind", "link-brownout"))
+	sink.GaugeFunc("vidi_rt_depth", "Queue depth.", value(3.5))
 	h := sink.Quantile("vidi_rt_latency_cycles", "Latency.")
 	for _, v := range []float64{0.5, 2, 2, 9, 100} {
 		h.Observe(v)
@@ -129,7 +126,7 @@ func TestParsePrometheusCorrupt(t *testing.T) {
 func TestParsePrometheusEscapedLabels(t *testing.T) {
 	hairy := "he said \"hi\\there\"\nline2"
 	s := New()
-	s.Counter("esc_total", "", L("msg", hairy)).Add(3)
+	s.CounterFunc("esc_total", "", count(3), L("msg", hairy))
 	var buf bytes.Buffer
 	if err := s.Gather().WritePrometheus(&buf); err != nil {
 		t.Fatalf("write: %v", err)

@@ -5,13 +5,13 @@ import (
 	"sort"
 )
 
-// QuantileHistogram is a log-bucketed HDR-style distribution shard: samples
-// land in geometrically spaced buckets (qhSubBuckets per power of two), so
-// any quantile is recoverable to ~1% relative error from a fixed-size count
-// array. Observe is allocation-free and lock-free by the registry's
-// single-writer shard contract; concurrent writers (HTTP handlers) stage
-// into a private instance and fold deltas in an OnGather flusher, exactly
-// like the counter mirror pattern in internal/serve.
+// QuantileHistogram is a log-bucketed HDR-style distribution: samples land
+// in geometrically spaced buckets (qhSubBuckets per power of two), so any
+// quantile is recoverable to ~1% relative error from a fixed-size count
+// array. Observe is allocation-free and unsynchronised: a histogram has one
+// writer, and one written from several goroutines (HTTP handlers) sits
+// behind its owner's mutex, which the owner's QuantileFunc source also takes
+// to merge it at gather.
 //
 // The covered range is [qhMinValue, qhMaxValue] (2^-30 .. 2^34, i.e. ~1ns
 // to ~4.7h when the unit is seconds); samples outside clamp to the edge
@@ -117,7 +117,7 @@ func (q *QuantileHistogram) Quantile(p float64) float64 {
 	return qhMid(qhBuckets - 1)
 }
 
-// Merge folds other's samples into q (the MergeSnapshots/flush primitive).
+// Merge adds other's samples to q (how gather combines a series' sources).
 func (q *QuantileHistogram) Merge(other *QuantileHistogram) {
 	if q == nil || other == nil {
 		return
@@ -127,14 +127,6 @@ func (q *QuantileHistogram) Merge(other *QuantileHistogram) {
 	}
 	q.sum += other.sum
 	q.total += other.total
-}
-
-// Reset zeroes the shard (the staging side of a delta fold).
-func (q *QuantileHistogram) Reset() {
-	if q == nil {
-		return
-	}
-	*q = QuantileHistogram{}
 }
 
 // Centroid is one occupied log-bucket in a snapshot: the bucket's

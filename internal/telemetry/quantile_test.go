@@ -115,7 +115,6 @@ func TestQuantileEdgeSamples(t *testing.T) {
 	var nilQ *QuantileHistogram
 	nilQ.Observe(1)
 	nilQ.Merge(q)
-	nilQ.Reset()
 	if nilQ.Quantile(0.5) != 0 || nilQ.Count() != 0 || nilQ.Sum() != 0 {
 		t.Fatal("nil QuantileHistogram must be inert")
 	}
@@ -213,8 +212,8 @@ func TestQuantileSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestQuantileShardFold: multiple shards of one series fold into one
-// distribution at gather, like counter shards do.
+// TestQuantileShardFold: several sources of one series merge into one
+// distribution at gather, as counter sources sum.
 func TestQuantileShardFold(t *testing.T) {
 	s := New()
 	qa := s.Quantile("fold_check", "")

@@ -10,7 +10,7 @@ import (
 	"strings"
 )
 
-// Snapshot is a point-in-time fold of a registry: the exchange format
+// Snapshot is a point-in-time reading of a registry: the exchange format
 // between a run and vidi-top, and the unit MergeSnapshots combines when one
 // process (vidi-bench) gathers several runs.
 type Snapshot struct {
@@ -28,7 +28,7 @@ type FamilySnap struct {
 // SeriesSnap is one label combination's folded value.
 type SeriesSnap struct {
 	Labels map[string]string `json:"labels,omitempty"`
-	// Value is the folded counter or gauge value.
+	// Value is the counter or gauge value: the sum of the series' sources.
 	Value float64 `json:"value,omitempty"`
 	// Summary (quantile histogram) fields. Centroids are the occupied
 	// log-buckets (non-cumulative, mergeable); Quantiles are precomputed
@@ -39,8 +39,8 @@ type SeriesSnap struct {
 	Quantiles []QuantilePoint `json:"quantiles,omitempty"`
 }
 
-// gather folds every family's shards into a deterministically ordered
-// snapshot: families by name, series by label signature.
+// gather reads every series' sources under r.mu into a deterministically
+// ordered snapshot: families by name, series by label signature.
 func (r *Registry) gather() *Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -70,18 +70,18 @@ func (r *Registry) gather() *Snapshot {
 			switch f.kind {
 			case KindCounter:
 				var total uint64
-				for _, c := range se.counters {
-					total += c.n
+				for _, read := range se.counts {
+					total += read()
 				}
 				ss.Value = float64(total)
 			case KindGauge:
-				for _, g := range se.gauges {
-					ss.Value += g.v
+				for _, read := range se.values {
+					ss.Value += read()
 				}
 			case KindQuantile:
 				merged := &QuantileHistogram{}
-				for _, q := range se.quants {
-					merged.Merge(q)
+				for _, read := range se.dists {
+					read(merged)
 				}
 				ss.Sum = merged.Sum()
 				ss.Count = merged.Count()

@@ -11,18 +11,20 @@
 // golden regression tests enforce this by comparing recorded trace bytes
 // between a nil sink and an active one.
 //
-// The hot path is lock-free by ownership, not by atomics: every call to
-// Sink.Counter (Gauge, Quantile) returns a fresh shard registered under
-// the shared series identity, and each shard is owned by exactly one
-// instrumentation site. The simulator runs every module's Eval/Tick on the
-// caller's goroutine, so shard mutation is plain single-writer arithmetic;
-// Gather folds the shards into one value per series after the run, off
-// the hot path. This is why `-race` golden runs stay byte-identical with
-// telemetry armed.
+// Every series is a list of sources read at gather time. A component keeps
+// its counts on fields it already owns and registers a read of each field
+// (Sink.CounterFunc, GaugeFunc, QuantileFunc); the hot path only increments
+// its own plain fields, with no telemetry call, lock or atomic added. Gather
+// reads all sources under the registry's lock and sums each series, so a
+// re-gather reports the same totals and concurrent gathers never interleave.
+// Simulation state is read after Run returns, which is why `-race` golden
+// runs stay byte-identical with telemetry armed; a source shared with other
+// goroutines (an HTTP handler's count) brings its own atomic or mutex.
 //
-// A nil *Sink is fully usable: every constructor returns a nil instrument
-// and every instrument method on a nil receiver is a no-op, so the zero
-// configuration costs one predictable branch per call site.
+// A nil *Sink is fully usable: every registration is a no-op, Quantile
+// returns a nil histogram whose Observe is a no-op, and Track returns a nil
+// track that swallows spans, so the zero configuration costs one
+// predictable branch per call site.
 package telemetry
 
 import (
@@ -76,34 +78,53 @@ func New(opts ...Option) *Sink {
 	return s
 }
 
-// Counter registers (or extends) a counter series and returns a new shard
-// owned by the caller. Returns nil on a nil sink.
-func (s *Sink) Counter(name, help string, labels ...Label) *Counter {
+// CounterFunc adds read as a source of the counter series (name, labels).
+// Gather calls read under the registry's lock and reports the sum of the
+// series' sources, so read returns the component's running total, never a
+// delta. No-op on a nil sink.
+func (s *Sink) CounterFunc(name, help string, read func() uint64, labels ...Label) {
 	if s == nil {
-		return nil
+		return
 	}
-	return s.reg.counter(name, help, s.withConsts(labels))
+	s.reg.source(name, help, KindCounter, s.withConsts(labels),
+		func(se *series) { se.counts = append(se.counts, read) })
 }
 
-// Gauge registers (or extends) a gauge series and returns a new shard owned
-// by the caller. Shards fold by summation on scrape, so register one shard
-// per disjoint quantity. Returns nil on a nil sink.
-func (s *Sink) Gauge(name, help string, labels ...Label) *Gauge {
+// GaugeFunc adds read as a source of the gauge series (name, labels); the
+// series reports the sum of its sources' current values. No-op on a nil
+// sink.
+func (s *Sink) GaugeFunc(name, help string, read func() float64, labels ...Label) {
 	if s == nil {
-		return nil
+		return
 	}
-	return s.reg.gauge(name, help, s.withConsts(labels))
+	s.reg.source(name, help, KindGauge, s.withConsts(labels),
+		func(se *series) { se.values = append(se.values, read) })
 }
 
-// Quantile registers (or extends) a log-bucketed quantile histogram series
-// (Prometheus summary kind) and returns a new shard owned by the caller.
-// Shards of one series merge on scrape; quantiles come out of the merged
-// distribution with ~1% relative error. Returns nil on a nil sink.
+// QuantileFunc adds read as a source of the log-bucketed quantile histogram
+// series (name, labels), exposed as a Prometheus summary. At gather, read
+// merges the source's samples into the series' distribution; quantiles come
+// out of the merged distribution with ~1% relative error. No-op on a nil
+// sink.
+func (s *Sink) QuantileFunc(name, help string, read func(into *QuantileHistogram), labels ...Label) {
+	if s == nil {
+		return
+	}
+	s.reg.source(name, help, KindQuantile, s.withConsts(labels),
+		func(se *series) { se.dists = append(se.dists, read) })
+}
+
+// Quantile registers a histogram owned by one writer as a source of the
+// series (name, labels) and returns it. Observe on it is not synchronised,
+// so it suits a writer that never runs during Gather: the simulation's own
+// goroutine. Returns nil on a nil sink.
 func (s *Sink) Quantile(name, help string, labels ...Label) *QuantileHistogram {
 	if s == nil {
 		return nil
 	}
-	return s.reg.quantile(name, help, s.withConsts(labels))
+	q := &QuantileHistogram{}
+	s.QuantileFunc(name, help, func(into *QuantileHistogram) { into.Merge(q) }, labels...)
+	return q
 }
 
 // Track returns the tracer track for (process, thread), creating it on
@@ -120,9 +141,9 @@ func (s *Sink) Track(process, thread string) *Track {
 func (s *Sink) Tracing() bool { return s != nil && s.tracer != nil }
 
 // OnGather registers a callback run at the start of every Gather and
-// WriteTrace. Components that keep private counters on their own structs
-// (the scheduler's settle and tick counters) register a fold-the-deltas
-// callback here instead of touching telemetry on the hot path at all.
+// WriteTrace, before any source is read. Its one use is the scheduler's
+// flush of its open busy span onto the trace; metrics are read by the
+// sources themselves and need no callback.
 func (s *Sink) OnGather(f func()) {
 	if s == nil || f == nil {
 		return
@@ -132,8 +153,9 @@ func (s *Sink) OnGather(f func()) {
 	s.reg.mu.Unlock()
 }
 
-// Gather folds all shards and returns a point-in-time snapshot. It must not
-// race with a running simulation Step; call it after Run returns.
+// Gather runs the OnGather callbacks, reads every source and returns a
+// point-in-time snapshot. Sources that read simulation state must not race
+// with a running Step; call it after Run returns.
 func (s *Sink) Gather() *Snapshot {
 	if s == nil {
 		return &Snapshot{}

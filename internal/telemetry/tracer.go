@@ -15,7 +15,7 @@ const maxTrackEvents = 1 << 17
 // Tracer records cycle-keyed spans grouped into tracks. One track maps to
 // one Perfetto thread lane; tracks sharing a process name share a process
 // group. Track registration takes a mutex (setup time); span recording is
-// single-writer per track — the same ownership discipline as metric shards.
+// single-writer per track, like the fields that metric sources read.
 type Tracer struct {
 	mu     sync.Mutex
 	pids   map[string]int
