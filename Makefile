@@ -90,6 +90,7 @@ fuzz-native:
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceRoundTrip$$' -fuzztime 20s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentLog$$' -fuzztime 20s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzGraphCompile$$' -fuzztime 20s ./internal/design
+	$(GO) test -run '^$$' -fuzz '^FuzzBeatCodec$$' -fuzztime 20s ./internal/axi
 
 # End-to-end telemetry smoke: an instrumented recording must emit a metrics
 # snapshot vidi-top can render and a timeline it validates as trace_event

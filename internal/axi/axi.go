@@ -96,11 +96,24 @@ func NewFull(s *sim.Simulator, name string) *Interface {
 	}
 }
 
+// beatBytes returns the data bytes per beat: 4 for Lite, 64 for full.
+func (i *Interface) beatBytes() int {
+	if i.Lite {
+		return 4
+	}
+	return FullDataBytes
+}
+
 // Channels returns the interface's channels in canonical order
 // (AW, W, B, AR, R).
 func (f *Interface) Channels() []*sim.Channel {
 	return []*sim.Channel{f.AW, f.W, f.B, f.AR, f.R}
 }
+
+// A payload is a fixed-layout value. Encode writes it into b, which must
+// hold at least the channel's width, and returns the encoded bytes
+// b[:width], ready for Data.Set. Decode parses a channel's bytes into a
+// value; neither allocates. Lite data lives in the first 4 bytes of Data.
 
 // AWPayload is the payload of a write-address transaction.
 type AWPayload struct {
@@ -111,67 +124,55 @@ type AWPayload struct {
 }
 
 // Encode serializes the payload for an interface of the given flavour.
-func (p AWPayload) Encode(lite bool) []byte {
-	if lite {
-		b := make([]byte, LiteAWWidth)
-		binary.LittleEndian.PutUint32(b, uint32(p.Addr))
-		return b
-	}
-	b := make([]byte, FullAWWidth)
-	binary.LittleEndian.PutUint64(b, p.Addr)
-	b[8] = p.Len
-	return b
-}
+func (p AWPayload) Encode(b []byte, lite bool) []byte { return encodeAddr(b, p.Addr, p.Len, lite) }
 
 // DecodeAW parses a write-address payload.
 func DecodeAW(b []byte, lite bool) AWPayload {
-	if lite {
-		return AWPayload{Addr: uint64(binary.LittleEndian.Uint32(b))}
-	}
-	return AWPayload{Addr: binary.LittleEndian.Uint64(b), Len: b[8]}
+	addr, ln := decodeAddr(b, lite)
+	return AWPayload{Addr: addr, Len: ln}
 }
 
 // WPayload is the payload of one write-data beat.
 type WPayload struct {
-	Data []byte // 4 bytes (Lite) or 64 bytes (full)
-	Strb []byte // byte-enable mask, 1 bit per data byte
-	Last bool   // final beat of the burst (full only)
+	Data [FullDataBytes]byte
+	Strb uint64 // byte-enable mask: bit i enables Data[i]
+	Last bool   // final beat of the burst (always set for Lite)
 }
 
 // Encode serializes the beat.
-func (p WPayload) Encode(lite bool) []byte {
+func (p WPayload) Encode(b []byte, lite bool) []byte {
 	if lite {
-		b := make([]byte, LiteWWidth)
-		copy(b, p.Data)
-		b[4] = strbByte(p.Strb, 4)
-		return b
+		copy(b, p.Data[:4])
+		b[4] = byte(p.Strb & 0xf)
+		return b[:LiteWWidth]
 	}
-	b := make([]byte, FullWWidth)
-	copy(b, p.Data)
-	copy(b[FullDataBytes:FullDataBytes+8], strbBytes(p.Strb, FullDataBytes))
-	if p.Last {
-		b[72] = 1
-	}
-	return b
+	copy(b, p.Data[:])
+	binary.LittleEndian.PutUint64(b[FullDataBytes:], p.Strb)
+	b[72] = boolByte(p.Last)
+	return b[:FullWWidth]
 }
 
 // DecodeW parses a write-data beat.
 func DecodeW(b []byte, lite bool) WPayload {
+	var p WPayload
 	if lite {
-		return WPayload{Data: append([]byte(nil), b[:4]...), Strb: strbBits(b[4:5], 4), Last: true}
+		copy(p.Data[:], b[:4])
+		p.Strb, p.Last = uint64(b[4]&0xf), true
+		return p
 	}
-	return WPayload{
-		Data: append([]byte(nil), b[:FullDataBytes]...),
-		Strb: strbBits(b[FullDataBytes:FullDataBytes+8], FullDataBytes),
-		Last: b[72] != 0,
-	}
+	copy(p.Data[:], b[:FullDataBytes])
+	p.Strb, p.Last = binary.LittleEndian.Uint64(b[FullDataBytes:]), b[72] != 0
+	return p
 }
 
 // BPayload is the payload of a write response.
 type BPayload struct{ Resp uint8 }
 
 // Encode serializes the response.
-func (p BPayload) Encode() []byte { return []byte{p.Resp} }
+func (p BPayload) Encode(b []byte) []byte {
+	b[0] = p.Resp
+	return b[:FullBWidth]
+}
 
 // DecodeB parses a write response.
 func DecodeB(b []byte) BPayload { return BPayload{Resp: b[0]} }
@@ -183,87 +184,71 @@ type ARPayload struct {
 }
 
 // Encode serializes the payload.
-func (p ARPayload) Encode(lite bool) []byte {
-	if lite {
-		b := make([]byte, LiteARWidth)
-		binary.LittleEndian.PutUint32(b, uint32(p.Addr))
-		return b
-	}
-	b := make([]byte, FullARWidth)
-	binary.LittleEndian.PutUint64(b, p.Addr)
-	b[8] = p.Len
-	return b
-}
+func (p ARPayload) Encode(b []byte, lite bool) []byte { return encodeAddr(b, p.Addr, p.Len, lite) }
 
 // DecodeAR parses a read-address payload.
 func DecodeAR(b []byte, lite bool) ARPayload {
-	if lite {
-		return ARPayload{Addr: uint64(binary.LittleEndian.Uint32(b))}
-	}
-	return ARPayload{Addr: binary.LittleEndian.Uint64(b), Len: b[8]}
+	addr, ln := decodeAddr(b, lite)
+	return ARPayload{Addr: addr, Len: ln}
 }
 
 // RPayload is the payload of one read-data beat.
 type RPayload struct {
-	Data []byte
+	Data [FullDataBytes]byte
 	Resp uint8
-	Last bool
+	Last bool // final beat of the burst (always set for Lite)
 }
 
 // Encode serializes the beat.
-func (p RPayload) Encode(lite bool) []byte {
+func (p RPayload) Encode(b []byte, lite bool) []byte {
 	if lite {
-		b := make([]byte, LiteRWidth)
-		copy(b, p.Data)
+		copy(b, p.Data[:4])
 		b[4] = p.Resp
-		return b
+		return b[:LiteRWidth]
 	}
-	b := make([]byte, FullRWidth)
-	copy(b, p.Data)
+	copy(b, p.Data[:])
 	b[FullDataBytes] = p.Resp
-	if p.Last {
-		b[FullDataBytes+1] = 1
-	}
-	return b
+	b[FullDataBytes+1] = boolByte(p.Last)
+	return b[:FullRWidth]
 }
 
 // DecodeR parses a read-data beat.
 func DecodeR(b []byte, lite bool) RPayload {
+	var p RPayload
 	if lite {
-		return RPayload{Data: append([]byte(nil), b[:4]...), Resp: b[4], Last: true}
+		copy(p.Data[:], b[:4])
+		p.Resp, p.Last = b[4], true
+		return p
 	}
-	return RPayload{
-		Data: append([]byte(nil), b[:FullDataBytes]...),
-		Resp: b[FullDataBytes],
-		Last: b[FullDataBytes+1] != 0,
-	}
+	copy(p.Data[:], b[:FullDataBytes])
+	p.Resp, p.Last = b[FullDataBytes], b[FullDataBytes+1] != 0
+	return p
 }
 
-// strbBytes packs per-byte enables (one byte per data byte, 0/1) into a
-// bitmask of n/8 bytes.
-func strbBytes(strb []byte, n int) []byte {
-	out := make([]byte, (n+7)/8)
-	for i := 0; i < n && i < len(strb); i++ {
-		if strb[i] != 0 {
-			out[i/8] |= 1 << (uint(i) % 8)
-		}
+// encodeAddr and decodeAddr share the AW and AR layout: a 32-bit address
+// (Lite), or a 64-bit address and the burst length.
+func encodeAddr(b []byte, addr uint64, ln uint8, lite bool) []byte {
+	if lite {
+		binary.LittleEndian.PutUint32(b, uint32(addr))
+		return b[:LiteAWWidth]
 	}
-	return out
+	binary.LittleEndian.PutUint64(b, addr)
+	b[8] = ln
+	return b[:FullAWWidth]
 }
 
-func strbByte(strb []byte, n int) byte {
-	return strbBytes(strb, n)[0]
+func decodeAddr(b []byte, lite bool) (uint64, uint8) {
+	if lite {
+		return uint64(binary.LittleEndian.Uint32(b)), 0
+	}
+	return binary.LittleEndian.Uint64(b), b[8]
 }
 
-// strbBits unpacks a bitmask into per-byte enables.
-func strbBits(mask []byte, n int) []byte {
-	out := make([]byte, n)
-	for i := 0; i < n; i++ {
-		if mask[i/8]&(1<<(uint(i)%8)) != 0 {
-			out[i] = 1
-		}
+func boolByte(v bool) byte {
+	if v {
+		return 1
 	}
-	return out
+	return 0
 }
 
 // Mem is the byte-addressable backing store used by subordinate engines.

@@ -15,12 +15,13 @@ func TestPayloadCodecsRoundTrip(t *testing.T) {
 			ln = 0
 			addr &= 0xffffffff
 		}
+		var b [FullAWWidth]byte
 		aw := AWPayload{Addr: addr, Len: ln}
-		if DecodeAW(aw.Encode(lite), lite) != aw {
+		if DecodeAW(aw.Encode(b[:], lite), lite) != aw {
 			return false
 		}
 		ar := ARPayload{Addr: addr, Len: ln}
-		return DecodeAR(ar.Encode(lite), lite) == ar
+		return DecodeAR(ar.Encode(b[:], lite), lite) == ar
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -30,15 +31,11 @@ func TestPayloadCodecsRoundTrip(t *testing.T) {
 func TestWPayloadRoundTripFull(t *testing.T) {
 	f := func(seed int64, last bool) bool {
 		r := rand.New(rand.NewSource(seed))
-		data := make([]byte, FullDataBytes)
-		r.Read(data)
-		strb := make([]byte, FullDataBytes)
-		for i := range strb {
-			strb[i] = byte(r.Intn(2))
-		}
-		p := WPayload{Data: data, Strb: strb, Last: last}
-		got := DecodeW(p.Encode(false), false)
-		return bytes.Equal(got.Data, data) && bytes.Equal(got.Strb, strb) && got.Last == last
+		p := WPayload{Strb: r.Uint64(), Last: last}
+		r.Read(p.Data[:])
+		var b [FullWWidth]byte
+		got := DecodeW(p.Encode(b[:], false), false)
+		return got.Data == p.Data && got.Strb == p.Strb && got.Last == last
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -46,18 +43,20 @@ func TestWPayloadRoundTripFull(t *testing.T) {
 }
 
 func TestWPayloadRoundTripLite(t *testing.T) {
-	p := WPayload{Data: []byte{1, 2, 3, 4}, Strb: []byte{1, 0, 1, 1}}
-	got := DecodeW(p.Encode(true), true)
-	if !bytes.Equal(got.Data, p.Data) || !bytes.Equal(got.Strb, p.Strb) {
+	p := WPayload{Data: [FullDataBytes]byte{1, 2, 3, 4}, Strb: 0b1101}
+	var b [LiteWWidth]byte
+	got := DecodeW(p.Encode(b[:], true), true)
+	if got.Data != p.Data || got.Strb != p.Strb {
 		t.Fatalf("got %+v", got)
 	}
 }
 
 func TestRPayloadRoundTrip(t *testing.T) {
-	p := RPayload{Data: make([]byte, FullDataBytes), Resp: RespSLVERR, Last: true}
+	p := RPayload{Resp: RespSLVERR, Last: true}
 	p.Data[0], p.Data[63] = 0xaa, 0x55
-	got := DecodeR(p.Encode(false), false)
-	if !bytes.Equal(got.Data, p.Data) || got.Resp != RespSLVERR || !got.Last {
+	var b [FullRWidth]byte
+	got := DecodeR(p.Encode(b[:], false), false)
+	if got.Data != p.Data || got.Resp != RespSLVERR || !got.Last {
 		t.Fatalf("got %+v", got)
 	}
 }
@@ -219,6 +218,58 @@ func TestStrobeMasksBytes(t *testing.T) {
 		if got[i] != want {
 			t.Fatalf("byte %d: got %#x want %#x", i, got[i], want)
 		}
+	}
+
+	// A three-beat burst, the last beat partial, whose enabled runs cross
+	// both beat boundaries, checked against a byte-at-a-time reference.
+	data = make([]byte, 2*FullDataBytes+40)
+	strb = make([]byte, len(data))
+	for i := range data {
+		data[i] = byte(0x80 + i)
+	}
+	for _, run := range [][2]int{{0, 3}, {50, 80}, {100, 140}, {150, 168}} {
+		for i := run[0]; i < run[1]; i++ {
+			strb[i] = 1
+		}
+	}
+	const addr = 1024
+	done = false
+	wm.Push(WriteOp{Addr: addr, Data: data, Strb: strb, Done: func(uint8) { done = true }})
+	if _, err := s.Run(1000, func() bool { return done }); err != nil {
+		t.Fatal(err)
+	}
+	checkStrobedWrite(t, mem, addr, data, strb)
+
+	// A Lite write with a partial 4-bit strobe.
+	s = sim.New()
+	lite := NewLite(s, "ocl")
+	mem = NewMemory(1024)
+	mem.Write(0, bytes.Repeat([]byte{0xee}, int(mem.Size())))
+	wm = NewWriteManager("wm", lite)
+	s.Register(wm, NewMemSubordinate("mem", lite, mem))
+	NewProtocolChecker("chk", lite.Channels()...).Install(s)
+	data, strb = []byte{1, 2, 3, 4}, []byte{0, 1, 1, 0}
+	done = false
+	wm.Push(WriteOp{Addr: 512, Data: data, Strb: strb, Done: func(uint8) { done = true }})
+	if _, err := s.Run(200, func() bool { return done }); err != nil {
+		t.Fatal(err)
+	}
+	checkStrobedWrite(t, mem, 512, data, strb)
+}
+
+// checkStrobedWrite compares the bytes a strobed write at addr covered, plus
+// a beat on each side, with a reference that applies the enabled bytes one
+// at a time over memory filled with 0xee.
+func checkStrobedWrite(t *testing.T, mem *Memory, addr int, data, strb []byte) {
+	t.Helper()
+	want := bytes.Repeat([]byte{0xee}, len(data)+2*FullDataBytes)
+	for i := range data {
+		if strb[i] != 0 {
+			want[FullDataBytes+i] = data[i]
+		}
+	}
+	if got := mem.Read(uint64(addr-FullDataBytes), len(want)); !bytes.Equal(got, want) {
+		t.Fatalf("strobed write at %#x:\n got %x\nwant %x", addr, got, want)
 	}
 }
 
@@ -424,5 +475,46 @@ func (p *orderProbe) Tick() {
 		if *p.awEnds < *p.bEnds {
 			*p.ok = false
 		}
+	}
+}
+
+// FuzzBeatCodec decodes arbitrary channel-width bytes as each of the five
+// payload kinds, in both flavours, and requires every decoded value to
+// encode into exactly the channel's width and decode back to itself.
+func FuzzBeatCodec(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{0xff}, FullWWidth))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var wire [FullWWidth]byte
+		copy(wire[:], in)
+		for _, lite := range []bool{false, true} {
+			width := func(l, f int) []byte {
+				if lite {
+					return wire[:l]
+				}
+				return wire[:f]
+			}
+			roundTrip(t, "AW", width(LiteAWWidth, FullAWWidth), lite, DecodeAW, AWPayload.Encode)
+			roundTrip(t, "W", width(LiteWWidth, FullWWidth), lite, DecodeW, WPayload.Encode)
+			roundTrip(t, "B", width(LiteBWidth, FullBWidth), lite,
+				func(b []byte, _ bool) BPayload { return DecodeB(b) },
+				func(p BPayload, b []byte, _ bool) []byte { return p.Encode(b) })
+			roundTrip(t, "AR", width(LiteARWidth, FullARWidth), lite, DecodeAR, ARPayload.Encode)
+			roundTrip(t, "R", width(LiteRWidth, FullRWidth), lite, DecodeR, RPayload.Encode)
+		}
+	})
+}
+
+func roundTrip[T comparable](t *testing.T, kind string, src []byte, lite bool,
+	decode func([]byte, bool) T, encode func(T, []byte, bool) []byte) {
+	t.Helper()
+	p := decode(src, lite)
+	var b [FullWWidth]byte
+	enc := encode(p, b[:], lite)
+	if len(enc) != len(src) {
+		t.Fatalf("%s (lite %v): encoded %d bytes, channel width %d", kind, lite, len(enc), len(src))
+	}
+	if q := decode(enc, lite); q != p {
+		t.Fatalf("%s (lite %v): %+v decoded back as %+v", kind, lite, p, q)
 	}
 }

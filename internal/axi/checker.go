@@ -82,15 +82,15 @@ func (c *ProtocolChecker) Check() error {
 	return nil
 }
 
-// Tick implements sim.Module: it snapshots in-flight transactions at the
-// clock edge.
+// Tick implements sim.Module: it copies each newly in-flight transaction's
+// data, into the channel's reused buffer, at the clock edge.
 func (c *ProtocolChecker) Tick() {
 	c.tracked = 0
 	for i, ch := range c.chans {
 		st := &c.state[i]
 		if ch.InFlight() {
 			if !st.inFlight {
-				st.data = ch.Data.Snapshot()
+				st.data = append(st.data[:0], ch.Data.Get()...)
 			}
 			st.inFlight = true
 			c.tracked++

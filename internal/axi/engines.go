@@ -1,11 +1,16 @@
 package axi
 
 import (
+	"encoding/binary"
+	"math/bits"
+
 	"vidi/internal/sim"
 	"vidi/internal/telemetry"
 )
 
-// WriteOp is one write request issued by a WriteManager.
+// WriteOp is one write request issued by a WriteManager. The manager reads
+// Data and Strb as it presents each beat, so the caller must leave both
+// untouched until Done runs.
 type WriteOp struct {
 	Addr uint64
 	Data []byte
@@ -26,14 +31,15 @@ type WriteManager struct {
 	name  string
 	iface *Interface
 
-	awQueue [][]byte
-	wQueue  [][]byte
-	pending []func(uint8)
+	awQueue queue[AWPayload]
+	wOps    queue[WriteOp] // ops with beats not yet presented
+	wBeat   int            // next beat of wOps' front op
+	pending queue[pendingWrite]
 
 	awActive bool
-	awCur    []byte
+	awCur    AWPayload
 	wActive  bool
-	wCur     []byte
+	wCur     WPayload
 
 	// AWGap and WGap, if non-nil, insert idle cycles before the next AW or
 	// W transaction, modelling environment-side timing jitter.
@@ -53,9 +59,13 @@ type WriteManager struct {
 	Track  *telemetry.Track // one span per burst, push to response
 	Now    func() uint64    // simulation cycle, required with Track
 
-	pendStart []uint64 // per-pending-burst push cycles (Track only)
-
 	tickWake func()
+}
+
+// pendingWrite is a pushed write awaiting its response.
+type pendingWrite struct {
+	done  func(uint8)
+	start uint64 // push cycle (Track only)
 }
 
 // NewWriteManager creates a write manager for iface.
@@ -77,68 +87,68 @@ func (m *WriteManager) TickWatch() []*sim.Channel {
 // (awActive/wActive) or awaiting a response (pending) needs no Tick until
 // the corresponding channel fires.
 func (m *WriteManager) TickStable() bool {
-	return len(m.awQueue) == 0 && len(m.wQueue) == 0 && m.awGap == 0 && m.wGap == 0
+	return m.awQueue.len() == 0 && m.wOps.len() == 0 && m.awGap == 0 && m.wGap == 0
 }
 
 // Name implements sim.Module.
 func (m *WriteManager) Name() string { return m.name }
 
-// beatSize returns the data bytes per beat for the interface flavour.
-func (m *WriteManager) beatSize() int {
-	if m.iface.Lite {
-		return 4
-	}
-	return FullDataBytes
-}
-
 // Push enqueues a write operation. Data longer than one beat is split into
 // a burst (full interfaces only; Lite writes must fit one beat).
 func (m *WriteManager) Push(op WriteOp) {
-	bs := m.beatSize()
-	nbeats := (len(op.Data) + bs - 1) / bs
-	if nbeats == 0 {
-		nbeats = 1
-	}
-	m.awQueue = append(m.awQueue, AWPayload{Addr: op.Addr, Len: uint8(nbeats - 1)}.Encode(m.iface.Lite))
-	for i := 0; i < nbeats; i++ {
-		lo := i * bs
-		hi := lo + bs
-		if hi > len(op.Data) {
-			hi = len(op.Data)
-		}
-		data := make([]byte, bs)
-		copy(data, op.Data[lo:hi])
-		strb := make([]byte, bs)
-		for j := lo; j < hi; j++ {
-			if op.Strb == nil || op.Strb[j] != 0 {
-				strb[j-lo] = 1
-			}
-		}
-		m.wQueue = append(m.wQueue, WPayload{Data: data, Strb: strb, Last: i == nbeats-1}.Encode(m.iface.Lite))
-	}
-	m.pending = append(m.pending, op.Done)
+	bs := m.iface.beatBytes()
+	nbeats := max((len(op.Data)+bs-1)/bs, 1)
+	m.awQueue.push(AWPayload{Addr: op.Addr, Len: uint8(nbeats - 1)})
+	m.wOps.push(op)
+	pw := pendingWrite{done: op.Done}
 	if m.Track != nil {
-		m.pendStart = append(m.pendStart, m.Now())
+		pw.start = m.Now()
 	}
+	m.pending.push(pw)
 	if m.tickWake != nil {
 		m.tickWake()
 	}
 }
 
+// nextBeat builds the next W beat from the front queued op, and pops the op
+// with its last beat.
+func (m *WriteManager) nextBeat() WPayload {
+	op := m.wOps.front()
+	bs := m.iface.beatBytes()
+	lo := m.wBeat * bs
+	hi := min(lo+bs, len(op.Data))
+	var p WPayload
+	copy(p.Data[:], op.Data[lo:hi])
+	for j := lo; j < hi; j++ {
+		if op.Strb == nil || op.Strb[j] != 0 {
+			p.Strb |= 1 << (j - lo)
+		}
+	}
+	m.wBeat++
+	if hi == len(op.Data) {
+		p.Last = true
+		m.wBeat = 0
+		m.wOps.pop()
+	}
+	return p
+}
+
 // Idle reports whether all pushed writes have fully completed.
 func (m *WriteManager) Idle() bool {
-	return !m.awActive && !m.wActive && len(m.awQueue) == 0 && len(m.wQueue) == 0 && len(m.pending) == 0
+	return !m.awActive && !m.wActive && m.awQueue.len() == 0 && m.wOps.len() == 0 && m.pending.len() == 0
 }
 
 // Eval implements sim.Module.
 func (m *WriteManager) Eval() {
 	m.iface.AW.Valid.Set(m.awActive)
 	if m.awActive {
-		m.iface.AW.Data.Set(m.awCur)
+		var b [FullAWWidth]byte
+		m.iface.AW.Data.Set(m.awCur.Encode(b[:], m.iface.Lite))
 	}
 	m.iface.W.Valid.Set(m.wActive)
 	if m.wActive {
-		m.iface.W.Data.Set(m.wCur)
+		var b [FullWWidth]byte
+		m.iface.W.Data.Set(m.wCur.Encode(b[:], m.iface.Lite))
 	}
 	m.iface.B.Ready.Set(true)
 }
@@ -161,9 +171,8 @@ func (m *WriteManager) Tick() {
 	if !m.awActive {
 		if m.awGap > 0 {
 			m.awGap--
-		} else if len(m.awQueue) > 0 {
-			m.awCur = m.awQueue[0]
-			m.awQueue = m.awQueue[1:]
+		} else if m.awQueue.len() > 0 {
+			m.awCur = m.awQueue.pop()
 			m.awActive = true
 			m.Touch()
 		}
@@ -173,7 +182,7 @@ func (m *WriteManager) Tick() {
 		m.Touch()
 		m.Beats++
 		if m.Link != nil {
-			m.Link.Spend(m.beatSize())
+			m.Link.Spend(m.iface.beatBytes())
 		}
 		if m.WGap != nil {
 			m.wGap = m.WGap()
@@ -182,23 +191,20 @@ func (m *WriteManager) Tick() {
 	if !m.wActive {
 		if m.wGap > 0 {
 			m.wGap--
-		} else if len(m.wQueue) > 0 && (m.Link == nil || m.Link.Ok()) {
-			m.wCur = m.wQueue[0]
-			m.wQueue = m.wQueue[1:]
+		} else if m.wOps.len() > 0 && (m.Link == nil || m.Link.Ok()) {
+			m.wCur = m.nextBeat()
 			m.wActive = true
 			m.Touch()
 		}
 	}
-	if m.iface.B.Fired() && len(m.pending) > 0 {
-		done := m.pending[0]
-		m.pending = m.pending[1:]
+	if m.iface.B.Fired() && m.pending.len() > 0 {
+		pw := m.pending.pop()
 		m.Bursts++
-		if m.Track != nil && len(m.pendStart) > 0 {
-			m.Track.Span("write", m.pendStart[0], m.Now()+1)
-			m.pendStart = m.pendStart[1:]
+		if m.Track != nil {
+			m.Track.Span("write", pw.start, m.Now()+1)
 		}
-		if done != nil {
-			done(DecodeB(m.iface.B.Data.Get()).Resp)
+		if pw.done != nil {
+			pw.done(DecodeB(m.iface.B.Data.Get()).Resp)
 		}
 	}
 }
@@ -219,11 +225,11 @@ type ReadManager struct {
 
 	lastReady bool // R.Ready as last driven (tracks Link.Ok flips)
 
-	arQueue [][]byte
-	pending []*readState
+	arQueue queue[ARPayload]
+	pending queue[readState]
 
 	arActive bool
-	arCur    []byte
+	arCur    ARPayload
 
 	ARGap func() int
 	arGap int
@@ -238,15 +244,16 @@ type ReadManager struct {
 	Track  *telemetry.Track // one span per burst, push to last beat
 	Now    func() uint64
 
-	pendStart []uint64
-
 	tickWake func()
 }
 
+// readState is a pushed read awaiting its last beat.
 type readState struct {
-	data []byte
-	resp uint8
-	done func([]byte, uint8)
+	beats int
+	data  []byte
+	resp  uint8
+	done  func([]byte, uint8)
+	start uint64 // push cycle (Track only)
 }
 
 // NewReadManager creates a read manager for iface.
@@ -257,24 +264,15 @@ func NewReadManager(name string, iface *Interface) *ReadManager {
 // Name implements sim.Module.
 func (m *ReadManager) Name() string { return m.name }
 
-func (m *ReadManager) beatSize() int {
-	if m.iface.Lite {
-		return 4
-	}
-	return FullDataBytes
-}
-
 // Push enqueues a read operation.
 func (m *ReadManager) Push(op ReadOp) {
-	beats := op.Beats
-	if beats < 1 {
-		beats = 1
-	}
-	m.arQueue = append(m.arQueue, ARPayload{Addr: op.Addr, Len: uint8(beats - 1)}.Encode(m.iface.Lite))
-	m.pending = append(m.pending, &readState{done: op.Done})
+	beats := max(op.Beats, 1)
+	m.arQueue.push(ARPayload{Addr: op.Addr, Len: uint8(beats - 1)})
+	st := readState{beats: beats, done: op.Done}
 	if m.Track != nil {
-		m.pendStart = append(m.pendStart, m.Now())
+		st.start = m.Now()
 	}
+	m.pending.push(st)
 	if m.tickWake != nil {
 		m.tickWake()
 	}
@@ -291,19 +289,20 @@ func (m *ReadManager) TickWatch() []*sim.Channel {
 // TickStable implements sim.TickSensitive: with no queued addresses and no
 // gap countdown, Tick only acts on AR/R handshake events.
 func (m *ReadManager) TickStable() bool {
-	return len(m.arQueue) == 0 && m.arGap == 0
+	return m.arQueue.len() == 0 && m.arGap == 0
 }
 
 // Idle reports whether all pushed reads have fully completed.
 func (m *ReadManager) Idle() bool {
-	return !m.arActive && len(m.arQueue) == 0 && len(m.pending) == 0
+	return !m.arActive && m.arQueue.len() == 0 && m.pending.len() == 0
 }
 
 // Eval implements sim.Module.
 func (m *ReadManager) Eval() {
 	m.iface.AR.Valid.Set(m.arActive)
 	if m.arActive {
-		m.iface.AR.Data.Set(m.arCur)
+		var b [FullARWidth]byte
+		m.iface.AR.Data.Set(m.arCur.Encode(b[:], m.iface.Lite))
 	}
 	ready := m.Link == nil || m.Link.Ok()
 	m.iface.R.Ready.Set(ready)
@@ -341,33 +340,33 @@ func (m *ReadManager) Tick() {
 	if !m.arActive {
 		if m.arGap > 0 {
 			m.arGap--
-		} else if len(m.arQueue) > 0 {
-			m.arCur = m.arQueue[0]
-			m.arQueue = m.arQueue[1:]
+		} else if m.arQueue.len() > 0 {
+			m.arCur = m.arQueue.pop()
 			m.arActive = true
 			m.Touch()
 		}
 	}
-	if m.iface.R.Fired() && len(m.pending) > 0 {
+	if m.iface.R.Fired() && m.pending.len() > 0 {
+		bs := m.iface.beatBytes()
 		if m.Link != nil {
-			m.Link.Spend(m.beatSize())
+			m.Link.Spend(bs)
 		}
 		m.Beats++
 		beat := DecodeR(m.iface.R.Data.Get(), m.iface.Lite)
-		st := m.pending[0]
-		st.data = append(st.data, beat.Data...)
-		if beat.Resp > st.resp {
-			st.resp = beat.Resp
+		st := m.pending.front()
+		if st.data == nil {
+			st.data = make([]byte, 0, st.beats*bs)
 		}
+		st.data = append(st.data, beat.Data[:bs]...)
+		st.resp = max(st.resp, beat.Resp)
 		if beat.Last {
-			m.pending = m.pending[1:]
+			r := m.pending.pop()
 			m.Bursts++
-			if m.Track != nil && len(m.pendStart) > 0 {
-				m.Track.Span("read", m.pendStart[0], m.Now()+1)
-				m.pendStart = m.pendStart[1:]
+			if m.Track != nil {
+				m.Track.Span("read", r.start, m.Now()+1)
 			}
-			if st.done != nil {
-				st.done(st.data, st.resp)
+			if r.done != nil {
+				r.done(r.data, r.resp)
 			}
 		}
 	}
@@ -454,16 +453,16 @@ type MemSubordinate struct {
 	Bursts uint64 // bursts served (write commits + read starts)
 	Beats  uint64 // data beats moved (W and R fires)
 
-	awBuf []AWPayload
-	wBuf  []WPayload
+	awBuf queue[AWPayload]
+	wBuf  queue[WPayload]
 
 	bDelay  int
 	bActive bool
 
-	rq      []ARPayload
-	rBeats  [][]byte
+	rq      queue[ARPayload]
+	rBeats  queue[RPayload] // the current read burst's beats, read at its start
 	rActive bool
-	rCur    []byte
+	rCur    RPayload
 	rDelay  int
 
 	// Err records the first out-of-range access.
@@ -478,40 +477,25 @@ func NewMemSubordinate(name string, iface *Interface, mem Mem) *MemSubordinate {
 // Name implements sim.Module.
 func (s *MemSubordinate) Name() string { return s.name }
 
-func (s *MemSubordinate) beatSize() int {
-	if s.iface.Lite {
-		return 4
-	}
-	return FullDataBytes
-}
-
-// haveCompleteBurst reports whether a full write (address + all beats with
-// Last) is buffered.
-func (s *MemSubordinate) haveCompleteBurst() bool {
-	if len(s.awBuf) == 0 {
-		return false
-	}
-	need := int(s.awBuf[0].Len) + 1
-	return len(s.wBuf) >= need
-}
-
 // Eval implements sim.Module.
 func (s *MemSubordinate) Eval() {
 	linkOK := s.Link == nil || s.Link.Ok()
-	s.iface.AW.Ready.Set(len(s.awBuf) < 4)
-	wReady := len(s.wBuf) < 64 && linkOK
+	s.iface.AW.Ready.Set(s.awBuf.len() < 4)
+	wReady := s.wBuf.len() < 64 && linkOK
 	s.iface.W.Ready.Set(wReady)
 	s.lastWReady = wReady
 	s.iface.B.Valid.Set(s.bActive)
 	if s.bActive {
-		s.iface.B.Data.Set(BPayload{Resp: RespOKAY}.Encode())
+		var b [FullBWidth]byte
+		s.iface.B.Data.Set(BPayload{Resp: RespOKAY}.Encode(b[:]))
 	}
-	s.iface.AR.Ready.Set(len(s.rq) < 4)
+	s.iface.AR.Ready.Set(s.rq.len() < 4)
 	// Once a beat is offered, VALID stays high until it fires (protocol
 	// stability); link throttling only delays starting the next beat.
 	s.iface.R.Valid.Set(s.rActive)
 	if s.rActive {
-		s.iface.R.Data.Set(s.rCur)
+		var b [FullRWidth]byte
+		s.iface.R.Data.Set(s.rCur.Encode(b[:], s.iface.Lite))
 	}
 }
 
@@ -523,8 +507,8 @@ func (s *MemSubordinate) Sensitivity() sim.Sensitivity {
 // busy reports whether any buffered or in-flight work could change Eval's
 // outputs at the next clock edge.
 func (s *MemSubordinate) busy() bool {
-	return len(s.awBuf) > 0 || len(s.wBuf) > 0 || s.bActive || s.bDelay > 0 ||
-		len(s.rq) > 0 || len(s.rBeats) > 0 || s.rActive || s.rDelay > 0
+	return s.awBuf.len() > 0 || s.wBuf.len() > 0 || s.bActive || s.bDelay > 0 ||
+		s.rq.len() > 0 || s.rBeats.len() > 0 || s.rActive || s.rDelay > 0
 }
 
 // EvalStable implements sim.Stable.
@@ -532,7 +516,7 @@ func (s *MemSubordinate) EvalStable() bool {
 	if !s.EvalTracker.EvalStable() {
 		return false
 	}
-	return s.Link == nil || (len(s.wBuf) < 64 && s.Link.Ok()) == s.lastWReady
+	return s.Link == nil || (s.wBuf.len() < 64 && s.Link.Ok()) == s.lastWReady
 }
 
 // NeedsStablePoll implements sim.StablePoll: W-side readiness tracks the
@@ -574,39 +558,32 @@ func (s *MemSubordinate) Tick() {
 	}()
 	// Accept address and data beats.
 	if s.iface.AW.Fired() {
-		s.awBuf = append(s.awBuf, DecodeAW(s.iface.AW.Data.Get(), s.iface.Lite))
+		s.awBuf.push(DecodeAW(s.iface.AW.Data.Get(), s.iface.Lite))
 	}
 	if s.iface.W.Fired() {
-		s.wBuf = append(s.wBuf, DecodeW(s.iface.W.Data.Get(), s.iface.Lite))
+		s.wBuf.push(DecodeW(s.iface.W.Data.Get(), s.iface.Lite))
 		s.Beats++
 		if s.Link != nil {
-			s.Link.Spend(s.beatSize())
+			s.Link.Spend(s.iface.beatBytes())
 		}
 	}
-	// Complete a write once the whole burst is present.
-	if !s.bActive && s.bDelay == 0 && s.haveCompleteBurst() {
-		aw := s.awBuf[0]
-		need := int(aw.Len) + 1
+	// Complete a write once its address and all Len+1 beats are present.
+	if !s.bActive && s.bDelay == 0 && s.awBuf.len() > 0 && s.wBuf.len() > int(s.awBuf.front().Len) {
+		aw := s.awBuf.pop()
 		addr := aw.Addr - s.Base
-		bs := s.beatSize()
-		for i := 0; i < need; i++ {
-			beat := s.wBuf[i]
-			// One write per contiguous run of enabled strobe bytes.
-			for j := 0; j < len(beat.Strb); {
-				if beat.Strb[j] == 0 {
-					j++
-					continue
-				}
-				k := j + 1
-				for k < len(beat.Strb) && beat.Strb[k] != 0 {
-					k++
-				}
-				s.writeRun(addr+uint64(i*bs+j), beat.Data[j:k])
-				j = k
+		bs := uint64(s.iface.beatBytes())
+		for i := uint64(0); i <= uint64(aw.Len); i++ {
+			beat := s.wBuf.front()
+			// One write per contiguous run of enabled strobe bytes: j is
+			// the run's first byte, k the byte after its last.
+			for m := beat.Strb; m != 0; {
+				j := bits.TrailingZeros64(m)
+				k := j + bits.TrailingZeros64(^(m >> j))
+				s.writeRun(addr+i*bs+uint64(j), beat.Data[j:k])
+				m &^= 1<<k - 1
 			}
+			s.wBuf.pop()
 		}
-		s.awBuf = s.awBuf[1:]
-		s.wBuf = s.wBuf[need:]
 		s.Bursts++
 		if s.RespDelay != nil {
 			s.bDelay = s.RespDelay()
@@ -626,22 +603,21 @@ func (s *MemSubordinate) Tick() {
 
 	// Reads.
 	if s.iface.AR.Fired() {
-		s.rq = append(s.rq, DecodeAR(s.iface.AR.Data.Get(), s.iface.Lite))
+		s.rq.push(DecodeAR(s.iface.AR.Data.Get(), s.iface.Lite))
 	}
 	linkOK := s.Link == nil || s.Link.Ok()
 	if s.rActive && s.iface.R.Fired() {
 		s.Beats++
 		if s.Link != nil {
-			s.Link.Spend(s.beatSize())
+			s.Link.Spend(s.iface.beatBytes())
 		}
 		s.rActive = false
 	}
-	if !s.rActive && len(s.rBeats) > 0 && linkOK {
-		s.rCur = s.rBeats[0]
-		s.rBeats = s.rBeats[1:]
+	if !s.rActive && s.rBeats.len() > 0 && linkOK {
+		s.rCur = s.rBeats.pop()
 		s.rActive = true
 	}
-	if !s.rActive && len(s.rBeats) == 0 && len(s.rq) > 0 {
+	if !s.rActive && s.rBeats.len() == 0 && s.rq.len() > 0 {
 		if s.rDelay == 0 && s.RespDelay != nil {
 			s.rDelay = s.RespDelay() + 1
 		}
@@ -649,20 +625,16 @@ func (s *MemSubordinate) Tick() {
 			s.rDelay--
 		} else {
 			s.rDelay = 0
-			ar := s.rq[0]
-			s.rq = s.rq[1:]
+			ar := s.rq.pop()
 			s.Bursts++
-			bs := s.beatSize()
-			beats := int(ar.Len) + 1
-			for i := 0; i < beats; i++ {
-				data := make([]byte, bs)
-				if err := s.mem.ReadAt(ar.Addr-s.Base+uint64(i*bs), data); err != nil && s.Err == nil {
+			bs := s.iface.beatBytes()
+			for i := 0; i <= int(ar.Len); i++ {
+				beat := s.rBeats.push(RPayload{Resp: RespOKAY, Last: i == int(ar.Len)})
+				if err := s.mem.ReadAt(ar.Addr-s.Base+uint64(i*bs), beat.Data[:bs]); err != nil && s.Err == nil {
 					s.Err = err
 				}
-				s.rBeats = append(s.rBeats, RPayload{Data: data, Resp: RespOKAY, Last: i == beats-1}.Encode(s.iface.Lite))
 			}
-			s.rCur = s.rBeats[0]
-			s.rBeats = s.rBeats[1:]
+			s.rCur = s.rBeats.pop()
 			s.rActive = true
 		}
 	}
@@ -681,13 +653,13 @@ type RegSubordinate struct {
 	// OnRead produces a register value.
 	OnRead func(addr uint64) uint32
 
-	awBuf   []AWPayload
-	wBuf    []WPayload
+	awBuf   queue[AWPayload]
+	wBuf    queue[WPayload]
 	bActive bool
 
-	rq      []ARPayload
+	rq      queue[ARPayload]
 	rActive bool
-	rCur    []byte
+	rCur    RPayload
 }
 
 // NewRegSubordinate creates a register-file subordinate for a Lite iface.
@@ -700,16 +672,18 @@ func (s *RegSubordinate) Name() string { return s.name }
 
 // Eval implements sim.Module.
 func (s *RegSubordinate) Eval() {
-	s.iface.AW.Ready.Set(len(s.awBuf) < 2)
-	s.iface.W.Ready.Set(len(s.wBuf) < 2)
+	s.iface.AW.Ready.Set(s.awBuf.len() < 2)
+	s.iface.W.Ready.Set(s.wBuf.len() < 2)
 	s.iface.B.Valid.Set(s.bActive)
 	if s.bActive {
-		s.iface.B.Data.Set(BPayload{Resp: RespOKAY}.Encode())
+		var b [FullBWidth]byte
+		s.iface.B.Data.Set(BPayload{Resp: RespOKAY}.Encode(b[:]))
 	}
-	s.iface.AR.Ready.Set(len(s.rq) < 2)
+	s.iface.AR.Ready.Set(s.rq.len() < 2)
 	s.iface.R.Valid.Set(s.rActive)
 	if s.rActive {
-		s.iface.R.Data.Set(s.rCur)
+		var b [LiteRWidth]byte
+		s.iface.R.Data.Set(s.rCur.Encode(b[:], true))
 	}
 }
 
@@ -721,7 +695,7 @@ func (s *RegSubordinate) Sensitivity() sim.Sensitivity {
 }
 
 func (s *RegSubordinate) busy() bool {
-	return len(s.awBuf) > 0 || len(s.wBuf) > 0 || s.bActive || len(s.rq) > 0 || s.rActive
+	return s.awBuf.len() > 0 || s.wBuf.len() > 0 || s.bActive || s.rq.len() > 0 || s.rActive
 }
 
 // TickWatch implements sim.TickSensitive.
@@ -743,20 +717,15 @@ func (s *RegSubordinate) Tick() {
 		}
 	}()
 	if s.iface.AW.Fired() {
-		s.awBuf = append(s.awBuf, DecodeAW(s.iface.AW.Data.Get(), true))
+		s.awBuf.push(DecodeAW(s.iface.AW.Data.Get(), true))
 	}
 	if s.iface.W.Fired() {
-		s.wBuf = append(s.wBuf, DecodeW(s.iface.W.Data.Get(), true))
+		s.wBuf.push(DecodeW(s.iface.W.Data.Get(), true))
 	}
-	if !s.bActive && len(s.awBuf) > 0 && len(s.wBuf) > 0 {
-		aw, w := s.awBuf[0], s.wBuf[0]
-		s.awBuf, s.wBuf = s.awBuf[1:], s.wBuf[1:]
+	if !s.bActive && s.awBuf.len() > 0 && s.wBuf.len() > 0 {
+		aw, w := s.awBuf.pop(), s.wBuf.pop()
 		if s.OnWrite != nil {
-			var v uint32
-			for i := 0; i < 4; i++ {
-				v |= uint32(w.Data[i]) << (8 * i)
-			}
-			s.OnWrite(aw.Addr, v)
+			s.OnWrite(aw.Addr, binary.LittleEndian.Uint32(w.Data[:4]))
 		}
 		s.bActive = true
 	}
@@ -765,20 +734,53 @@ func (s *RegSubordinate) Tick() {
 	}
 
 	if s.iface.AR.Fired() {
-		s.rq = append(s.rq, DecodeAR(s.iface.AR.Data.Get(), true))
+		s.rq.push(DecodeAR(s.iface.AR.Data.Get(), true))
 	}
-	if !s.rActive && len(s.rq) > 0 {
-		ar := s.rq[0]
-		s.rq = s.rq[1:]
+	if !s.rActive && s.rq.len() > 0 {
+		ar := s.rq.pop()
 		var v uint32
 		if s.OnRead != nil {
 			v = s.OnRead(ar.Addr)
 		}
-		data := []byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)}
-		s.rCur = RPayload{Data: data, Resp: RespOKAY, Last: true}.Encode(true)
+		s.rCur = RPayload{Resp: RespOKAY, Last: true}
+		binary.LittleEndian.PutUint32(s.rCur.Data[:], v)
 		s.rActive = true
 	}
 	if s.rActive && s.iface.R.Fired() {
 		s.rActive = false
 	}
+}
+
+// queue is a FIFO of values that reuses its backing array: pop advances a
+// head index and clears the slot it leaves, the queue rewinds when it
+// drains, and a push into a full array first slides the live values down.
+type queue[T any] struct {
+	buf  []T
+	head int
+}
+
+func (q *queue[T]) len() int { return len(q.buf) - q.head }
+
+// front returns the oldest value's slot, valid until the next push or pop.
+func (q *queue[T]) front() *T { return &q.buf[q.head] }
+
+// push appends v and returns its slot, valid until the next push or pop.
+func (q *queue[T]) push(v T) *T {
+	if q.head > 0 && len(q.buf) == cap(q.buf) {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, v)
+	return &q.buf[len(q.buf)-1]
+}
+
+func (q *queue[T]) pop() T {
+	v := q.buf[q.head]
+	var zero T
+	q.buf[q.head] = zero
+	if q.head++; q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+	return v
 }

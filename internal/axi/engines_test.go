@@ -190,13 +190,14 @@ func TestLitePayloadWidthsMatchChannelWidths(t *testing.T) {
 		}
 	}
 	// Encoded payloads must exactly fill their channels.
-	if len(AWPayload{Addr: 1, Len: 2}.Encode(false)) != FullAWWidth {
+	var b [FullWWidth]byte
+	if len(AWPayload{Addr: 1, Len: 2}.Encode(b[:], false)) != FullAWWidth {
 		t.Fatal("AW payload size mismatch")
 	}
-	if len(WPayload{Data: make([]byte, FullDataBytes)}.Encode(false)) != FullWWidth {
+	if len(WPayload{}.Encode(b[:], false)) != FullWWidth {
 		t.Fatal("W payload size mismatch")
 	}
-	if len(RPayload{Data: make([]byte, FullDataBytes)}.Encode(false)) != FullRWidth {
+	if len(RPayload{}.Encode(b[:], false)) != FullRWidth {
 		t.Fatal("R payload size mismatch")
 	}
 }
@@ -251,5 +252,51 @@ func TestMemSubordinateBurstStraddlingEndWritesInRangeBytes(t *testing.T) {
 	}
 	if got := mem.Read(0, addr); !bytes.Equal(got, make([]byte, addr)) {
 		t.Fatal("bytes below the burst changed")
+	}
+}
+
+// TestEnginesAllocateNothingPerBeat drives warmed-up interfaces through
+// Full write and read bursts (WriteManager and ReadManager to a
+// MemSubordinate) and Lite writes and reads (to a RegSubordinate), under a
+// protocol checker. The only allocation allowed is the buffer each read
+// hands to Done.
+func TestEnginesAllocateNothingPerBeat(t *testing.T) {
+	s := sim.New()
+	full, lite := NewFull(s, "dma"), NewLite(s, "ocl")
+	fw, fr := NewWriteManager("fw", full), NewReadManager("fr", full)
+	lw, lr := NewWriteManager("lw", lite), NewReadManager("lr", lite)
+	regs := NewRegSubordinate("regs", lite)
+	var reg uint32
+	regs.OnWrite = func(_ uint64, v uint32) { reg = v }
+	regs.OnRead = func(uint64) uint32 { return reg }
+	s.Register(fw, fr, lw, lr, NewMemSubordinate("mem", full, NewMemory(1<<13)), regs)
+	chk := NewProtocolChecker("chk", full.Channels()...)
+	chk.Add(lite.Channels()...)
+	chk.Install(s)
+
+	data := make([]byte, 4*FullDataBytes)
+	word := []byte{1, 2, 3, 4}
+	pending := 0
+	wrote := func(uint8) { pending-- }
+	read := func([]byte, uint8) { pending-- }
+	const readOps = 2
+	round := func() {
+		pending = 4
+		fw.Push(WriteOp{Addr: 0, Data: data, Done: wrote})
+		fr.Push(ReadOp{Addr: 1024, Beats: 4, Done: read})
+		lw.Push(WriteOp{Addr: 0x10, Data: word, Done: wrote})
+		lr.Push(ReadOp{Addr: 0x10, Done: read})
+		for pending > 0 {
+			if err := s.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Warm up: memory pages, queue arrays and the checker's buffers.
+	for range 3 {
+		round()
+	}
+	if a := testing.AllocsPerRun(20, round); a != readOps {
+		t.Fatalf("%v allocations per round of 10 beats, want %d (the buffers handed to Done)", a, readOps)
 	}
 }

@@ -22,13 +22,13 @@ type AtopFilter struct {
 	up   *axi.Interface // application side (filter is the subordinate)
 	down *axi.Interface // boundary side (filter is the manager)
 
-	awQ [][]byte
-	wQ  [][]byte
+	awQ []axi.AWPayload
+	wQ  []axi.WPayload
 
 	awActive bool
-	awCur    []byte
+	awCur    axi.AWPayload
 	wActive  bool
-	wCur     []byte
+	wCur     axi.WPayload
 
 	awDownDone int // AW transactions completed downstream
 	awConsumed int // AW completions already matched to W bursts
@@ -54,11 +54,13 @@ func (f *AtopFilter) Eval() {
 
 	f.down.AW.Valid.Set(f.awActive)
 	if f.awActive {
-		f.down.AW.Data.Set(f.awCur)
+		var b [axi.FullAWWidth]byte
+		f.down.AW.Data.Set(f.awCur.Encode(b[:], false))
 	}
 	f.down.W.Valid.Set(f.wActive)
 	if f.wActive {
-		f.down.W.Data.Set(f.wCur)
+		var b [axi.FullWWidth]byte
+		f.down.W.Data.Set(f.wCur.Encode(b[:], false))
 	}
 }
 
@@ -90,10 +92,10 @@ func (f *AtopFilter) Tick() {
 		}
 	}()
 	if f.up.AW.Fired() {
-		f.awQ = append(f.awQ, f.up.AW.Data.Snapshot())
+		f.awQ = append(f.awQ, axi.DecodeAW(f.up.AW.Data.Get(), false))
 	}
 	if f.up.W.Fired() {
-		f.wQ = append(f.wQ, f.up.W.Data.Snapshot())
+		f.wQ = append(f.wQ, axi.DecodeW(f.up.W.Data.Get(), false))
 	}
 	if f.awActive && f.down.AW.Fired() {
 		f.awActive = false
@@ -115,11 +117,10 @@ func (f *AtopFilter) Tick() {
 			// under AXI — this deadlocks.
 			return
 		}
-		beat := f.wQ[0]
+		f.wCur = f.wQ[0]
 		f.wQ = f.wQ[1:]
-		f.wCur = beat
 		f.wActive = true
-		if axi.DecodeW(beat, false).Last {
+		if f.wCur.Last {
 			f.awConsumed++
 		}
 	}

@@ -230,8 +230,8 @@ type echoFront struct {
 
 	rq   []axi.ARPayload
 	rAct bool
-	rCur []byte
-	rBts [][]byte
+	rCur axi.RPayload
+	rBts []axi.RPayload
 
 	irq     *sim.Sender
 	irqSent bool
@@ -266,12 +266,14 @@ func (e *echoFront) Eval() {
 	e.iface.W.Ready.Set(len(e.wBuf) < 4)
 	e.iface.B.Valid.Set(e.bAct)
 	if e.bAct {
-		e.iface.B.Data.Set(axi.BPayload{Resp: axi.RespOKAY}.Encode())
+		var b [axi.FullBWidth]byte
+		e.iface.B.Data.Set(axi.BPayload{Resp: axi.RespOKAY}.Encode(b[:]))
 	}
 	e.iface.AR.Ready.Set(len(e.rq) < 2)
 	e.iface.R.Valid.Set(e.rAct)
 	if e.rAct {
-		e.iface.R.Data.Set(e.rCur)
+		var b [axi.FullRWidth]byte
+		e.iface.R.Data.Set(e.rCur.Encode(b[:], false))
 	}
 }
 
@@ -289,8 +291,7 @@ func (e *echoFront) Tick() {
 		e.awBuf = append(e.awBuf, axi.DecodeAW(e.iface.AW.Data.Get(), false))
 	}
 	if e.iface.W.Fired() {
-		beat := axi.DecodeW(e.iface.W.Data.Get(), false)
-		e.wBuf = append(e.wBuf, beat)
+		e.wBuf = append(e.wBuf, axi.DecodeW(e.iface.W.Data.Get(), false))
 	}
 	// Complete bursts: split each beat into 16 fragments and push. BUG
 	// SURFACE 1: the byte-enable mask (beat.Strb) is ignored entirely, so
@@ -364,9 +365,9 @@ func (e *echoFront) Tick() {
 			// A beat that runs past the end of card DRAM reads short and
 			// is zero-filled.
 			addr := ar.Addr + uint64(i*64)
-			data := make([]byte, axi.FullDataBytes)
-			copy(data, e.card.Read(addr, int(min(axi.FullDataBytes, e.card.Size()-addr))))
-			e.rBts = append(e.rBts, axi.RPayload{Data: data, Resp: axi.RespOKAY, Last: i == beats-1}.Encode(false))
+			p := axi.RPayload{Resp: axi.RespOKAY, Last: i == beats-1}
+			copy(p.Data[:], e.card.Read(addr, int(min(axi.FullDataBytes, e.card.Size()-addr))))
+			e.rBts = append(e.rBts, p)
 		}
 		e.rCur = e.rBts[0]
 		e.rBts = e.rBts[1:]

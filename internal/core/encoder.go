@@ -38,7 +38,8 @@ type Encoder struct {
 
 	// Per-cycle builders, filled by monitors during Tick: each channel's
 	// channel packet, and the channels touched this cycle, in log order.
-	// Only the touched channels are scanned and reset at the clock edge.
+	// Only the touched channels are scanned and reset at the clock edge; a
+	// reset keeps the packet's content buffer for the next copy.
 	cur     []trace.ChannelPacket
 	touched []int
 
@@ -225,12 +226,13 @@ func (e *Encoder) TickStable() bool {
 }
 
 // LogStart records a start event with content for channel ci in the current
-// cycle, consuming any start reservation. Called by monitors during Tick.
+// cycle, consuming any start reservation. Called by monitors during Tick;
+// content is copied, so it may be the live bus.
 func (e *Encoder) LogStart(ci int, content []byte) {
 	e.wake()
 	e.touch(ci)
 	e.cur[ci].Start = true
-	e.cur[ci].Content = content
+	e.cur[ci].Content = append(e.cur[ci].Content[:0], content...)
 	if e.startResv[ci] > 0 {
 		e.reserved -= e.startResv[ci]
 		e.startResv[ci] = 0
@@ -260,14 +262,14 @@ func (e *Encoder) ReserveEnd(ci int) {
 }
 
 // LogEnd records an end event for channel ci in the current cycle,
-// consuming its reservation. content is non-nil only for output channels in
-// validation mode.
+// consuming its reservation. content, copied as in LogStart, is non-nil only
+// for output channels in validation mode.
 func (e *Encoder) LogEnd(ci int, content []byte) {
 	e.wake()
 	e.touch(ci)
 	e.cur[ci].End = true
 	if content != nil {
-		e.cur[ci].Content = content
+		e.cur[ci].Content = append(e.cur[ci].Content[:0], content...)
 	}
 	if e.endResv[ci] > 0 {
 		e.reserved -= e.endResv[ci]
@@ -303,7 +305,7 @@ func (e *Encoder) Tick() {
 				}
 				b.End(ci, cp.Content)
 			}
-			e.cur[ci] = trace.ChannelPacket{}
+			e.cur[ci] = trace.ChannelPacket{Content: cp.Content[:0]}
 		}
 		e.touched = e.touched[:0]
 		e.used += e.rec.Packet(e.rec.Len() - 1).Size()

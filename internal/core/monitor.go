@@ -192,7 +192,7 @@ func (m *Monitor) Tick() {
 			// The monitor forwards cut-through: to fires in exactly the
 			// cycles from fires, so from's bus is live under to.Fired().
 			//lint:handshake cut-through forwarding makes to.Fired() equivalent to from.Fired()
-			content = from.Data.Snapshot()
+			content = from.Data.Get()
 		}
 		m.enc.LogEnd(m.ci, content)
 		m.recorded++
@@ -206,7 +206,7 @@ func (m *Monitor) Tick() {
 // makes the eager end reservation.
 func (m *Monitor) logEventStart(from *sim.Channel) {
 	if m.bc.Info.Dir == trace.Input {
-		m.enc.LogStart(m.ci, from.Data.Snapshot())
+		m.enc.LogStart(m.ci, from.Data.Get())
 		m.recorded++
 	}
 	m.enc.ReserveEnd(m.ci)

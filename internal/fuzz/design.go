@@ -239,7 +239,8 @@ func (f *front) Eval() {
 	f.iface.W.Ready.Set(len(f.wBuf) < 8)
 	f.iface.B.Valid.Set(f.bAct)
 	if f.bAct {
-		f.iface.B.Data.Set(axi.BPayload{Resp: axi.RespOKAY}.Encode())
+		var b [axi.FullBWidth]byte
+		f.iface.B.Data.Set(axi.BPayload{Resp: axi.RespOKAY}.Encode(b[:]))
 	}
 	f.iface.AR.Ready.Set(false)
 	f.iface.R.Valid.Set(false)

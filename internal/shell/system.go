@@ -31,14 +31,15 @@ const (
 // page costs memory only once something writes it.
 const dramBytes = 4 << 20
 
+// pcieBytesPerCycle is the shared PCIe link bandwidth: ≈7 GB/s at 250 MHz,
+// full-duplex approximated as one bucket.
+const pcieBytesPerCycle = 28
+
 // Config sizes a System.
 type Config struct {
 	// Replay builds the system without the environment side (CPU agent and
 	// host engines): the channel replayers take the environment's place.
 	Replay bool
-	// PCIeBytesPerCycle is the shared PCIe link bandwidth (default 28,
-	// ≈7 GB/s at 250 MHz, full-duplex approximated as one bucket).
-	PCIeBytesPerCycle float64
 	// Seed drives all environment-side timing jitter.
 	Seed int64
 	// JitterMax bounds the CPU agent's random inter-op delays.
@@ -98,9 +99,6 @@ func liteBuses() []string { return []string{"ocl", "sda", "bar1"} }
 
 // NewSystem builds a platform instance.
 func NewSystem(cfg Config) *System {
-	if cfg.PCIeBytesPerCycle == 0 {
-		cfg.PCIeBytesPerCycle = 28
-	}
 	s := sim.New()
 	sys := &System{
 		Sim:      s,
@@ -108,7 +106,7 @@ func NewSystem(cfg Config) *System {
 		Cfg:      cfg,
 		HostDRAM: axi.NewMemory(dramBytes),
 		CardDRAM: axi.NewMemory(dramBytes),
-		PCIe:     axi.NewTokenBucket("pcie", cfg.PCIeBytesPerCycle, 512),
+		PCIe:     axi.NewTokenBucket("pcie", pcieBytesPerCycle, 512),
 	}
 	s.Register(sys.PCIe)
 
